@@ -6,15 +6,12 @@ Results go to stdout (or ``--output``); diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 from . import codec, convert, simulator, synth, validate, viz, workloads
-from .builder import DependencyCycleError
 from .costmodel import TopologyKind, near_square_dims, parse_topology
 from .schema import Trace
-from .validate import InvalidTraceError
 from .workloads import Parallelism, WorkloadSpec
 
 
@@ -358,18 +355,9 @@ def build_parser() -> _Parser:
     return parser
 
 
-_DATA_ERRORS = (
-    InvalidTraceError,
-    codec.DecodeError,
-    convert.ConvertError,
-    convert.DotParseError,
-    synth.MergeConflictError,
-    viz.TimelineError,
-    DependencyCycleError,
-    json.JSONDecodeError,
-    ValueError,
-    OSError,
-)
+# Every ettrace data error (decode, convert, validation, merge, timeline,
+# dependency cycle) subclasses ValueError.
+_DATA_ERRORS = (ValueError, OSError)
 
 
 def main(argv: "list[str] | None" = None) -> int:

@@ -64,6 +64,18 @@ class Topology:
         raise ValueError(f"dimension must be 1 or 2, got {dim}")
 
 
+def dim_pair(value: "float | tuple[float, ...] | list[float]", what: str) -> tuple[float, float]:
+    """Per-dimension (dim 1, dim 2) values: one value applies to both dims."""
+    if isinstance(value, (int, float)):
+        return float(value), float(value)
+    values = tuple(float(v) for v in value)
+    if len(values) == 1:
+        return values[0], values[0]
+    if len(values) == 2:
+        return values
+    raise ValueError(f"{what} takes one or two values, got {len(values)}")
+
+
 _TOPO_RE = re.compile(r"^(torus2d|switch2lvl):(\d+)x(\d+)$")
 
 
@@ -85,18 +97,8 @@ def parse_topology(
     kind = TopologyKind(m.group(1))
     dim1, dim2 = int(m.group(2)), int(m.group(3))
 
-    def pair(value: object, what: str) -> tuple[float, float]:
-        if isinstance(value, (int, float)):
-            return float(value), float(value)
-        values = tuple(float(v) for v in value)  # type: ignore[union-attr]
-        if len(values) == 1:
-            return values[0], values[0]
-        if len(values) == 2:
-            return values
-        raise ValueError(f"{what} takes one or two values, got {len(values)}")
-
-    bw1, bw2 = pair(bandwidth, "bandwidth")
-    lat1, lat2 = pair(latency, "latency")
+    bw1, bw2 = dim_pair(bandwidth, "bandwidth")
+    lat1, lat2 = dim_pair(latency, "latency")
     return Topology(kind, dim1, dim2, bw1, bw2, lat1, lat2)
 
 
@@ -201,13 +203,7 @@ def collective_time(
             raise ValueError(
                 f"hierarchical collectives span the whole fabric: group {group_size} != {topo.npus} npus"
             )
-        if ct is CommType.ALL_REDUCE:
-            return hierarchical_all_reduce_time(
-                size_bytes, topo.dim1, topo.dim2, topo.bw1, topo.bw2, topo.lat1, topo.lat2
-            )
-        return collective_time_flat(ct, size_bytes, topo.dim1, topo.bw1, topo.lat1) + collective_time_flat(
-            ct, size_bytes, topo.dim2, topo.bw2, topo.lat2
-        )
+        return _two_phase_time(ct, size_bytes, topo.dim1, topo.dim2, topo)
     bw, lat = topo.bw_lat(int(dim))
     return collective_time_flat(ct, size_bytes, group_size, bw, lat)
 
@@ -278,6 +274,15 @@ def group_collective_time(
         return collective_time_flat(ct, size_bytes, n, bw, lat)
     n1 = len({topo.coords(r)[0] for r in ranks})
     n2 = len({topo.coords(r)[1] for r in ranks})
+    return _two_phase_time(ct, size_bytes, n1, n2, topo)
+
+
+def _two_phase_time(ct: CommType, size_bytes: float, n1: int, n2: int, topo: Topology) -> float:
+    """A collective over an n1 x n2 block spanning both dimensions.
+
+    All-reduce runs hierarchically; any other collective runs a dim-1 phase
+    followed by a dim-2 phase.
+    """
     if ct is CommType.ALL_REDUCE:
         return hierarchical_all_reduce_time(size_bytes, n1, n2, topo.bw1, topo.bw2, topo.lat1, topo.lat2)
     return collective_time_flat(ct, size_bytes, n1, topo.bw1, topo.lat1) + collective_time_flat(

@@ -5,17 +5,21 @@ each class may be in flight at a time and further ready nodes of a busy class
 wait FIFO. Collectives rendezvous: the k-th collective a rank issues in a
 communicator matches the k-th of every other member, the transfer starts when
 the last member arrives, and all members finish on the same cycle. SEND/RECV
-pair up by explicit tag (or arrival order per directed rank pair) and also
-complete simultaneously. The event loop is integer-cycle and fully
-deterministic: identical inputs produce byte-identical timelines.
+pair up by explicit tag (or issue order per directed rank pair) and also
+complete simultaneously. Both kinds of match go through one rendezvous.
+Every attribute replay needs is read once, before the first event, by
+``_lower``. The event loop is integer-cycle and fully deterministic:
+identical inputs produce byte-identical timelines.
 """
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from . import costmodel
 from .costmodel import Topology
@@ -29,7 +33,6 @@ from .schema import (
     ATTR_NUM_OPS,
     ATTR_RUNTIME,
     ATTR_TENSOR_SIZE,
-    CommType,
     ETNode,
     NodeType,
     Trace,
@@ -45,23 +48,8 @@ class TimingMode(Enum):
     MODEL = "model"
 
 
-class ResourceClass(Enum):
-    MEMORY = "memory"
-    COMPUTE = "compute"
-    NETWORK = "network"
-
-
-_CLASS_FOR_TYPE = {
-    NodeType.MEM_LOAD: ResourceClass.MEMORY,
-    NodeType.MEM_STORE: ResourceClass.MEMORY,
-    NodeType.COMP: ResourceClass.COMPUTE,
-    NodeType.COMM_SEND: ResourceClass.NETWORK,
-    NodeType.COMM_RECV: ResourceClass.NETWORK,
-    NodeType.COMM_COLL: ResourceClass.NETWORK,
-}
-
-# Fixed iteration order keeps the engine deterministic.
-_CLASS_ORDER = (ResourceClass.MEMORY, ResourceClass.COMPUTE, ResourceClass.NETWORK)
+# Resource classes, as indices in the fixed order the engine issues them.
+_MEMORY, _COMPUTE, _NETWORK = range(3)
 
 
 @dataclass(frozen=True)
@@ -145,93 +133,88 @@ def compute_breakdown(result: SimResult) -> list[dict]:
 class _Npu:
     npu_id: int
     feeder: Feeder
-    queues: "dict[ResourceClass, list[int]]" = field(
-        default_factory=lambda: {c: [] for c in _CLASS_ORDER}
-    )
-    busy: "dict[ResourceClass, int | None]" = field(
-        default_factory=lambda: {c: None for c in _CLASS_ORDER}
-    )
+    ops: "dict[int, tuple]"  # node id -> record from _lower
+    queues: "list[deque[int]]" = field(default_factory=lambda: [deque(), deque(), deque()])
+    busy: "list[int | None]" = field(default_factory=lambda: [None, None, None])
     issue_cycle: "dict[int, int]" = field(default_factory=dict)
-    intervals: "dict[ResourceClass, list[tuple[int, int]]]" = field(
-        default_factory=lambda: {c: [] for c in _CLASS_ORDER}
-    )
+    intervals: "list[list[tuple[int, int]]]" = field(default_factory=lambda: [[], [], []])
 
 
-@dataclass
-class _Rendezvous:
-    participants: frozenset[int]
-    arrived: "dict[int, ETNode]" = field(default_factory=dict)  # rank -> node
-
-    def complete(self) -> bool:
-        return set(self.arrived) == set(self.participants)
+def _need(value: "int | str | None", npu_id: int, node: ETNode, what: str) -> "int | str":
+    if value is None:
+        raise ValueError(f"npu {npu_id} node {node.id}: {what}")
+    return value
 
 
-def _collective_participants(traces: Sequence[Trace]) -> "dict[str, frozenset[int]]":
+def _lower(traces: Sequence[Trace], cfg: SimConfig) -> "dict[int, dict[int, tuple]]":
+    """Read every attribute replay uses, once: npu -> node id -> record.
+
+    Each non-INVALID node becomes ``(cls, name, amount, sync)``. ``amount``
+    is the node's duration in cycles, except for communication under MODEL
+    timing, where it is the payload in bytes that the cost model prices when
+    the rendezvous launches. ``sync`` is None for nodes that run alone. For
+    communication it is ``(counter, stem, ranks, comm_type)``: the rendezvous
+    key is ``stem`` plus the arrival's number on this rank's ``counter``
+    (tagged SEND/RECV use the stem alone), and the rendezvous launches once
+    ``len(ranks)`` members have arrived. ``ranks`` is every rank that uses a
+    collective's group, or ``(src, dst)``; ``comm_type`` is None for SEND/RECV.
+
+    A node that lacks its timing input raises ValueError naming it.
+    """
     groups: dict[str, set[int]] = {}
+    lowered: dict[int, dict[int, tuple]] = {}
     for trace in traces:
+        npu = trace.npu_id
+        ops = lowered[npu] = {}
         for node in trace.nodes:
-            if node.type is NodeType.COMM_COLL:
-                group = get_str_attr(node, ATTR_COMM_GROUP)
-                groups.setdefault(group, set()).add(trace.npu_id)
-    return {g: frozenset(r) for g, r in groups.items()}
-
-
-def _prescan_timing(traces: Sequence[Trace], cfg: SimConfig) -> None:
-    for trace in traces:
-        for node in trace.nodes:
-            if node.type is NodeType.COMP:
+            kind = node.type
+            if kind is NodeType.INVALID:
+                continue
+            if not isinstance(kind, NodeType):
+                raise ValueError(f"npu {npu} node {node.id}: node type {kind!r} is not a NodeType")
+            runtime = get_int_attr(node, ATTR_RUNTIME)
+            sync = None
+            if kind is NodeType.COMP:
+                cls = _COMPUTE
                 if cfg.compute_timing is TimingMode.FROM_TRACE:
-                    if get_int_attr(node, ATTR_RUNTIME) is None:
-                        raise ValueError(
-                            f"npu {trace.npu_id} node {node.id}: FROM_TRACE compute timing "
-                            f"requires a 'runtime' attribute"
-                        )
+                    what = "FROM_TRACE compute timing requires a 'runtime' attribute"
+                    amount = _need(runtime, npu, node, what)
+                elif (num_ops := get_int_attr(node, ATTR_NUM_OPS)) is not None and cfg.compute_rate is not None:
+                    amount = cfg.seconds_to_cycles(num_ops / cfg.compute_rate)
                 else:
-                    if get_int_attr(node, ATTR_NUM_OPS) is None and get_int_attr(node, ATTR_RUNTIME) is None:
-                        raise ValueError(
-                            f"npu {trace.npu_id} node {node.id}: MODEL compute timing requires "
-                            f"'num_ops' (or a 'runtime' fallback)"
-                        )
-            elif node.type in (NodeType.MEM_LOAD, NodeType.MEM_STORE):
-                if get_int_attr(node, ATTR_TENSOR_SIZE) is None and get_int_attr(node, ATTR_RUNTIME) is None:
-                    raise ValueError(
-                        f"npu {trace.npu_id} node {node.id}: memory node needs 'tensor_size' or 'runtime'"
-                    )
-            elif node.type in (NodeType.COMM_SEND, NodeType.COMM_RECV, NodeType.COMM_COLL):
-                if cfg.comm_timing is TimingMode.FROM_TRACE and get_int_attr(node, ATTR_RUNTIME) is None:
-                    raise ValueError(
-                        f"npu {trace.npu_id} node {node.id}: FROM_TRACE comm timing requires 'runtime'"
-                    )
-
-
-def _local_duration(node: ETNode, cfg: SimConfig) -> int:
-    """Duration in cycles for nodes that run without a peer (COMP / MEM)."""
-    if node.type is NodeType.COMP:
-        if cfg.compute_timing is TimingMode.FROM_TRACE:
-            return get_int_attr(node, ATTR_RUNTIME)
-        ops = get_int_attr(node, ATTR_NUM_OPS)
-        if ops is None or cfg.compute_rate is None:
-            return get_int_attr(node, ATTR_RUNTIME)
-        return cfg.seconds_to_cycles(ops / cfg.compute_rate)
-    # memory node
-    size = get_int_attr(node, ATTR_TENSOR_SIZE)
-    if size is None:
-        return get_int_attr(node, ATTR_RUNTIME)
-    return cfg.seconds_to_cycles(size / cfg.mem_bandwidth)
-
-
-def _p2p_key(node: ETNode, npu_id: int, seq: "dict[tuple[int, int, int], int]") -> tuple:
-    """Pairing key shared by both sides of a transfer."""
-    peer = get_int_attr(node, ATTR_COMM_PEER)
-    if node.type is NodeType.COMM_SEND:
-        src, dst, direction = npu_id, peer, 0
-    else:
-        src, dst, direction = peer, npu_id, 1
-    tag = get_int_attr(node, ATTR_COMM_TAG)
-    if tag is not None:
-        return (src, dst, "tag", tag)
-    k = seq[(src, dst, direction)] = seq.get((src, dst, direction), -1) + 1
-    return (src, dst, "seq", k)
+                    what = "MODEL compute timing requires 'num_ops' and a compute_rate, or 'runtime'"
+                    amount = _need(runtime, npu, node, what)
+            elif kind in (NodeType.MEM_LOAD, NodeType.MEM_STORE):
+                cls = _MEMORY
+                size = get_int_attr(node, ATTR_TENSOR_SIZE)
+                if size is not None:
+                    amount = cfg.seconds_to_cycles(size / cfg.mem_bandwidth)
+                else:
+                    amount = _need(runtime, npu, node, "memory node needs 'tensor_size' or 'runtime'")
+            else:
+                cls = _NETWORK
+                if cfg.comm_timing is TimingMode.FROM_TRACE:
+                    amount = _need(runtime, npu, node, "FROM_TRACE comm timing requires 'runtime'")
+                else:
+                    size = get_int_attr(node, ATTR_COMM_SIZE)
+                    amount = _need(size, npu, node, "MODEL comm timing requires 'comm_size'")
+                if kind is NodeType.COMM_COLL:
+                    group = get_str_attr(node, ATTR_COMM_GROUP)
+                    ranks = groups.setdefault(group, set())
+                    ranks.add(npu)
+                    comm_type = get_str_attr(node, ATTR_COMM_TYPE)
+                    _need(comm_type, npu, node, "collective lacks 'comm_type'")
+                    sync = ((npu, group), (group,), ranks, comm_type)
+                else:
+                    peer = get_int_attr(node, ATTR_COMM_PEER)
+                    ranks = (npu, peer) if kind is NodeType.COMM_SEND else (peer, npu)
+                    tag = get_int_attr(node, ATTR_COMM_TAG)
+                    if tag is None:
+                        sync = ((*ranks, kind.value), (*ranks, "seq"), ranks, None)
+                    else:
+                        sync = (None, (*ranks, "tag", tag), ranks, None)
+            ops[node.id] = (cls, node.name, amount, sync)
+    return lowered
 
 
 def run_simulation(
@@ -251,100 +234,69 @@ def run_simulation(
         report = validate_workload(list(traces))
         if not report.ok:
             raise InvalidTraceError(report, "refusing to simulate invalid workload")
-    _prescan_timing(traces, cfg)
+    lowered = _lower(traces, cfg)
 
-    npus = {t.npu_id: _Npu(t.npu_id, Feeder(t, validate=False)) for t in traces}
-    participants = _collective_participants(traces)
-    rendezvous: dict[tuple, _Rendezvous] = {}
-    coll_slot: dict[tuple[int, str], int] = {}  # (npu, group) -> next slot index
-    p2p_seq: dict[tuple[int, int, int], int] = {}
-    p2p_wait: dict[tuple, list[tuple[int, ETNode]]] = {}
+    npus = {t.npu_id: _Npu(t.npu_id, Feeder(t, validate=False), lowered[t.npu_id]) for t in traces}
+    counters: dict[tuple, int] = {}  # sync counter -> number of the last arrival
+    waiting: dict[tuple, list[tuple]] = {}  # rendezvous key -> members arrived so far
 
     heap: list[tuple[int, int, int, int]] = []  # (cycle, seq, npu, node_id)
-    heap_seq = 0
+    order = itertools.count()
     spans: dict[tuple[int, int], tuple[int, int]] = {}
     timeline: list[TimelineRow] = []
 
-    def schedule(cycle: int, npu_id: int, node_id: int) -> None:
-        nonlocal heap_seq
-        heapq.heappush(heap, (cycle, heap_seq, npu_id, node_id))
-        heap_seq += 1
+    def finish(npu_id: int, node_id: int, cycle: int, dur: int) -> None:
+        spans[(npu_id, node_id)] = (cycle, cycle + dur)
+        heapq.heappush(heap, (cycle + dur, next(order), npu_id, node_id))
 
-    def record_issue(npu: _Npu, node: ETNode, cycle: int) -> None:
-        npu.issue_cycle[node.id] = cycle
-        if collect_timeline:
-            timeline.append(TimelineRow(ISSUE, npu.npu_id, cycle, node.id, node.name))
+    def launch(key: tuple, members: "list[tuple]", ranks: "set[int] | tuple[int, int]", cycle: int) -> None:
+        """Start a full rendezvous.
 
-    def start_comm_pair(key: tuple, cycle: int) -> None:
-        sides = p2p_wait.pop(key)
-        size = max(get_int_attr(n, ATTR_COMM_SIZE) for _, n in sides)
-        if cfg.comm_timing is TimingMode.FROM_TRACE:
-            dur = max(get_int_attr(n, ATTR_RUNTIME) for _, n in sides)
-        else:
-            src, dst = key[0], key[1]
-            dur = cfg.seconds_to_cycles(costmodel.p2p_time(size, src, dst, cfg.topology))
-        for npu_id, node in sides:
-            spans[(npu_id, node.id)] = (cycle, cycle + dur)
-            schedule(cycle + dur, npu_id, node.id)
-
-    def start_collective(cell: _Rendezvous, cycle: int) -> bool:
-        """Launch a complete rendezvous; False if member types disagree."""
-        nodes = sorted(cell.arrived.items())
-        types = {get_str_attr(n, ATTR_COMM_TYPE) for _, n in nodes}
-        if len(types) != 1:
-            return False
-        comm_type = CommType(types.pop())
-        size = max(get_int_attr(n, ATTR_COMM_SIZE) for _, n in nodes)
-        if cfg.comm_timing is TimingMode.FROM_TRACE:
-            dur = max(get_int_attr(n, ATTR_RUNTIME) for _, n in nodes)
-        else:
-            seconds = costmodel.group_collective_time(comm_type, size, cell.participants, cfg.topology)
+        One whose comm types disagree stays waiting on purpose: that is the
+        cross-rank ordering bug deadlock detection exists to report.
+        """
+        comm_type = members[0][3]
+        if any(m[3] != comm_type for m in members):
+            return
+        del waiting[key]
+        dur = max(m[2] for m in members)
+        if cfg.comm_timing is TimingMode.MODEL:
+            if comm_type is None:
+                seconds = costmodel.p2p_time(dur, *ranks, cfg.topology)
+            else:
+                seconds = costmodel.group_collective_time(comm_type, dur, ranks, cfg.topology)
             dur = cfg.seconds_to_cycles(seconds)
-        for npu_id, node in nodes:
-            spans[(npu_id, node.id)] = (cycle, cycle + dur)
-            schedule(cycle + dur, npu_id, node.id)
-        return True
+        if comm_type is not None:
+            members.sort()  # collective spans are recorded in rank order, a pair's in arrival order
+        for npu_id, node_id, _, _ in members:
+            finish(npu_id, node_id, cycle, dur)
 
-    def start_node(npu: _Npu, node: ETNode, cycle: int) -> None:
-        cls = _CLASS_FOR_TYPE[node.type]
-        npu.busy[cls] = node.id
-        record_issue(npu, node, cycle)
-        if node.type in (NodeType.COMP, NodeType.MEM_LOAD, NodeType.MEM_STORE):
-            dur = _local_duration(node, cfg)
-            spans[(npu.npu_id, node.id)] = (cycle, cycle + dur)
-            schedule(cycle + dur, npu.npu_id, node.id)
-        elif node.type is NodeType.COMM_COLL:
-            group = get_str_attr(node, ATTR_COMM_GROUP)
-            slot = coll_slot[(npu.npu_id, group)] = coll_slot.get((npu.npu_id, group), -1) + 1
-            cell = rendezvous.setdefault(("coll", group, slot), _Rendezvous(participants[group]))
-            cell.arrived[npu.npu_id] = node
-            if cell.complete():
-                # A comm-type disagreement leaves the cell stuck on purpose:
-                # that is exactly the cross-rank ordering bug deadlock
-                # detection exists to report.
-                start_collective(cell, cycle)
-        else:  # SEND / RECV
-            key = _p2p_key(node, npu.npu_id, p2p_seq)
-            p2p_wait.setdefault(key, []).append((npu.npu_id, node))
-            if len(p2p_wait[key]) == 2:
-                start_comm_pair(key, cycle)
-
-    def pump_ready(npu: _Npu) -> None:
-        """Move feeder-ready nodes into their class queues."""
-        while True:
-            node = npu.feeder.get_next_issuable_node()
-            if node is None:
-                return
-            npu.queues[_CLASS_FOR_TYPE[node.type]].append(node.id)
+    def start(npu: _Npu, node_id: int, cycle: int) -> None:
+        cls, name, amount, sync = npu.ops[node_id]
+        npu.busy[cls] = node_id
+        npu.issue_cycle[node_id] = cycle
+        if collect_timeline:
+            timeline.append(TimelineRow(ISSUE, npu.npu_id, cycle, node_id, name))
+        if sync is None:
+            finish(npu.npu_id, node_id, cycle, amount)
+            return
+        # Arrivals are numbered in the order this rank issues them.
+        counter, key, ranks, comm_type = sync
+        if counter is not None:
+            counters[counter] = counters.get(counter, -1) + 1
+            key += (counters[counter],)
+        members = waiting.setdefault(key, [])
+        members.append((npu.npu_id, node_id, amount, comm_type))
+        if len(members) == len(ranks):
+            launch(key, members, ranks, cycle)
 
     def issue_all(cycle: int) -> None:
-        for npu_id in sorted(npus):
-            npu = npus[npu_id]
-            pump_ready(npu)
-            for cls in _CLASS_ORDER:
-                if npu.busy[cls] is None and npu.queues[cls]:
-                    node_id = npu.queues[cls].pop(0)
-                    start_node(npu, npu.feeder.lookup_node(node_id), cycle)
+        for npu in npus.values():
+            while (node := npu.feeder.get_next_issuable_node()) is not None:
+                npu.queues[npu.ops[node.id][0]].append(node.id)
+            for cls, queue in enumerate(npu.queues):
+                if queue and npu.busy[cls] is None:
+                    start(npu, queue.popleft(), cycle)
 
     now = 0
     issue_all(now)
@@ -356,10 +308,9 @@ def run_simulation(
             batch.append((npu_id, node_id))
         for npu_id, node_id in sorted(batch):
             npu = npus[npu_id]
-            node = npu.feeder.lookup_node(node_id)
-            cls = _CLASS_FOR_TYPE[node.type]
+            cls, name, _, _ = npu.ops[node_id]
             if collect_timeline:
-                timeline.append(TimelineRow(CALLBACK, npu_id, now, node_id, node.name))
+                timeline.append(TimelineRow(CALLBACK, npu_id, now, node_id, name))
             npu.intervals[cls].append((npu.issue_cycle[node_id], now))
             npu.busy[cls] = None
             npu.feeder.free_children_nodes(node_id)
@@ -381,8 +332,8 @@ def _collect_stuck(npus: "dict[int, _Npu]") -> list[StuckNode]:
         if npu.feeder.pending_count() == 0:
             continue
         done = npu.feeder.completed_ids
-        in_flight = {nid for nid in npu.busy.values() if nid is not None}
-        queued = {nid for q in npu.queues.values() for nid in q} | set(npu.feeder.queued_ids)
+        in_flight = {nid for nid in npu.busy if nid is not None}
+        queued = {nid for q in npu.queues for nid in q} | set(npu.feeder.queued_ids)
         for nid in sorted(in_flight):
             stuck.append(StuckNode(npu_id, nid, npu.feeder.lookup_node(nid).name, "in-flight"))
         for nid in sorted(queued):
@@ -410,9 +361,7 @@ def _overlap(a: "list[tuple[int, int]]", b: "list[tuple[int, int]]") -> int:
 
 
 def _stats(npu: _Npu) -> NpuStats:
-    mem = sorted(npu.intervals[ResourceClass.MEMORY])
-    comp = sorted(npu.intervals[ResourceClass.COMPUTE])
-    net = sorted(npu.intervals[ResourceClass.NETWORK])
+    mem, comp, net = (sorted(npu.intervals[cls]) for cls in (_MEMORY, _COMPUTE, _NETWORK))
     compute_busy = sum(f - s for s, f in comp)
     comm_busy = sum(f - s for s, f in net)
     mem_busy = sum(f - s for s, f in mem)
@@ -479,7 +428,7 @@ def sweep_bandwidth(
         result = run_simulation(traces, SimConfig(topology=topo, cycle_time=cycle_time), collect_timeline=False)
         if base_makespan is None:
             base_makespan = result.makespan
-        b1, b2 = _pair(bw)
+        b1, b2 = costmodel.dim_pair(bw, "bandwidth")
         rows.append(
             {
                 "preset": preset,
@@ -494,14 +443,6 @@ def sweep_bandwidth(
     return rows
 
 
-def _pair(value: "float | tuple[float, ...]") -> tuple[float, float]:
-    """Broadcast a scalar (or 1-tuple) per-dimension parameter to both dims."""
-    if isinstance(value, (int, float)):
-        return float(value), float(value)
-    values = tuple(float(v) for v in value)
-    return (values[0], values[0]) if len(values) == 1 else (values[0], values[1])
-
-
 def _template_topology(
     kind: "costmodel.TopologyKind | str",
     npus: int,
@@ -510,7 +451,7 @@ def _template_topology(
 ) -> Topology:
     kind = costmodel.TopologyKind(kind)
     d1, d2 = costmodel.near_square_dims(npus)
-    bw, lat = _pair(bandwidth), _pair(latency)
+    bw, lat = costmodel.dim_pair(bandwidth, "bandwidth"), costmodel.dim_pair(latency, "latency")
     return Topology(kind, d1, d2, bw[0], bw[1], lat[0], lat[1])
 
 

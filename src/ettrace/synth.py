@@ -502,21 +502,28 @@ def models_from_json(text: "str | bytes") -> FittedModels:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"models document is not valid JSON: {exc}") from None
-    if not isinstance(doc, dict) or doc.get("version") != MODELS_FORMAT_VERSION:
+    if not isinstance(doc, dict):
+        raise ValueError(f"models document must be a JSON object, got {type(doc).__name__}")
+    if doc.get("version") != MODELS_FORMAT_VERSION:
         raise ValueError(f"unsupported models document version {doc.get('version')!r}")
-    clusters = tuple(
-        ClusterModel(
-            weight=c["weight"],
-            type_probs=dict(c["type_probs"]),
-            transitions={k: dict(v) for k, v in c["transitions"].items()},
-            lengths=tuple(c["lengths"]),
+    try:
+        clusters = tuple(
+            ClusterModel(
+                weight=c["weight"],
+                type_probs=dict(c["type_probs"]),
+                transitions={k: dict(v) for k, v in c["transitions"].items()},
+                lengths=tuple(c["lengths"]),
+            )
+            for c in doc["type_model"]["clusters"]
         )
-        for c in doc["type_model"]["clusters"]
-    )
-    size_model = {
-        t: Gmm1D(tuple(GmmComponent(c["weight"], c["mean"], c["var"]) for c in comps))
-        for t, comps in doc["size_model"].items()
-    }
+        size_model = {
+            t: Gmm1D(tuple(GmmComponent(c["weight"], c["mean"], c["var"]) for c in comps))
+            for t, comps in doc["size_model"].items()
+        }
+    except KeyError as exc:
+        raise ValueError(f"models document lacks field {exc}") from None
+    except (TypeError, AttributeError) as exc:
+        raise ValueError(f"models document is malformed: {exc}") from None
     return FittedModels(type_model=CommTypeModel(clusters), size_model=size_model)
 
 

@@ -73,6 +73,9 @@ _WELL_KNOWN_KINDS = {
     "num_ops": AttributeKind.INT,
 }
 
+# Sizes, counts and durations: a negative value has no meaning.
+_NON_NEGATIVE = frozenset({"runtime", ATTR_COMM_SIZE, "tensor_size", "num_ops"})
+
 
 @dataclass(frozen=True)
 class Violation:
@@ -136,6 +139,8 @@ def _check_attributes(node: ETNode, out: list[Violation]) -> None:
                     node.id,
                 )
             )
+        elif attr.name in _NON_NEGATIVE and attr.value < 0:
+            out.append(Violation(NEGATIVE_SIZE, f"{attr.name} {attr.value} is negative", node.id))
 
 
 def _well_formed_attr(node: ETNode, name: str) -> "Attribute | None":
@@ -174,10 +179,6 @@ def _check_comm_contract(node: ETNode, out: list[Violation]) -> None:
             out.append(Violation(BAD_COMM_TYPE, f"COMM_SEND node claims comm_type {ct.value!r}", node.id))
         elif node.type is NodeType.COMM_RECV and ct.value != CommType.RECV.value:
             out.append(Violation(BAD_COMM_TYPE, f"COMM_RECV node claims comm_type {ct.value!r}", node.id))
-
-    size = _well_formed_attr(node, ATTR_COMM_SIZE)
-    if size is not None and size.value < 0:
-        out.append(Violation(NEGATIVE_SIZE, f"comm_size {size.value} is negative", node.id))
 
 
 def _find_cycle_members(nodes: dict[int, ETNode]) -> set[int]:

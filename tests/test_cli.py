@@ -137,6 +137,26 @@ def test_simulate_deadlock_exits_3(tmp_path, capsys):
     assert "deadlock" in err and "'A'" in err and "'B'" in err
 
 
+def test_simulate_untimeable_node_is_data_error(tmp_path, capsys):
+    b = TraceBuilder(0)
+    b.add_node("COMP", "mm", {"num_ops": 5000})
+    d = tmp_path / "untimed"
+    codec.write_workload([b.build()], d)
+    code, _, err = run(capsys, "simulate", "--trace-dir", str(d), "--topology", "torus2d:1x1",
+                       "--bw", "62e9", "--compute-timing", "model")
+    assert code == 2
+    assert "npu 0 node 1" in err and "Traceback" not in err
+
+
+def test_synthesize_bad_models_is_data_error(tmp_path, capsys):
+    for name, text in (("list.json", "[]"), ("partial.json", '{"version": 1}')):
+        models_file = tmp_path / name
+        models_file.write_text(text)
+        code, _, err = run(capsys, "synthesize", "--models", str(models_file),
+                           "--npus", "2", "--out", str(tmp_path / "synth"))
+        assert code == 2 and err.startswith("error: models document"), (name, err)
+
+
 def test_timeline_rejects_bad_csv(tmp_path, capsys):
     out = gen(tmp_path, capsys)
     bad = tmp_path / "bad.csv"

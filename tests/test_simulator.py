@@ -239,6 +239,44 @@ def test_prescan_names_offending_node():
     bad = Trace(0, (ETNode(3, "naked", NodeType.COMP),))
     with pytest.raises(ValueError, match="npu 0 node 3"):
         run_simulation([bad], cfg(), validate=False)
+    sizeless = ETNode(4, "ar", NodeType.COMM_COLL, attributes=make_attributes(
+        {"comm_type": "ALL_REDUCE", "comm_group": "g"}))
+    with pytest.raises(ValueError, match="npu 0 node 4: MODEL comm timing requires 'comm_size'"):
+        run_simulation([Trace(0, (sizeless,))], cfg(), validate=False)
+    with pytest.raises(ValueError, match="npu 0 node 5: node type 'COMP' is not a NodeType"):
+        run_simulation([Trace(0, (ETNode(5, "raw", "COMP"),))], cfg(), validate=False)
+
+
+def test_model_compute_without_rate_or_runtime_names_node():
+    # num_ops alone cannot be timed without a compute_rate; no runtime fallback
+    b = TraceBuilder(0)
+    b.add_node(NodeType.COMP, "mm", {"num_ops": 5000})
+    with pytest.raises(ValueError, match="npu 0 node 1"):
+        run_simulation([b.build()], cfg(compute_timing=TimingMode.MODEL))
+
+
+def test_negative_runtime_is_refused():
+    with pytest.raises(InvalidTraceError, match="negative"):
+        run_simulation([chain_comp(1, runtime=-5)], cfg())
+
+
+def test_collectives_match_in_issue_order_not_trace_order():
+    # rank 0 lists ALL_REDUCE first, but it waits on a COMP, so rank 0 issues
+    # its free ALL_GATHER first, in the same order as rank 1
+    rank0 = Trace(0, (
+        ETNode(1, "ar", NodeType.COMM_COLL, (3,), make_attributes(
+            {"comm_type": "ALL_REDUCE", "comm_size": 64, "comm_group": "g"})),
+        ETNode(2, "ag", NodeType.COMM_COLL, (), make_attributes(
+            {"comm_type": "ALL_GATHER", "comm_size": 64, "comm_group": "g"})),
+        ETNode(3, "warmup", NodeType.COMP, (), make_attributes({"runtime": 10})),
+    ))
+    b1 = TraceBuilder(1)
+    first = b1.coll("ag", CommType.ALL_GATHER, 64, "g")
+    b1.coll("ar", CommType.ALL_REDUCE, 64, "g", parents=[first])
+    result = run_simulation([rank0, b1.build()], cfg(PAIR))
+    # ALL_GATHER [0, 32), then ALL_REDUCE [32, 96)
+    assert result.makespan == 96
+    assert result.node_spans[(0, 1)] == result.node_spans[(1, 2)] == (32, 96)
 
 
 def test_validation_refusal():

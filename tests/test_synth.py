@@ -284,6 +284,15 @@ def test_models_json_roundtrip(rng):
         models_from_json(json.dumps(doc))
 
 
+def test_models_json_malformed_documents_are_value_errors():
+    with pytest.raises(ValueError, match="JSON object"):
+        models_from_json("[]")
+    with pytest.raises(ValueError, match="type_model"):
+        models_from_json('{"version": 1, "size_model": {}}')
+    with pytest.raises(ValueError, match="malformed"):
+        models_from_json('{"version": 1, "type_model": {"clusters": 3}, "size_model": {}}')
+
+
 def iid_models(probs=None, mean_log2=12.0):
     probs = probs or {AR.value: 0.7, AG.value: 0.3}
     size_model = {t: Gmm1D((GmmComponent(1.0, mean_log2, 0.25),)) for t in probs}

@@ -124,6 +124,11 @@ def test_bad_comm_type_values():
 
 def test_negative_size():
     assert v.NEGATIVE_SIZE in codes(Trace(0, (coll(1, comm_size=-1),)))
+    assert v.NEGATIVE_SIZE in codes(Trace(0, (comp(1, runtime=-5),)))
+    for name in ("tensor_size", "num_ops"):
+        node = ETNode(1, "n", NodeType.MEM_LOAD, attributes=make_attributes({name: -1}))
+        assert codes(Trace(0, (node,))) == {v.NEGATIVE_SIZE}, name
+    assert v.validate_trace(Trace(0, (comp(1, runtime=0),))).ok
 
 
 def test_node_type_must_be_enum():
