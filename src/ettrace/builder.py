@@ -37,6 +37,7 @@ class TraceBuilder:
         self._types: dict[int, NodeType] = {}
         self._attrs: dict[int, list[Attribute]] = {}
         self._parents: dict[int, list[int]] = {}
+        self._has_children: set[int] = set()
 
     def __len__(self) -> int:
         return len(self._names)
@@ -145,11 +146,14 @@ class TraceBuilder:
             raise DependencyCycleError(f"node {child_id} cannot depend on itself")
         if parent_id in self._parents[child_id]:
             return
-        if self._reaches(parent_id, child_id):
+        # A cycle can only close through a child that already has children, so
+        # edges into fresh nodes (every chain built in id order) skip the walk.
+        if child_id in self._has_children and self._reaches(parent_id, child_id):
             raise DependencyCycleError(
                 f"edge {parent_id} -> {child_id} would close a dependency cycle"
             )
         self._parents[child_id].append(parent_id)
+        self._has_children.add(parent_id)
 
     def build(self, *, validate: bool = True) -> Trace:
         nodes = tuple(

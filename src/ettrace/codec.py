@@ -156,8 +156,62 @@ def trace_from_obj(obj: object) -> Trace:
     return Trace(npu_id=npu_id, nodes=nodes, schema_version=version)
 
 
+_str = json.encoder.encode_basestring_ascii
+
+
+def _list(items: "list[str]", indent: int) -> str:
+    """A JSON array of already-written ``items``, laid out ``indent`` spaces deep."""
+    if not items:
+        return "[]"
+    pad = "\n" + " " * (indent + 2)
+    return "[" + pad + ("," + pad).join(items) + "\n" + " " * indent + "]"
+
+
+def _json(value: object, indent: int) -> str:
+    """``json.dumps(value, indent=2)`` as written ``indent`` spaces deep.
+
+    Plain strings, ints and lists are written here; ``json.dumps`` writes
+    every other value (and raises for what JSON cannot hold).
+    """
+    if type(value) is str:
+        return _str(value)
+    if type(value) is int:
+        return int.__repr__(value)
+    if isinstance(value, (list, tuple)):
+        return _list([_json(v, indent + 2) for v in value], indent)
+    return json.dumps(value, indent=2).replace("\n", "\n" + " " * indent)
+
+
+def _attr_json(attr: Attribute) -> str:
+    return (
+        f'{{\n          "name": {_json(attr.name, 10)},'
+        f'\n          "kind": {_json(attr.kind.name, 10)},'
+        f'\n          "doc_string": {_json(attr.doc_string, 10)},'
+        f'\n          "value": {_json(attr.value, 10)}\n        }}'
+    )
+
+
+def _node_json(node: ETNode) -> str:
+    return (
+        f'{{\n      "id": {_json(node.id, 6)},'
+        f'\n      "name": {_json(node.name, 6)},'
+        f'\n      "type": {_json(node.type.name, 6)},'
+        f'\n      "parents": {_json(node.parents, 6)},'
+        f'\n      "attributes": {_list([_attr_json(a) for a in node.attributes], 6)}\n    }}'
+    )
+
+
 def trace_to_json(trace: Trace) -> str:
-    return json.dumps(trace_to_obj(trace), indent=2) + "\n"
+    """Canonical JSON: exactly ``json.dumps(trace_to_obj(trace), indent=2) + "\\n"``.
+
+    Written directly, because ``indent`` turns off json's C encoder.
+    """
+    nodes = [_node_json(n) for n in sorted(trace.nodes, key=lambda n: n.id)]
+    return (
+        f'{{\n  "schema_version": {_json(trace.schema_version, 2)},'
+        f'\n  "npu_id": {_json(trace.npu_id, 2)},'
+        f'\n  "nodes": {_list(nodes, 2)}\n}}\n'
+    )
 
 
 def trace_from_json(text: "str | bytes") -> Trace:

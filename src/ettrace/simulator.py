@@ -159,7 +159,9 @@ def _lower(traces: Sequence[Trace], cfg: SimConfig) -> "dict[int, dict[int, tupl
     ``len(ranks)`` members have arrived. ``ranks`` is every rank that uses a
     collective's group, or ``(src, dst)``; ``comm_type`` is None for SEND/RECV.
 
-    A node that lacks its timing input raises ValueError naming it.
+    A node that lacks its timing input raises ValueError naming it. So does,
+    under MODEL comm timing, a communication node whose own rank or peer is
+    not on the topology.
     """
     groups: dict[str, set[int]] = {}
     lowered: dict[int, dict[int, tuple]] = {}
@@ -213,6 +215,14 @@ def _lower(traces: Sequence[Trace], cfg: SimConfig) -> "dict[int, dict[int, tupl
                         sync = ((*ranks, kind.value), (*ranks, "seq"), ranks, None)
                     else:
                         sync = (None, (*ranks, "tag", tag), ranks, None)
+                if cfg.comm_timing is TimingMode.MODEL:
+                    # The cost model places every rank it prices on the fabric.
+                    for rank in (npu,) if kind is NodeType.COMM_COLL else ranks:
+                        if not (isinstance(rank, int) and 0 <= rank < cfg.topology.npus):
+                            raise ValueError(
+                                f"npu {npu} node {node.id}: rank {rank} outside topology "
+                                f"of {cfg.topology.npus} NPUs"
+                            )
             ops[node.id] = (cls, node.name, amount, sync)
     return lowered
 
@@ -290,23 +300,24 @@ def run_simulation(
         if len(members) == len(ranks):
             launch(key, members, ranks, cycle)
 
-    def issue_all(cycle: int) -> None:
-        for npu in npus.values():
-            while (node := npu.feeder.get_next_issuable_node()) is not None:
-                npu.queues[npu.ops[node.id][0]].append(node.id)
-            for cls, queue in enumerate(npu.queues):
-                if queue and npu.busy[cls] is None:
-                    start(npu, queue.popleft(), cycle)
+    def issue(npu: _Npu, cycle: int) -> None:
+        while (node := npu.feeder.get_next_issuable_node()) is not None:
+            npu.queues[npu.ops[node.id][0]].append(node.id)
+        for cls, queue in enumerate(npu.queues):
+            if queue and npu.busy[cls] is None:
+                start(npu, queue.popleft(), cycle)
 
     now = 0
-    issue_all(now)
+    for npu in npus.values():
+        issue(npu, now)
     while heap:
         now = heap[0][0]
         batch: list[tuple[int, int]] = []
         while heap and heap[0][0] == now:
             _, _, npu_id, node_id = heapq.heappop(heap)
             batch.append((npu_id, node_id))
-        for npu_id, node_id in sorted(batch):
+        batch.sort()
+        for npu_id, node_id in batch:
             npu = npus[npu_id]
             cls, name, _, _ = npu.ops[node_id]
             if collect_timeline:
@@ -314,7 +325,10 @@ def run_simulation(
             npu.intervals[cls].append((npu.issue_cycle[node_id], now))
             npu.busy[cls] = None
             npu.feeder.free_children_nodes(node_id)
-        issue_all(now)
+        # Only a callback changes an NPU's feeder or class queues, so the NPUs
+        # without one in this batch have nothing new to issue.
+        for npu_id in dict.fromkeys(npu_id for npu_id, _ in batch):
+            issue(npus[npu_id], now)
 
     stuck = _collect_stuck(npus)
     if stuck:

@@ -5,6 +5,7 @@ so callers can assert on codes instead of parsing messages.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 from .schema import (
@@ -39,6 +40,8 @@ BAD_COMM_TYPE = "bad-comm-type"
 BAD_NODE_TYPE = "bad-node-type"
 BAD_SCHEMA_VERSION = "bad-schema-version"
 NEGATIVE_SIZE = "negative-size"
+OUT_OF_RANGE = "out-of-range"
+NON_FINITE = "non-finite"
 
 ALL_CODES = (
     DUPLICATE_ID,
@@ -56,6 +59,8 @@ ALL_CODES = (
     BAD_NODE_TYPE,
     BAD_SCHEMA_VERSION,
     NEGATIVE_SIZE,
+    OUT_OF_RANGE,
+    NON_FINITE,
 )
 
 _COMM_TYPE_VALUES = frozenset(ct.value for ct in CommType)
@@ -75,6 +80,17 @@ _WELL_KNOWN_KINDS = {
 
 # Sizes, counts and durations: a negative value has no meaning.
 _NON_NEGATIVE = frozenset({"runtime", ATTR_COMM_SIZE, "tensor_size", "num_ops"})
+
+# Widths of the binary container's fixed-size fields.
+_U8_MAX = 0xFF  # schema minor version
+_U16_MAX = 0xFFFF  # UTF-8 bytes of a node or attribute name; attributes per node
+_LONG_TEXT = _U16_MAX // 4
+_U32_MAX = 0xFFFF_FFFF  # npu_id
+_U64_MAX = 0xFFFF_FFFF_FFFF_FFFF  # node id
+_I64_MIN, _I64_MAX = -(2**63), 2**63 - 1  # INT value, INTS item
+_FLOAT_MAX = sys.float_info.max  # NaN and +-Inf fail -max <= v <= max
+# Module-level aliases: reading an Enum member off its class is slow.
+_INT, _FLOAT, _INTS, _FLOATS = AttributeKind.INT, AttributeKind.FLOAT, AttributeKind.INTS, AttributeKind.FLOATS
 
 
 @dataclass(frozen=True)
@@ -112,6 +128,16 @@ class InvalidTraceError(ValueError):
         super().__init__(f"{context}:\n{report}")
 
 
+def _too_long(text: str) -> bool:
+    """True when ``text`` takes more UTF-8 bytes than a u16 length can count.
+
+    Callers test ``len(text) > _LONG_TEXT`` first, inline, because validation
+    runs for every name of every node: shorter text fits even at 4 bytes per
+    character.
+    """
+    return len(text.encode("utf-8", "surrogatepass")) > _U16_MAX
+
+
 def _check_attributes(node: ETNode, out: list[Violation]) -> None:
     seen: set[str] = set()
     for attr in node.attributes:
@@ -120,6 +146,8 @@ def _check_attributes(node: ETNode, out: list[Violation]) -> None:
         if attr.name in seen:
             out.append(Violation(DUPLICATE_ATTRIBUTE, f"attribute {attr.name!r} appears twice", node.id))
         seen.add(attr.name)
+        if type(attr.name) is str and len(attr.name) > _LONG_TEXT and _too_long(attr.name):
+            out.append(Violation(OUT_OF_RANGE, f"attribute name is over {_U16_MAX} UTF-8 bytes", node.id))
         if not isinstance(attr.kind, AttributeKind) or not attr_value_matches_kind(attr.kind, attr.value):
             out.append(
                 Violation(
@@ -141,6 +169,20 @@ def _check_attributes(node: ETNode, out: list[Violation]) -> None:
             )
         elif attr.name in _NON_NEGATIVE and attr.value < 0:
             out.append(Violation(NEGATIVE_SIZE, f"{attr.name} {attr.value} is negative", node.id))
+        # Values the binary container cannot store, or standard JSON cannot hold.
+        kind, value = attr.kind, attr.value
+        if kind is _INT:
+            if not _I64_MIN <= value <= _I64_MAX:
+                out.append(Violation(OUT_OF_RANGE, f"attribute {attr.name!r}: {value} is outside int64", node.id))
+        elif kind is _FLOAT:
+            if not -_FLOAT_MAX <= value <= _FLOAT_MAX:
+                out.append(Violation(NON_FINITE, f"attribute {attr.name!r}: {value!r} is not finite", node.id))
+        elif kind is _INTS:
+            if value and not (_I64_MIN <= min(value) and max(value) <= _I64_MAX):
+                out.append(Violation(OUT_OF_RANGE, f"attribute {attr.name!r}: an item is outside int64", node.id))
+        elif kind is _FLOATS:
+            if not all(-_FLOAT_MAX <= v <= _FLOAT_MAX for v in value):
+                out.append(Violation(NON_FINITE, f"attribute {attr.name!r}: an item is not finite", node.id))
 
 
 def _well_formed_attr(node: ETNode, name: str) -> "Attribute | None":
@@ -209,17 +251,23 @@ def validate_trace(trace: Trace) -> ValidationReport:
     out: list[Violation] = []
 
     try:
-        major, _ = parse_schema_version(trace.schema_version)
+        major, minor = parse_schema_version(trace.schema_version)
     except ValueError as exc:
         out.append(Violation(BAD_SCHEMA_VERSION, str(exc)))
     else:
         if major > 0:
             out.append(Violation(BAD_SCHEMA_VERSION, f"unsupported major version in {trace.schema_version!r}"))
+        elif minor > _U8_MAX:
+            out.append(Violation(OUT_OF_RANGE, f"schema minor version {minor} is above {_U8_MAX}"))
+    if not 0 <= trace.npu_id <= _U32_MAX:
+        out.append(Violation(OUT_OF_RANGE, f"npu_id {trace.npu_id} is outside 0..{_U32_MAX}"))
 
     by_id: dict[int, ETNode] = {}
     for node in trace.nodes:
         if node.id < 0:
             out.append(Violation(NEGATIVE_ID, f"node id {node.id} is negative", node.id))
+        elif node.id > _U64_MAX:
+            out.append(Violation(OUT_OF_RANGE, f"node id {node.id} is above {_U64_MAX}", node.id))
         if node.id in by_id:
             out.append(Violation(DUPLICATE_ID, f"node id {node.id} appears more than once", node.id))
         else:
@@ -237,6 +285,10 @@ def validate_trace(trace: Trace) -> ValidationReport:
             if pid in seen_parents:
                 out.append(Violation(DUPLICATE_PARENT, f"parent {pid} listed twice", node.id))
             seen_parents.add(pid)
+        if type(node.name) is str and len(node.name) > _LONG_TEXT and _too_long(node.name):
+            out.append(Violation(OUT_OF_RANGE, f"node name is over {_U16_MAX} UTF-8 bytes", node.id))
+        if len(node.attributes) > _U16_MAX:
+            out.append(Violation(OUT_OF_RANGE, f"more than {_U16_MAX} attributes", node.id))
         _check_attributes(node, out)
         _check_comm_contract(node, out)
 

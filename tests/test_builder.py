@@ -3,6 +3,7 @@ import pytest
 from ettrace.builder import DependencyCycleError, TraceBuilder
 from ettrace.schema import AttributeKind, CommType, NodeType, get_attr
 from ettrace.validate import InvalidTraceError
+from ettrace.workloads import Parallelism, WorkloadSpec, generate_workload, preset_spec
 
 
 def test_ids_are_fresh_and_sequential():
@@ -67,6 +68,32 @@ def test_assign_dep_rejects_cycles_eagerly():
         b.assign_dep(d, a)
     with pytest.raises(DependencyCycleError):
         b.assign_dep(a, a)
+
+
+def test_edges_into_fresh_nodes_never_walk_the_graph(monkeypatch):
+    def walk(*args):
+        raise AssertionError("_reaches called")
+
+    monkeypatch.setattr(TraceBuilder, "_reaches", walk)
+    b = TraceBuilder(0)
+    prev = b.comp("c0", 1)
+    for i in range(1, 50):
+        prev = b.comp(f"c{i}", 1, parents=[prev])
+    late = b.comp("late", 1)
+    b.assign_dep(prev, late)  # the child has no children yet
+    generate_workload(WorkloadSpec(npus=4, parallelism=Parallelism.PIPELINE, microbatches=3))
+    generate_workload(preset_spec("dlrm", 4))
+
+
+def test_assign_dep_between_existing_nodes_still_checks_cycles():
+    b = TraceBuilder(0)
+    a = b.comp("a", 1)
+    c = b.comp("c", 1)
+    d = b.comp("d", 1, parents=[c])
+    b.assign_dep(a, c)  # c has a child, a is no descendant of c: fine
+    with pytest.raises(DependencyCycleError):
+        b.assign_dep(d, a)  # a -> c -> d -> a
+    assert b.build().node(c).parents == (a,)
 
 
 def test_assign_dep_unknown_nodes():

@@ -72,6 +72,16 @@ def test_validate_ok_and_failure(tmp_path, capsys):
     assert code == 2 and "999999" in err
 
 
+def test_validate_reports_out_of_range_and_non_finite(tmp_path, capsys):
+    for code_name, value in (("out-of-range", 2**63), ("non-finite", float("nan"))):
+        b = TraceBuilder(0)
+        b.add_node("COMP", "n", {"x": value})
+        path = tmp_path / f"{code_name}.0.et"
+        codec.write_trace(b.build(validate=False), path, validate=False)
+        code, _, err = run(capsys, "validate", str(path))
+        assert code == 2 and code_name in err and "Traceback" not in err, err
+
+
 def test_validate_missing_path_is_data_error(capsys):
     code, _, err = run(capsys, "validate", "/no/such/file.et")
     assert code == 2 and "error:" in err
@@ -146,6 +156,13 @@ def test_simulate_untimeable_node_is_data_error(tmp_path, capsys):
                        "--bw", "62e9", "--compute-timing", "model")
     assert code == 2
     assert "npu 0 node 1" in err and "Traceback" not in err
+
+
+def test_simulate_rank_outside_topology_is_data_error(tmp_path, capsys):
+    d = gen(tmp_path, capsys)
+    code, _, err = run(capsys, "simulate", "--trace-dir", str(d), "--topology", "torus2d:2x1", "--bw", "62e9")
+    assert code == 2
+    assert "rank 2 outside topology of 2 NPUs" in err and "Traceback" not in err
 
 
 def test_synthesize_bad_models_is_data_error(tmp_path, capsys):

@@ -3,6 +3,7 @@ import random
 import struct
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ettrace import codec
 from ettrace.codec import (
@@ -18,6 +19,7 @@ from ettrace.codec import (
     trace_from_json,
     trace_to_binary,
     trace_to_json,
+    trace_to_obj,
     write_trace,
     write_workload,
 )
@@ -71,6 +73,60 @@ def test_json_is_indent2_and_id_sorted():
     assert [n["id"] for n in obj["nodes"]] == [1, 2]
     # deterministic: same trace, same text
     assert text == trace_to_json(shuffled)
+
+
+# Any code point, surrogates included: the emitter must escape what json escapes.
+_text = st.text(st.characters(exclude_categories=()), max_size=8)
+_ints = st.integers(min_value=-(2**70), max_value=2**70)
+_typed_values = {
+    AttributeKind.INT: _ints,
+    AttributeKind.FLOAT: st.floats(),
+    AttributeKind.STRING: _text,
+    AttributeKind.INTS: st.lists(_ints, max_size=4).map(tuple),
+    AttributeKind.FLOATS: st.lists(st.floats() | _ints, max_size=4).map(tuple),
+    AttributeKind.STRINGS: st.lists(_text, max_size=4).map(tuple),
+}
+# What validate=False lets through: bools, None, nested lists, objects.
+_odd_values = st.recursive(
+    st.none() | st.booleans() | st.floats() | _ints | _text,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(_text, inner, max_size=2),
+    max_leaves=8,
+)
+_attributes = st.sampled_from(list(AttributeKind)).flatmap(
+    lambda kind: st.builds(
+        Attribute, name=_text, kind=st.just(kind), value=_typed_values[kind] | _odd_values, doc_string=_text
+    )
+)
+_nodes = st.builds(
+    ETNode,
+    id=st.integers(min_value=-5, max_value=2**65),
+    name=_text,
+    type=st.sampled_from(list(NodeType)),
+    parents=st.lists(_ints, max_size=3).map(tuple),
+    attributes=st.lists(_attributes, max_size=3).map(tuple),
+)
+_traces = st.builds(
+    Trace,
+    npu_id=_ints,
+    nodes=st.lists(_nodes, max_size=4).map(tuple),
+    schema_version=_text | st.just("0.1"),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_traces)
+def test_json_emitter_writes_the_bytes_of_json_dumps(trace):
+    assert trace_to_json(trace) == json.dumps(trace_to_obj(trace), indent=2) + "\n"
+
+
+def test_json_emitter_raises_where_json_does():
+    trace = Trace(0, (ETNode(1, "n", NodeType.COMP, attributes=(Attribute("s", AttributeKind.INTS, {1}),)),))
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        json.dumps(trace_to_obj(trace), indent=2)
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        trace_to_json(trace)
 
 
 def test_json_roundtrip_small():

@@ -1,9 +1,12 @@
+import hashlib
 import math
 
 import pytest
 
+from ettrace import simulator
 from ettrace.builder import TraceBuilder
-from ettrace.costmodel import Topology, TopologyKind, all_reduce_time, p2p_time
+from ettrace.costmodel import Topology, TopologyKind, all_reduce_time, p2p_time, parse_topology
+from ettrace.feeder import Feeder
 from ettrace.schema import CommType, ETNode, NodeType, Trace, make_attributes
 from ettrace.simulator import (
     DeadlockError,
@@ -17,6 +20,7 @@ from ettrace.simulator import (
 )
 from ettrace.validate import InvalidTraceError
 from ettrace.viz import parse_timeline_csv
+from ettrace.workloads import Parallelism, WorkloadSpec, generate_workload, preset_spec
 
 from conftest import random_dag_parents
 from oracles import exposed_time_oracle, replay_oracle
@@ -260,6 +264,23 @@ def test_negative_runtime_is_refused():
         run_simulation([chain_comp(1, runtime=-5)], cfg())
 
 
+def test_ranks_outside_the_topology_are_named():
+    b0 = TraceBuilder(0)
+    b0.send("s", 64, 2)
+    with pytest.raises(ValueError, match="npu 0 node 1: rank 2 outside topology of 2 NPUs"):
+        run_simulation([b0.build()], cfg(PAIR), validate=False)
+    b2 = TraceBuilder(2)
+    b2.coll("ar", CommType.ALL_REDUCE, 64, "g")
+    with pytest.raises(ValueError, match="npu 2 node 1: rank 2 outside topology of 2 NPUs"):
+        run_simulation([b2.build()], cfg(PAIR))
+    # compute-only ranks and FROM_TRACE comm timing never consult the fabric
+    far = TraceBuilder(7)
+    far.comp("c", 5)
+    far.coll("ar", CommType.ALL_REDUCE, 64, "g", extra={"runtime": 3})
+    assert run_simulation([far.build()], cfg(PAIR, comm_timing=TimingMode.FROM_TRACE)).makespan == 5
+    assert run_simulation([Trace(9, chain_comp(2).nodes)], cfg(PAIR)).makespan == 10
+
+
 def test_collectives_match_in_issue_order_not_trace_order():
     # rank 0 lists ALL_REDUCE first, but it waits on a COMP, so rank 0 issues
     # its free ALL_GATHER first, in the same order as rank 1
@@ -382,3 +403,42 @@ def test_empty_workload():
     result = run_simulation([], cfg())
     assert result.makespan == 0
     assert result.timeline == []
+
+
+def test_replay_polls_only_npus_that_got_a_callback(monkeypatch):
+    polls = []
+
+    class CountingFeeder(Feeder):
+        def get_next_issuable_node(self):
+            polls.append(self)
+            return super().get_next_issuable_node()
+
+    monkeypatch.setattr(simulator, "Feeder", CountingFeeder)
+    traces = generate_workload(WorkloadSpec(npus=32, parallelism=Parallelism.PIPELINE, microbatches=4))
+    nodes = sum(len(t.nodes) for t in traces)
+    run_simulation(traces, cfg(parse_topology("torus2d:8x4", 62e9, 1e-6)), collect_timeline=False)
+    # one hit per node, plus one empty poll per visit: the first visit to each
+    # NPU and one per callback
+    assert len(polls) <= 2 * nodes + 32
+
+
+# sha256 of the timeline CSV, recorded before replay re-issued only on NPUs
+# that got a callback; the digests must never move.
+GOLDEN_TIMELINES = {
+    "dlrm": "beac42ddb8f26511fe0b8acd6d46d4ed977c06ab8963deb3dae7e9c66425b34a",
+    "mlp-dp": "3a57b3817a6c0aa415ff6c155427efe689d8f97845118699973b47f363e45cb4",
+    "mlp-hybrid": "45aad88f2acf7af437a26ae15ff21551a57569be08fb83a86c6ed588cd0e8a50",
+    "mlp-mp": "9e6c6bea3e9a61a60d5fa11a53979a91e0d22bdd2cef82cfa5ec2f70d5415080",
+    "transformer": "dada129f34d1d149efefb3ecc462b9822754cc88007db9a535e567e91b4ac1b3",
+    "pipeline-8x4": "9bc0e9052423ea7f752fe1c99472b3b46eb6a9a74ca8afeb43a16cb3177d4d3c",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_TIMELINES))
+def test_timeline_csv_matches_golden_digest(name):
+    if name == "pipeline-8x4":
+        spec = WorkloadSpec(npus=8, parallelism=Parallelism.PIPELINE, microbatches=4)
+    else:
+        spec = preset_spec(name, 8)
+    result = run_simulation(generate_workload(spec), cfg(parse_topology("torus2d:4x2", 62e9, 1e-6)))
+    assert hashlib.sha256(result.timeline_csv().encode()).hexdigest() == GOLDEN_TIMELINES[name]

@@ -1,5 +1,8 @@
+import math
+
 import pytest
 
+from ettrace.codec import FORMAT_BINARY, FORMAT_JSON, decode_trace, encode_trace
 from ettrace.schema import Attribute, AttributeKind, ETNode, NodeType, Trace, make_attributes
 from ettrace import validate as v
 
@@ -129,6 +132,48 @@ def test_negative_size():
         node = ETNode(1, "n", NodeType.MEM_LOAD, attributes=make_attributes({name: -1}))
         assert codes(Trace(0, (node,))) == {v.NEGATIVE_SIZE}, name
     assert v.validate_trace(Trace(0, (comp(1, runtime=0),))).ok
+
+
+def test_out_of_range_for_the_binary_container():
+    def attr_node(**attrs):
+        return ETNode(1, "n", NodeType.COMP, attributes=make_attributes(attrs))
+
+    long_name = "\u00e9" * 32768  # 65,536 UTF-8 bytes
+    too_many = tuple(Attribute(f"a{i}", AttributeKind.INT, i) for i in range(65536))
+    for trace in (
+        Trace(-1),
+        Trace(2**32),
+        Trace(0, schema_version="0.256"),
+        Trace(0, (ETNode(2**64, "n", NodeType.COMP),)),
+        Trace(0, (attr_node(x=2**63),)),
+        Trace(0, (attr_node(x=-(2**63) - 1),)),
+        Trace(0, (attr_node(xs=[0, 2**63]),)),
+        Trace(0, (attr_node(xs=[-(2**63) - 1]),)),
+        Trace(0, (ETNode(1, long_name, NodeType.COMP),)),
+        Trace(0, (ETNode(1, "n", NodeType.COMP, attributes=(Attribute(long_name, AttributeKind.INT, 1),)),)),
+        Trace(0, (ETNode(1, "n", NodeType.COMP, attributes=too_many),)),
+    ):
+        assert codes(trace) == {v.OUT_OF_RANGE}, trace.npu_id
+        with pytest.raises(v.InvalidTraceError, match="out-of-range"):
+            encode_trace(trace, FORMAT_BINARY)
+    edge = Trace(2**32 - 1, (
+        ETNode(2**64 - 1, "\u00e9" * 32767, NodeType.COMP, attributes=make_attributes(
+            {"lo": -(2**63), "hi": 2**63 - 1, "xs": [-(2**63), 2**63 - 1], "empty": []})),
+    ), schema_version="0.255")
+    assert v.validate_trace(edge).ok
+    assert decode_trace(encode_trace(edge, FORMAT_BINARY)) == edge
+
+
+def test_non_finite_floats():
+    for value in (math.nan, math.inf, -math.inf, 10**400):
+        node = ETNode(1, "n", NodeType.COMP, attributes=(Attribute("f", AttributeKind.FLOAT, value),))
+        assert codes(Trace(0, (node,))) == {v.NON_FINITE}, value
+        node = ETNode(1, "n", NodeType.COMP, attributes=(Attribute("f", AttributeKind.FLOATS, (1.0, value)),))
+        assert codes(Trace(0, (node,))) == {v.NON_FINITE}, value
+        with pytest.raises(v.InvalidTraceError, match="non-finite"):
+            encode_trace(Trace(0, (node,)), FORMAT_JSON)
+    finite = make_attributes({"f": -1.7976931348623157e308, "fs": [0.0, 5e-324, 1.7976931348623157e308]})
+    assert v.validate_trace(Trace(0, (ETNode(1, "n", NodeType.COMP, attributes=finite),))).ok
 
 
 def test_node_type_must_be_enum():
