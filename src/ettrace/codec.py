@@ -80,7 +80,33 @@ def _require(obj: dict, key: str, ctx: str) -> object:
     return obj[key]
 
 
-def _attr_from_obj(obj: object, ctx: str) -> Attribute:
+def _attr_from_obj(obj: object, ctx: str, interned: "dict[tuple, Attribute]") -> Attribute:
+    """Decode one attribute; an INT, FLOAT or STRING one is built once per trace.
+
+    The key holds ``type(value)`` so that 1 and 1.0 stay apart. A float zero
+    is never interned: 0.0 == -0.0, so the two would share a key.
+    """
+    key = None
+    if type(obj) is dict:
+        name, kind_name, doc, value = obj.get("name"), obj.get("kind"), obj.get("doc_string", ""), obj.get("value")
+        value_type = type(value)
+        if (
+            (value_type is int or value_type is str or (value_type is float and value != 0.0))
+            and type(name) is str
+            and type(kind_name) is str
+            and type(doc) is str
+        ):
+            key = (name, kind_name, doc, value_type, value)
+            attr = interned.get(key)
+            if attr is not None:
+                return attr
+    attr = _decode_attr_obj(obj, ctx)
+    if key is not None:
+        interned[key] = attr
+    return attr
+
+
+def _decode_attr_obj(obj: object, ctx: str) -> Attribute:
     if not isinstance(obj, dict):
         raise DecodeError(f"{ctx}: attribute must be an object")
     name = _require(obj, "name", ctx)
@@ -107,7 +133,7 @@ def _attr_from_obj(obj: object, ctx: str) -> Attribute:
     return Attribute(name, kind, value, doc)
 
 
-def _node_from_obj(obj: object) -> ETNode:
+def _node_from_obj(obj: object, interned: "dict[tuple, Attribute]") -> ETNode:
     if not isinstance(obj, dict):
         raise DecodeError("node must be an object")
     node_id = _require(obj, "id", "node")
@@ -130,7 +156,7 @@ def _node_from_obj(obj: object) -> ETNode:
     attrs_obj = obj.get("attributes", [])
     if not isinstance(attrs_obj, list):
         raise DecodeError(f"{ctx}: attributes must be a list")
-    attrs = tuple(_attr_from_obj(a, ctx) for a in attrs_obj)
+    attrs = tuple(_attr_from_obj(a, ctx, interned) for a in attrs_obj)
     return ETNode(node_id, name, node_type, tuple(parents), attrs)
 
 
@@ -152,7 +178,8 @@ def trace_from_obj(obj: object) -> Trace:
     nodes_obj = _require(obj, "nodes", "trace")
     if not isinstance(nodes_obj, list):
         raise DecodeError("nodes must be a list")
-    nodes = tuple(_node_from_obj(n) for n in nodes_obj)
+    interned: dict[tuple, Attribute] = {}
+    nodes = tuple(_node_from_obj(n, interned) for n in nodes_obj)
     return Trace(npu_id=npu_id, nodes=nodes, schema_version=version)
 
 
@@ -294,98 +321,160 @@ def trace_to_binary(trace: Trace) -> bytes:
     return out.getvalue()
 
 
-class _Reader:
-    """Tracks the absolute offset so errors can point at the bad byte."""
+_U8 = struct.Struct("<B")
+_U16 = struct.Struct("<H")
+_U32 = struct.Struct("<I")
+_U64 = struct.Struct("<Q")
+_VERSION = struct.Struct("<BB")
+_KIND_DOC = struct.Struct("<BI")  # attribute kind tag, doc_string length
+_SCALAR_VALUE = {  # kind tag -> the fixed-width field after the doc_string
+    AttributeKind.FLOAT.value: struct.Struct("<d"),
+    AttributeKind.INT.value: struct.Struct("<q"),
+    AttributeKind.STRING.value: _U32,  # length of the UTF-8 text
+}
+_STRING_TAG = AttributeKind.STRING.value
 
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def take(self, n: int, what: str) -> bytes:
-        if self.pos + n > len(self.data):
-            raise DecodeError(f"truncated while reading {what}", offset=self.pos)
-        chunk = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return chunk
-
-    def unpack(self, fmt: str, what: str) -> tuple:
-        size = struct.calcsize(fmt)
-        return struct.unpack(fmt, self.take(size, what))
-
-    def take_str(self, width: str, what: str) -> str:
-        (length,) = self.unpack(f"<{width}", f"{what} length")
-        raw = self.take(length, what)
-        try:
-            return raw.decode("utf-8")
-        except UnicodeDecodeError:
-            raise DecodeError(f"{what} is not valid UTF-8", offset=self.pos - length) from None
+# Binary decode reads every field at its offset in the one buffer. The reads
+# below check bounds first, so malformed input raises DecodeError naming the
+# absolute offset where the stream ran out or went bad.
 
 
-def _unpack_attr(rd: _Reader) -> Attribute:
-    name = rd.take_str("H", "attribute name")
-    tag_offset = rd.pos
-    (kind_tag,) = rd.unpack("<B", "attribute kind")
+def _unpack(st: struct.Struct, data: bytes, pos: int, what: str) -> tuple:
+    if pos + st.size > len(data):
+        raise DecodeError(f"truncated while reading {what}", offset=pos)
+    return st.unpack_from(data, pos)
+
+
+def _unpack_array(code: str, count: int, data: bytes, pos: int, what: str) -> tuple:
+    """``count`` items of the 8-byte struct ``code`` (d, q or Q) at ``pos``."""
+    if pos + 8 * count > len(data):
+        raise DecodeError(f"truncated while reading {what}", offset=pos)
+    return struct.unpack_from(f"<{count}{code}", data, pos) if count else ()
+
+
+def _unpack_str(width: struct.Struct, data: bytes, pos: int, what: str) -> "tuple[str, int]":
+    """The text at ``pos`` behind its ``width`` length, and the offset after it."""
+    if pos + width.size > len(data):
+        raise DecodeError(f"truncated while reading {what} length", offset=pos)
+    (length,) = width.unpack_from(data, pos)
+    pos += width.size
+    stop = pos + length
+    if stop > len(data):
+        raise DecodeError(f"truncated while reading {what}", offset=pos)
+    try:
+        return data[pos:stop].decode("utf-8"), stop
+    except UnicodeDecodeError:
+        raise DecodeError(f"{what} is not valid UTF-8", offset=pos) from None
+
+
+def _scalar_attr_stop(data: bytes, pos: int) -> int:
+    """End offset of the INT, FLOAT or STRING attribute at ``pos``; -1 for any other.
+
+    Reads only the three length fields, so the caller can look up the
+    attribute's raw bytes before decoding them. -1 also when the bytes run
+    out: the careful decode then names the offset.
+    """
+    try:
+        (name_len,) = _U16.unpack_from(data, pos)
+        pos += 2 + name_len
+        kind_tag, doc_len = _KIND_DOC.unpack_from(data, pos)
+        pos += 5 + doc_len
+        value = _SCALAR_VALUE.get(kind_tag)
+        if value is None:
+            return -1
+        stop = pos + value.size
+        if kind_tag == _STRING_TAG:
+            stop += value.unpack_from(data, pos)[0]
+    except struct.error:
+        return -1
+    return stop if stop <= len(data) else -1
+
+
+def _unpack_attr(data: bytes, pos: int) -> "tuple[Attribute, int]":
+    name, pos = _unpack_str(_U16, data, pos, "attribute name")
+    (kind_tag,) = _unpack(_U8, data, pos, "attribute kind")
     kind = _KIND_FROM_TAG.get(kind_tag)
     if kind is None:
-        raise DecodeError(f"unknown attribute kind tag {kind_tag}", offset=tag_offset)
-    doc = rd.take_str("I", "attribute doc_string")
+        raise DecodeError(f"unknown attribute kind tag {kind_tag}", offset=pos)
+    doc, pos = _unpack_str(_U32, data, pos + 1, "attribute doc_string")
     value: object
-    if kind is AttributeKind.FLOAT:
-        (value,) = rd.unpack("<d", "FLOAT value")
-    elif kind is AttributeKind.INT:
-        (value,) = rd.unpack("<q", "INT value")
-    elif kind is AttributeKind.STRING:
-        value = rd.take_str("I", "STRING value")
-    elif kind is AttributeKind.FLOATS:
-        (count,) = rd.unpack("<I", "FLOATS count")
-        value = rd.unpack(f"<{count}d", "FLOATS values") if count else ()
-    elif kind is AttributeKind.INTS:
-        (count,) = rd.unpack("<I", "INTS count")
-        value = rd.unpack(f"<{count}q", "INTS values") if count else ()
-    else:  # STRINGS
-        (count,) = rd.unpack("<I", "STRINGS count")
-        value = tuple(rd.take_str("I", "STRINGS item") for _ in range(count))
-    return Attribute(name, kind, value, doc)
+    if kind is AttributeKind.STRING:
+        value, pos = _unpack_str(_U32, data, pos, "STRING value")
+    elif kind is AttributeKind.FLOAT or kind is AttributeKind.INT:
+        (value,) = _unpack(_SCALAR_VALUE[kind_tag], data, pos, f"{kind.name} value")
+        pos += 8
+    else:
+        (count,) = _unpack(_U32, data, pos, f"{kind.name} count")
+        pos += 4
+        if kind is AttributeKind.STRINGS:
+            items = []
+            for _ in range(count):
+                item, pos = _unpack_str(_U32, data, pos, "STRINGS item")
+                items.append(item)
+            value = tuple(items)
+        else:
+            value = _unpack_array("d" if kind is AttributeKind.FLOATS else "q", count, data, pos, f"{kind.name} values")
+            pos += 8 * count
+    return Attribute(name, kind, value, doc), pos
 
 
-def _unpack_node(rd: _Reader, end: int) -> ETNode:
-    (node_id,) = rd.unpack("<Q", "node id")
-    name = rd.take_str("H", "node name")
-    tag_offset = rd.pos
-    (type_tag,) = rd.unpack("<B", "node type")
+def _unpack_node(data: bytes, pos: int, end: int, interned: "dict[bytes, Attribute]") -> ETNode:
+    (node_id,) = _unpack(_U64, data, pos, "node id")
+    name, pos = _unpack_str(_U16, data, pos + 8, "node name")
+    (type_tag,) = _unpack(_U8, data, pos, "node type")
     node_type = _TYPE_FROM_TAG.get(type_tag)
     if node_type is None:
-        raise DecodeError(f"unknown node type tag {type_tag}", offset=tag_offset)
-    (parent_count,) = rd.unpack("<I", "parent count")
-    parents = rd.unpack(f"<{parent_count}Q", "parents") if parent_count else ()
-    (attr_count,) = rd.unpack("<H", "attribute count")
-    attrs = tuple(_unpack_attr(rd) for _ in range(attr_count))
-    if rd.pos != end:
-        raise DecodeError(
-            f"node {node_id} record has {end - rd.pos} unread trailing bytes", offset=rd.pos
-        )
-    return ETNode(node_id, name, node_type, parents, attrs)
+        raise DecodeError(f"unknown node type tag {type_tag}", offset=pos)
+    (parent_count,) = _unpack(_U32, data, pos + 1, "parent count")
+    pos += 5
+    parents = _unpack_array("Q", parent_count, data, pos, "parents")
+    pos += 8 * parent_count
+    (attr_count,) = _unpack(_U16, data, pos, "attribute count")
+    pos += 2
+    attrs = []
+    for _ in range(attr_count):
+        # A scalar attribute decodes to the same frozen Attribute wherever its
+        # bytes repeat, so each distinct one is built once per trace.
+        stop = _scalar_attr_stop(data, pos)
+        key = data[pos:stop] if stop > 0 else None
+        attr = interned.get(key)
+        if attr is None:
+            attr, pos = _unpack_attr(data, pos)
+            if key is not None:
+                interned[key] = attr
+        else:
+            pos = stop
+        attrs.append(attr)
+    if pos != end:
+        raise DecodeError(f"node {node_id} record has {end - pos} unread trailing bytes", offset=pos)
+    return ETNode(node_id, name, node_type, parents, tuple(attrs))
 
 
 def trace_from_binary(data: bytes) -> Trace:
-    rd = _Reader(data)
-    magic = rd.take(len(MAGIC), "magic")
+    magic = data[: len(MAGIC)]
+    if len(magic) < len(MAGIC):
+        raise DecodeError("truncated while reading magic", offset=0)
     if magic != MAGIC:
         raise DecodeError(f"bad magic {magic!r}, expected {MAGIC!r}", offset=0)
-    major, minor = rd.unpack("<BB", "version")
+    pos = len(MAGIC)
+    major, minor = _unpack(_VERSION, data, pos, "version")
     if major > 0:
-        raise DecodeError(f"unsupported major version {major}", offset=len(MAGIC))
-    (npu_id,) = rd.unpack("<I", "npu_id")
-    (node_count,) = rd.unpack("<I", "node count")
+        raise DecodeError(f"unsupported major version {major}", offset=pos)
+    (npu_id,) = _unpack(_U32, data, pos + 2, "npu_id")
+    (node_count,) = _unpack(_U32, data, pos + 6, "node count")
+    pos += 10
+    interned: dict[bytes, Attribute] = {}
     nodes = []
     for _ in range(node_count):
-        (record_len,) = rd.unpack("<I", "node record length")
-        end = rd.pos + record_len
+        (record_len,) = _unpack(_U32, data, pos, "node record length")
+        pos += 4
+        end = pos + record_len
         if end > len(data):
-            raise DecodeError("truncated while reading node record", offset=rd.pos)
-        nodes.append(_unpack_node(rd, end))
-    if rd.pos != len(data):
-        raise DecodeError("trailing bytes after last node record", offset=rd.pos)
+            raise DecodeError("truncated while reading node record", offset=pos)
+        nodes.append(_unpack_node(data, pos, end, interned))
+        pos = end
+    if pos != len(data):
+        raise DecodeError("trailing bytes after last node record", offset=pos)
     return Trace(npu_id=npu_id, nodes=tuple(nodes), schema_version=f"{major}.{minor}")
 
 

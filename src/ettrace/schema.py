@@ -62,45 +62,39 @@ ATTR_NUM_OPS = "num_ops"  # INT, arithmetic ops for modeled compute timing
 
 AttrValue = Union[float, int, str, "tuple[float, ...]", "tuple[int, ...]", "tuple[str, ...]"]
 
-_SCALAR_KINDS = {
-    AttributeKind.FLOAT: float,
-    AttributeKind.INT: int,
-    AttributeKind.STRING: str,
-}
-_LIST_KINDS = {
-    AttributeKind.FLOATS: float,
-    AttributeKind.INTS: int,
-    AttributeKind.STRINGS: str,
-}
+# Module-level aliases: reading an Enum member off its class, or hashing it
+# for a dict or set lookup, runs Python-level Enum code on every call.
+_FLOAT, _INT, _STRING = AttributeKind.FLOAT, AttributeKind.INT, AttributeKind.STRING
+_FLOATS, _INTS, _STRINGS = AttributeKind.FLOATS, AttributeKind.INTS, AttributeKind.STRINGS
 
 
 def attr_value_matches_kind(kind: AttributeKind, value: object) -> bool:
     """True when ``value`` is a legal payload for ``kind``.
 
     bool is rejected as an INT payload even though it subclasses int; a trace
-    that claims INT but stores True is a recording bug worth surfacing.
+    that claims INT but stores True is a recording bug worth surfacing. Ints
+    are legal wherever floats are.
     """
-    if kind in _SCALAR_KINDS:
-        ty = _SCALAR_KINDS[kind]
-        if ty is int and isinstance(value, bool):
+    if kind is _INT:
+        return type(value) is int or (isinstance(value, int) and not isinstance(value, bool))
+    if kind is _STRING:
+        return isinstance(value, str)
+    if kind is _FLOAT:
+        return type(value) is float or (isinstance(value, (float, int)) and not isinstance(value, bool))
+    if kind is _INTS:
+        item_types: "type | tuple[type, ...]" = int
+    elif kind is _FLOATS:
+        item_types = (float, int)
+    elif kind is _STRINGS:
+        item_types = str
+    else:
+        return False
+    if not isinstance(value, tuple):
+        return False
+    for item in value:
+        if not isinstance(item, item_types) or isinstance(item, bool):
             return False
-        if ty is float:
-            return isinstance(value, float) or (isinstance(value, int) and not isinstance(value, bool))
-        return isinstance(value, ty)
-    if kind in _LIST_KINDS:
-        ty = _LIST_KINDS[kind]
-        if not isinstance(value, tuple):
-            return False
-        for item in value:
-            if isinstance(item, bool):
-                return False
-            if ty is float:
-                if not isinstance(item, (float, int)):
-                    return False
-            elif not isinstance(item, ty):
-                return False
-        return True
-    return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -219,7 +213,7 @@ def get_str_attr(node: ETNode, name: str, default: "str | None" = None) -> "str 
 
 
 def parse_schema_version(version: str) -> tuple[int, int]:
-    parts = version.split(".")
+    parts = version.split(".") if isinstance(version, str) else ()
     if len(parts) != 2 or not all(p.isdigit() for p in parts):
         raise ValueError(f"malformed schema_version {version!r}; expected '<major>.<minor>'")
     return int(parts[0]), int(parts[1])

@@ -20,6 +20,10 @@ from .schema import (
     ETNode,
     NodeType,
     Trace,
+    _FLOAT,
+    _FLOATS,
+    _INT,
+    _INTS,
     attr_value_matches_kind,
     parse_schema_version,
 )
@@ -42,6 +46,7 @@ BAD_SCHEMA_VERSION = "bad-schema-version"
 NEGATIVE_SIZE = "negative-size"
 OUT_OF_RANGE = "out-of-range"
 NON_FINITE = "non-finite"
+NOT_A_STRING = "not-a-string"
 
 ALL_CODES = (
     DUPLICATE_ID,
@@ -61,6 +66,7 @@ ALL_CODES = (
     NEGATIVE_SIZE,
     OUT_OF_RANGE,
     NON_FINITE,
+    NOT_A_STRING,
 )
 
 _COMM_TYPE_VALUES = frozenset(ct.value for ct in CommType)
@@ -89,8 +95,6 @@ _U32_MAX = 0xFFFF_FFFF  # npu_id
 _U64_MAX = 0xFFFF_FFFF_FFFF_FFFF  # node id
 _I64_MIN, _I64_MAX = -(2**63), 2**63 - 1  # INT value, INTS item
 _FLOAT_MAX = sys.float_info.max  # NaN and +-Inf fail -max <= v <= max
-# Module-level aliases: reading an Enum member off its class is slow.
-_INT, _FLOAT, _INTS, _FLOATS = AttributeKind.INT, AttributeKind.FLOAT, AttributeKind.INTS, AttributeKind.FLOATS
 
 
 @dataclass(frozen=True)
@@ -141,14 +145,21 @@ def _too_long(text: str) -> bool:
 def _check_attributes(node: ETNode, out: list[Violation]) -> None:
     seen: set[str] = set()
     for attr in node.attributes:
-        if not attr.name:
-            out.append(Violation(EMPTY_ATTR_NAME, "attribute with empty name", node.id))
-        if attr.name in seen:
-            out.append(Violation(DUPLICATE_ATTRIBUTE, f"attribute {attr.name!r} appears twice", node.id))
-        seen.add(attr.name)
-        if type(attr.name) is str and len(attr.name) > _LONG_TEXT and _too_long(attr.name):
-            out.append(Violation(OUT_OF_RANGE, f"attribute name is over {_U16_MAX} UTF-8 bytes", node.id))
-        if not isinstance(attr.kind, AttributeKind) or not attr_value_matches_kind(attr.kind, attr.value):
+        name = attr.name
+        if not isinstance(name, str):
+            out.append(Violation(NOT_A_STRING, f"attribute name {name!r} is not a string", node.id))
+            name = None  # may be unhashable; no name-based check applies
+        else:
+            if not name:
+                out.append(Violation(EMPTY_ATTR_NAME, "attribute with empty name", node.id))
+            if name in seen:
+                out.append(Violation(DUPLICATE_ATTRIBUTE, f"attribute {name!r} appears twice", node.id))
+            seen.add(name)
+            if len(name) > _LONG_TEXT and _too_long(name):
+                out.append(Violation(OUT_OF_RANGE, f"attribute name is over {_U16_MAX} UTF-8 bytes", node.id))
+        if not isinstance(attr.doc_string, str):
+            out.append(Violation(NOT_A_STRING, f"attribute {attr.name!r}: doc_string is not a string", node.id))
+        if not attr_value_matches_kind(attr.kind, attr.value):
             out.append(
                 Violation(
                     KIND_VALUE_MISMATCH,
@@ -158,17 +169,17 @@ def _check_attributes(node: ETNode, out: list[Violation]) -> None:
                 )
             )
             continue
-        expected = _WELL_KNOWN_KINDS.get(attr.name)
+        expected = _WELL_KNOWN_KINDS.get(name)
         if expected is not None and attr.kind is not expected:
             out.append(
                 Violation(
                     WRONG_ATTR_KIND,
-                    f"attribute {attr.name!r} must be {expected.name}, got {attr.kind.name}",
+                    f"attribute {name!r} must be {expected.name}, got {attr.kind.name}",
                     node.id,
                 )
             )
-        elif attr.name in _NON_NEGATIVE and attr.value < 0:
-            out.append(Violation(NEGATIVE_SIZE, f"{attr.name} {attr.value} is negative", node.id))
+        elif name in _NON_NEGATIVE and attr.value < 0:
+            out.append(Violation(NEGATIVE_SIZE, f"{name} {attr.value} is negative", node.id))
         # Values the binary container cannot store, or standard JSON cannot hold.
         kind, value = attr.kind, attr.value
         if kind is _INT:
@@ -285,7 +296,9 @@ def validate_trace(trace: Trace) -> ValidationReport:
             if pid in seen_parents:
                 out.append(Violation(DUPLICATE_PARENT, f"parent {pid} listed twice", node.id))
             seen_parents.add(pid)
-        if type(node.name) is str and len(node.name) > _LONG_TEXT and _too_long(node.name):
+        if not isinstance(node.name, str):
+            out.append(Violation(NOT_A_STRING, f"node name {node.name!r} is not a string", node.id))
+        elif len(node.name) > _LONG_TEXT and _too_long(node.name):
             out.append(Violation(OUT_OF_RANGE, f"node name is over {_U16_MAX} UTF-8 bytes", node.id))
         if len(node.attributes) > _U16_MAX:
             out.append(Violation(OUT_OF_RANGE, f"more than {_U16_MAX} attributes", node.id))

@@ -13,6 +13,8 @@ from typing import Callable, Iterable, Sequence
 
 from .schema import ETNode, NodeType, Trace
 
+_json_str = json.encoder.encode_basestring_ascii
+
 ISSUE = "issue"
 CALLBACK = "callback"
 
@@ -169,5 +171,15 @@ def timeline_to_chrome_events(rows: Sequence[TimelineRow], type_of: TypeLookup) 
 
 
 def timeline_to_chrome_trace(rows: Sequence[TimelineRow], type_of: TypeLookup) -> str:
-    """JSON text (array-of-events form) for the Chrome trace viewer."""
-    return json.dumps(timeline_to_chrome_events(rows, type_of), indent=1) + "\n"
+    """JSON text (array-of-events form) for the Chrome trace viewer.
+
+    Exactly ``json.dumps(timeline_to_chrome_events(rows, type_of), indent=1) + "\\n"``
+    for rows of str names and int fields, as replay and ``parse_timeline_csv``
+    make them. Written directly, because ``indent`` turns off json's C encoder.
+    """
+    events = [
+        f'{{\n  "name": {_json_str(e["name"])},\n  "ph": "X",\n  "pid": {e["pid"]},\n  "tid": {e["tid"]},'
+        f'\n  "ts": {e["ts"]},\n  "dur": {e["dur"]}\n }}'
+        for e in timeline_to_chrome_events(rows, type_of)
+    ]
+    return "[\n " + ",\n ".join(events) + "\n]\n" if events else "[]\n"

@@ -1,4 +1,6 @@
 import json
+import random
+import shutil
 
 import pytest
 
@@ -80,6 +82,15 @@ def test_validate_reports_out_of_range_and_non_finite(tmp_path, capsys):
         codec.write_trace(b.build(validate=False), path, validate=False)
         code, _, err = run(capsys, "validate", str(path))
         assert code == 2 and code_name in err and "Traceback" not in err, err
+
+
+def test_validate_non_string_name_is_data_error(tmp_path, capsys):
+    b = TraceBuilder(0)
+    b.add_node("COMP", 5, {"runtime": 1})
+    path = tmp_path / "named-five.0.et"
+    codec.write_trace(b.build(validate=False), path, validate=False)
+    code, _, err = run(capsys, "validate", str(path))
+    assert code == 2 and "name must be a string" in err and "Traceback" not in err, err
 
 
 def test_validate_missing_path_is_data_error(capsys):
@@ -259,3 +270,28 @@ def test_convert_bad_input_is_data_error(tmp_path, capsys):
     corrupt.write_text("{nope")
     code, _, err = run(capsys, "convert", str(corrupt), "--out", str(tmp_path / "x"))
     assert code == 2 and "not valid JSON" in err
+
+
+def test_corrupted_trace_files_never_escape_the_exit_codes(tmp_path, capsys):
+    rng = random.Random(5)
+    for fmt in ("json", "binary"):
+        clean = gen(tmp_path, capsys, f"clean-{fmt}", "--trace-format", fmt)
+        for path in sorted(clean.iterdir()):
+            data = path.read_bytes()
+            variants = [data[:cut] for cut in (0, 1, 7, len(data) // 2, len(data) - 1)]
+            for _ in range(6):
+                flipped = bytearray(data)
+                flipped[rng.randrange(len(data))] ^= 1 << rng.randrange(8)
+                variants.append(bytes(flipped))
+            garbage = bytes(rng.randrange(256) for _ in range(64))
+            variants += [garbage, codec.MAGIC + garbage, b'{"nodes": [' + garbage]
+            for i, blob in enumerate(variants):
+                work = tmp_path / f"{fmt}-{path.stem}-{i}"
+                shutil.copytree(clean, work)
+                (work / path.name).write_bytes(blob)
+                for argv in (
+                    ["validate", str(work)],
+                    ["simulate", "--trace-dir", str(work), "--topology", "torus2d:2x2", "--bw", "62e9"],
+                ):
+                    code, _, err = run(capsys, *argv)
+                    assert code in (0, 1, 2, 3) and "Traceback" not in err, (argv, blob[:32], err)

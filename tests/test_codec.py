@@ -274,3 +274,98 @@ def test_read_trace_error_names_path(tmp_path):
     path.write_bytes(b"garbage")
     with pytest.raises(DecodeError, match="trace.0.et"):
         read_trace(path)
+
+
+# Valid traces whose payloads come from small pools, so equal attributes repeat
+# across nodes and 0.0 meets -0.0 under one name. FLOAT payloads are floats:
+# an int is legal there too, but it decodes as a float, so its JSON text
+# changes once (1 -> 1.0).
+_int64 = st.integers(min_value=-(2**63), max_value=2**63 - 1)
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_valid_values = {
+    AttributeKind.INT: st.sampled_from([0, 1, -1]) | _int64,
+    AttributeKind.FLOAT: st.sampled_from([0.0, -0.0, 1.0]) | _finite,
+    AttributeKind.STRING: st.sampled_from(["", "x", "é"]) | st.text(max_size=4),
+    AttributeKind.INTS: st.lists(_int64, max_size=3).map(tuple),
+    AttributeKind.FLOATS: st.lists(st.sampled_from([0.0, -0.0]) | _finite, max_size=3).map(tuple),
+    AttributeKind.STRINGS: st.lists(st.text(max_size=4), max_size=3).map(tuple),
+}
+_valid_attributes = st.sampled_from(list(AttributeKind)).flatmap(
+    lambda kind: st.builds(
+        Attribute,
+        name=st.sampled_from(["a", "b", "é☃", 'q"\\']),
+        kind=st.just(kind),
+        value=_valid_values[kind],
+        doc_string=st.sampled_from(["", "doc"]),
+    )
+)
+
+
+@st.composite
+def _valid_traces(draw):
+    ids = draw(st.lists(st.integers(min_value=0, max_value=2**64 - 1), unique=True, max_size=6))
+    nodes = []
+    for i, node_id in enumerate(ids):
+        parents = draw(st.lists(st.sampled_from(ids[:i]), unique=True, max_size=3)) if i else []
+        nodes.append(
+            ETNode(
+                node_id,
+                draw(st.sampled_from(["n", "étape", ""]) | st.text(max_size=4)),
+                draw(st.sampled_from([NodeType.INVALID, NodeType.MEM_LOAD, NodeType.MEM_STORE, NodeType.COMP])),
+                tuple(parents),
+                tuple(draw(st.lists(_valid_attributes, unique_by=lambda a: a.name, max_size=4))),
+            )
+        )
+    npu_id = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    return Trace(npu_id, tuple(nodes), draw(st.sampled_from(["0.1", "0.0", "0.255"])))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_valid_traces())
+def test_both_codecs_roundtrip_by_bytes(trace):
+    # Bytes, not ==: -0.0 == 0.0 and 1 == 1.0, so == cannot see such a merge.
+    for fmt in (FORMAT_JSON, FORMAT_BINARY):
+        data = encode_trace(trace, fmt)
+        assert encode_trace(decode_trace(data), fmt) == data
+
+
+@settings(max_examples=60, deadline=None)
+@given(_valid_traces(), st.integers(min_value=1, max_value=255))
+def test_binary_prefixes_and_byte_changes_decode_or_name_an_offset(trace, flip):
+    data = trace_to_binary(trace)
+    changed = []
+    for i in range(len(data)):
+        patched = bytearray(data)
+        patched[i] ^= flip
+        changed.append(bytes(patched))
+    for blob in [data[:cut] for cut in range(len(data))] + changed:
+        try:
+            trace_from_binary(blob)
+        except DecodeError as err:
+            assert err.offset is not None, err
+
+
+def test_equal_attributes_decode_to_shared_objects():
+    attrs = make_attributes({"runtime": 5, "comm_group": "dp", "scale": 0.5, "zero": -0.0})
+    trace = Trace(0, (
+        ETNode(1, "a", NodeType.COMP, attributes=attrs),
+        ETNode(2, "b", NodeType.COMP, attributes=attrs),
+        ETNode(3, "c", NodeType.COMP, attributes=make_attributes({"zero": 0.0})),
+    ))
+    for fmt in (FORMAT_JSON, FORMAT_BINARY):
+        a, b, c = decode_trace(encode_trace(trace, fmt)).nodes
+        for x, y in zip(a.attributes[:3], b.attributes[:3]):
+            assert x is y, (fmt, x)
+        zero = c.attribute("zero").value
+        assert str(a.attribute("zero").value) == "-0.0" and str(zero) == "0.0", fmt
+
+
+def test_json_interning_keeps_value_types_apart():
+    obj = json.loads(trace_to_json(Trace(0, (
+        ETNode(1, "a", NodeType.COMP, attributes=make_attributes({"x": 1})),
+        ETNode(2, "b", NodeType.COMP, attributes=make_attributes({"x": 1})),
+    ))))
+    for bad in (1.0, True):
+        obj["nodes"][1]["attributes"][0]["value"] = bad
+        with pytest.raises(DecodeError, match="does not match kind"):
+            trace_from_json(json.dumps(obj))

@@ -1,3 +1,5 @@
+from collections import namedtuple
+
 import pytest
 
 from ettrace.schema import (
@@ -65,6 +67,46 @@ def test_kind_value_matching(kind, value):
         if kind is AttributeKind.FLOATS and other_kind is AttributeKind.INTS:
             continue
         assert not attr_value_matches_kind(kind, other_value), (kind, other_value)
+
+
+# (label, value, kinds that accept it), as recorded before the kind check was
+# rewritten as identity tests; every other kind, and any non-kind, rejects it.
+_Pair = namedtuple("_Pair", "a b")
+KIND_TABLE = [
+    ("int", 7, {"INT", "FLOAT"}),
+    ("zero", 0, {"INT", "FLOAT"}),
+    ("big int", 2**70, {"INT", "FLOAT"}),
+    ("True", True, set()),
+    ("False", False, set()),
+    ("float", 1.5, {"FLOAT"}),
+    ("-0.0", -0.0, {"FLOAT"}),
+    ("nan", float("nan"), {"FLOAT"}),
+    ("str", "x", {"STRING"}),
+    ("empty str", "", {"STRING"}),
+    ("CommType", CommType.SEND, {"STRING"}),
+    ("None", None, set()),
+    ("bytes", b"x", set()),
+    ("list", [1, 2], set()),
+    ("int tuple", (1, 2), {"INTS", "FLOATS"}),
+    ("empty tuple", (), {"INTS", "FLOATS", "STRINGS"}),
+    ("float tuple", (1.0, 2.5), {"FLOATS"}),
+    ("int+float tuple", (1, 2.5), {"FLOATS"}),
+    ("tuple with True", (1, True), set()),
+    ("tuple of bool", (False,), set()),
+    ("str tuple", ("a", "b"), {"STRINGS"}),
+    ("str+CommType tuple", ("a", CommType.RECV), {"STRINGS"}),
+    ("str+int tuple", ("a", 1), set()),
+    ("None tuple", (None,), set()),
+    ("namedtuple", _Pair(1, 2), {"INTS", "FLOATS"}),
+    ("nested tuple", ((1,),), set()),
+]
+
+
+@pytest.mark.parametrize("label,value,accepted", KIND_TABLE, ids=[row[0] for row in KIND_TABLE])
+def test_kind_check_table(label, value, accepted):
+    assert {k.name for k in AttributeKind if attr_value_matches_kind(k, value)} == accepted
+    for not_a_kind in (None, "INT", 1):
+        assert not attr_value_matches_kind(not_a_kind, value)
 
 
 def test_bool_is_not_an_int_attribute():

@@ -5,6 +5,7 @@ import pytest
 from ettrace.codec import FORMAT_BINARY, FORMAT_JSON, decode_trace, encode_trace
 from ettrace.schema import Attribute, AttributeKind, ETNode, NodeType, Trace, make_attributes
 from ettrace import validate as v
+from ettrace.builder import TraceBuilder
 
 from conftest import random_valid_trace
 
@@ -174,6 +175,24 @@ def test_non_finite_floats():
             encode_trace(Trace(0, (node,)), FORMAT_JSON)
     finite = make_attributes({"f": -1.7976931348623157e308, "fs": [0.0, 5e-324, 1.7976931348623157e308]})
     assert v.validate_trace(Trace(0, (ETNode(1, "n", NodeType.COMP, attributes=finite),))).ok
+
+
+def test_names_and_doc_strings_must_be_strings():
+    b = TraceBuilder(0)
+    b.add_node("COMP", 5, {"runtime": 1})
+    named_five = b.build(validate=False)
+    for trace in (
+        named_five,
+        Trace(0, (ETNode(1, "n", NodeType.COMP, attributes=(Attribute(7, AttributeKind.INT, 1),)),)),
+        Trace(0, (ETNode(1, "n", NodeType.COMP, attributes=(Attribute(["x"], AttributeKind.INT, 1),)),)),
+        Trace(0, (ETNode(1, "n", NodeType.COMP, attributes=(Attribute("x", AttributeKind.INT, 1, doc_string=b"d"),)),)),
+    ):
+        assert codes(trace) == {v.NOT_A_STRING}
+        for fmt in (FORMAT_JSON, FORMAT_BINARY):
+            with pytest.raises(v.InvalidTraceError, match="not-a-string"):
+                encode_trace(trace, fmt)
+    assert v.NOT_A_STRING in v.ALL_CODES
+    assert codes(Trace(0, schema_version=1)) == {v.BAD_SCHEMA_VERSION}
 
 
 def test_node_type_must_be_enum():

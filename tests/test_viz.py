@@ -3,7 +3,9 @@ import json
 import pytest
 
 from ettrace.builder import TraceBuilder
+from ettrace.costmodel import parse_topology
 from ettrace.schema import ETNode, NodeType, Trace
+from ettrace.simulator import SimConfig, run_simulation
 from ettrace.viz import (
     TID_COMM,
     TID_COMPUTE,
@@ -17,6 +19,7 @@ from ettrace.viz import (
     timeline_to_chrome_events,
     timeline_to_chrome_trace,
 )
+from ettrace.workloads import PRESETS, generate_workload, preset_spec
 
 
 def test_dot_empty_trace():
@@ -155,3 +158,27 @@ def test_chrome_trace_json_text():
     parsed = json.loads(text)
     assert isinstance(parsed, list) and len(parsed) == 1
     assert parsed[0]["ph"] == "X"
+
+
+def _chrome_by_json_dumps(rows_, type_of):
+    return json.dumps(timeline_to_chrome_events(rows_, type_of), indent=1) + "\n"
+
+
+@pytest.mark.parametrize("name", ["", "né☃😀", 'say "hi"', "back\\slash", "tab\tnl\n\x00"])
+def test_chrome_text_is_json_dumps_for_any_name(name):
+    rows_ = [TimelineRow("issue", 0, 0, 1, name), TimelineRow("callback", 0, 7, 1, name)]
+    assert timeline_to_chrome_trace(rows_, lookup_for(NodeType.COMP)) == _chrome_by_json_dumps(
+        rows_, lookup_for(NodeType.COMP)
+    )
+
+
+def test_chrome_text_of_an_empty_timeline():
+    assert timeline_to_chrome_trace([], lookup_for(NodeType.COMP)) == _chrome_by_json_dumps([], None) == "[]\n"
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_chrome_text_is_json_dumps_for_every_preset(preset):
+    traces = generate_workload(preset_spec(preset, 8))
+    result = run_simulation(traces, SimConfig(topology=parse_topology("torus2d:4x2", 62e9, 1e-6)))
+    type_of = node_type_lookup(traces)
+    assert timeline_to_chrome_trace(result.timeline, type_of) == _chrome_by_json_dumps(result.timeline, type_of)
