@@ -10,7 +10,7 @@ import sys
 from pathlib import Path
 
 from . import codec, convert, simulator, synth, validate, viz, workloads
-from .costmodel import TopologyKind, near_square_dims, parse_topology
+from .costmodel import TopologyKind, parse_topology
 from .schema import Trace
 from .workloads import Parallelism, WorkloadSpec
 
@@ -201,6 +201,9 @@ def _cmd_fit(args, parser: _Parser) -> int:
     corpus = []
     for raw in args.trace_dirs:
         traces = codec.read_workload(raw, prefix=args.prefix)
+        report = validate.validate_workload(traces)
+        if not report.ok:
+            raise validate.InvalidTraceError(report, f"{raw}: workload failed validation")
         corpus.append(synth.build_master_trace(traces))
     models = synth.fit_models(
         corpus, k_components=args.components, n_clusters=args.clusters, seed=args.seed

@@ -10,7 +10,7 @@ import io
 import json
 import struct
 from pathlib import Path
-from typing import BinaryIO, Iterable
+from typing import Iterable
 
 from .schema import (
     Attribute,

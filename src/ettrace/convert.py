@@ -27,7 +27,6 @@ from .schema import (
     ETNode,
     NodeType,
     Trace,
-    get_int_attr,
     make_attributes,
 )
 
@@ -95,7 +94,7 @@ def split_per_npu(nodes: Sequence[GlobalNode]) -> list[Trace]:
                 continue
             key = (pid, node.npu)
             if key not in pair_for:
-                size = get_int_attr_from(parent.attributes, ATTR_TENSOR_SIZE, 0)
+                size = next((a.value for a in parent.attributes if a.name == ATTR_TENSOR_SIZE), 0)
                 send_id, recv_id = next_id, next_id + 1
                 next_id += 2
                 tag = next_tag
@@ -137,13 +136,6 @@ def split_per_npu(nodes: Sequence[GlobalNode]) -> list[Trace]:
         own.sort(key=lambda n: n.id)
         traces.append(Trace(npu_id=npu, nodes=tuple(own)))
     return traces
-
-
-def get_int_attr_from(attributes: Iterable[Attribute], name: str, default: int = 0) -> int:
-    for attr in attributes:
-        if attr.name == name and isinstance(attr.value, int):
-            return attr.value
-    return default
 
 
 def _max_existing_tag(nodes: Sequence[GlobalNode]) -> int:

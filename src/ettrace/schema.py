@@ -6,7 +6,7 @@ Multi-NPU workloads are plain lists of traces, one per NPU.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Union
 
@@ -49,23 +49,35 @@ COLLECTIVE_COMM_TYPES = frozenset(
     {CommType.ALL_REDUCE, CommType.ALL_GATHER, CommType.REDUCE_SCATTER, CommType.ALL_TO_ALL}
 )
 
-# Well-known attribute names. Nothing enforces that *only* these appear;
-# validation only checks the ones a node type requires.
-ATTR_RUNTIME = "runtime"  # INT, cycles
-ATTR_COMM_TYPE = "comm_type"  # STRING, a CommType value
-ATTR_COMM_SIZE = "comm_size"  # INT, bytes
-ATTR_COMM_GROUP = "comm_group"  # STRING, opaque group id
-ATTR_COMM_PEER = "comm_peer"  # INT, peer npu_id for SEND/RECV
-ATTR_COMM_TAG = "comm_tag"  # INT, optional explicit SEND/RECV pairing tag
-ATTR_TENSOR_SIZE = "tensor_size"  # INT, bytes
-ATTR_NUM_OPS = "num_ops"  # INT, arithmetic ops for modeled compute timing
-
-AttrValue = Union[float, int, str, "tuple[float, ...]", "tuple[int, ...]", "tuple[str, ...]"]
-
 # Module-level aliases: reading an Enum member off its class, or hashing it
 # for a dict or set lookup, runs Python-level Enum code on every call.
 _FLOAT, _INT, _STRING = AttributeKind.FLOAT, AttributeKind.INT, AttributeKind.STRING
 _FLOATS, _INTS, _STRINGS = AttributeKind.FLOATS, AttributeKind.INTS, AttributeKind.STRINGS
+
+# Well-known attribute names. Nothing enforces that *only* these appear;
+# validation only checks the ones a node type requires.
+ATTR_RUNTIME = "runtime"  # cycles
+ATTR_COMM_TYPE = "comm_type"  # a CommType value
+ATTR_COMM_SIZE = "comm_size"  # bytes
+ATTR_COMM_GROUP = "comm_group"  # opaque group id
+ATTR_COMM_PEER = "comm_peer"  # peer npu_id for SEND/RECV
+ATTR_COMM_TAG = "comm_tag"  # optional explicit SEND/RECV pairing tag
+ATTR_TENSOR_SIZE = "tensor_size"  # bytes
+ATTR_NUM_OPS = "num_ops"  # arithmetic ops for modeled compute timing
+
+# The kind each well-known attribute must carry when present.
+_WELL_KNOWN_KINDS = {
+    ATTR_RUNTIME: _INT,
+    ATTR_COMM_TYPE: _STRING,
+    ATTR_COMM_SIZE: _INT,
+    ATTR_COMM_GROUP: _STRING,
+    ATTR_COMM_PEER: _INT,
+    ATTR_COMM_TAG: _INT,
+    ATTR_TENSOR_SIZE: _INT,
+    ATTR_NUM_OPS: _INT,
+}
+
+AttrValue = Union[float, int, str, "tuple[float, ...]", "tuple[int, ...]", "tuple[str, ...]"]
 
 
 def attr_value_matches_kind(kind: AttributeKind, value: object) -> bool:
@@ -194,22 +206,21 @@ def get_attr(node: ETNode, name: str, default: object = None) -> object:
     return default if attr is None else attr.value
 
 
-def get_int_attr(node: ETNode, name: str, default: "int | None" = None) -> "int | None":
+def _typed_attr(node: ETNode, name: str, kind: AttributeKind, default: object) -> object:
     attr = node.attribute(name)
     if attr is None:
         return default
-    if attr.kind is not AttributeKind.INT or not attr_value_matches_kind(attr.kind, attr.value):
-        raise TypeError(f"node {node.id}: attribute {name!r} is not an INT")
-    return attr.value  # type: ignore[return-value]
+    if attr.kind is not kind or not attr_value_matches_kind(kind, attr.value):
+        raise TypeError(f"node {node.id}: attribute {name!r} is not {'an' if kind is _INT else 'a'} {kind.name}")
+    return attr.value
+
+
+def get_int_attr(node: ETNode, name: str, default: "int | None" = None) -> "int | None":
+    return _typed_attr(node, name, _INT, default)  # type: ignore[return-value]
 
 
 def get_str_attr(node: ETNode, name: str, default: "str | None" = None) -> "str | None":
-    attr = node.attribute(name)
-    if attr is None:
-        return default
-    if attr.kind is not AttributeKind.STRING or not attr_value_matches_kind(attr.kind, attr.value):
-        raise TypeError(f"node {node.id}: attribute {name!r} is not a STRING")
-    return attr.value  # type: ignore[return-value]
+    return _typed_attr(node, name, _STRING, default)  # type: ignore[return-value]
 
 
 def parse_schema_version(version: str) -> tuple[int, int]:

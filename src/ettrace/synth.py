@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import logging
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -497,6 +498,17 @@ def models_to_json(models: FittedModels) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+def _number(value: object, what: str, low: float = 0.0) -> float:
+    """``value`` unchanged; ValueError unless it is a finite JSON number >= ``low``."""
+    if type(value) not in (int, float) or not low <= value <= sys.float_info.max:
+        raise ValueError(f"models document: {what} {value!r} is not a finite number" + (" >= 0" if low == 0 else ""))
+    return value  # type: ignore[return-value]
+
+
+def _probs(row: object, what: str) -> "dict[str, float]":
+    return {t: _number(p, f"{what} probability of {t!r}") for t, p in dict(row).items()}
+
+
 def models_from_json(text: "str | bytes") -> FittedModels:
     try:
         doc = json.loads(text)
@@ -509,21 +521,38 @@ def models_from_json(text: "str | bytes") -> FittedModels:
     try:
         clusters = tuple(
             ClusterModel(
-                weight=c["weight"],
-                type_probs=dict(c["type_probs"]),
-                transitions={k: dict(v) for k, v in c["transitions"].items()},
-                lengths=tuple(c["lengths"]),
+                weight=_number(c["weight"], "cluster weight"),
+                type_probs=_probs(c["type_probs"], "type_probs"),
+                transitions={k: _probs(v, f"transitions[{k!r}]") for k, v in c["transitions"].items()},
+                lengths=tuple(_number(n, "sequence length") for n in c["lengths"]),
             )
             for c in doc["type_model"]["clusters"]
         )
         size_model = {
-            t: Gmm1D(tuple(GmmComponent(c["weight"], c["mean"], c["var"]) for c in comps))
+            t: Gmm1D(
+                tuple(
+                    GmmComponent(
+                        _number(c["weight"], "size weight"),
+                        _number(c["mean"], "size mean", -sys.float_info.max),
+                        _number(c["var"], "size variance"),
+                    )
+                    for c in comps
+                )
+            )
             for t, comps in doc["size_model"].items()
         }
     except KeyError as exc:
         raise ValueError(f"models document lacks field {exc}") from None
     except (TypeError, AttributeError) as exc:
         raise ValueError(f"models document is malformed: {exc}") from None
+    # Sampling picks a cluster and follows every type it can reach to a
+    # transition row and a size model.
+    if not clusters:
+        raise ValueError("models document has no clusters")
+    for cluster in clusters:
+        for t in {*cluster.type_probs, *(u for row in cluster.transitions.values() for u in row)}:
+            if t not in cluster.transitions or t not in size_model or not size_model[t].components:
+                raise ValueError(f"models document: type {t!r} has no transition row or no size model")
     return FittedModels(type_model=CommTypeModel(clusters), size_model=size_model)
 
 

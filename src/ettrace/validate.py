@@ -13,9 +13,10 @@ from .schema import (
     ATTR_COMM_PEER,
     ATTR_COMM_SIZE,
     ATTR_COMM_TYPE,
+    ATTR_NUM_OPS,
+    ATTR_RUNTIME,
+    ATTR_TENSOR_SIZE,
     COLLECTIVE_COMM_TYPES,
-    Attribute,
-    AttributeKind,
     CommType,
     ETNode,
     NodeType,
@@ -24,7 +25,11 @@ from .schema import (
     _FLOATS,
     _INT,
     _INTS,
+    _STRING,
+    _STRINGS,
+    _WELL_KNOWN_KINDS,
     attr_value_matches_kind,
+    get_str_attr,
     parse_schema_version,
 )
 
@@ -47,6 +52,7 @@ NEGATIVE_SIZE = "negative-size"
 OUT_OF_RANGE = "out-of-range"
 NON_FINITE = "non-finite"
 NOT_A_STRING = "not-a-string"
+NOT_AN_INT = "not-an-int"
 
 ALL_CODES = (
     DUPLICATE_ID,
@@ -67,25 +73,14 @@ ALL_CODES = (
     OUT_OF_RANGE,
     NON_FINITE,
     NOT_A_STRING,
+    NOT_AN_INT,
 )
 
 _COMM_TYPE_VALUES = frozenset(ct.value for ct in CommType)
 _COLLECTIVE_VALUES = frozenset(ct.value for ct in COLLECTIVE_COMM_TYPES)
 
-# Attribute kinds the well-known names must carry when present.
-_WELL_KNOWN_KINDS = {
-    "runtime": AttributeKind.INT,
-    ATTR_COMM_TYPE: AttributeKind.STRING,
-    ATTR_COMM_SIZE: AttributeKind.INT,
-    ATTR_COMM_GROUP: AttributeKind.STRING,
-    ATTR_COMM_PEER: AttributeKind.INT,
-    "comm_tag": AttributeKind.INT,
-    "tensor_size": AttributeKind.INT,
-    "num_ops": AttributeKind.INT,
-}
-
 # Sizes, counts and durations: a negative value has no meaning.
-_NON_NEGATIVE = frozenset({"runtime", ATTR_COMM_SIZE, "tensor_size", "num_ops"})
+_NON_NEGATIVE = frozenset({ATTR_RUNTIME, ATTR_COMM_SIZE, ATTR_TENSOR_SIZE, ATTR_NUM_OPS})
 
 # Widths of the binary container's fixed-size fields.
 _U8_MAX = 0xFF  # schema minor version
@@ -124,12 +119,28 @@ class ValidationReport:
         )
 
 
+_OK = ValidationReport(())
+
+
 class InvalidTraceError(ValueError):
     """Raised by APIs that refuse to operate on an invalid trace."""
 
     def __init__(self, report: ValidationReport, context: str = "trace failed validation"):
         self.report = report
         super().__init__(f"{context}:\n{report}")
+
+
+def _not_utf8(text: str) -> bool:
+    """True when ``text`` holds a lone surrogate, which UTF-8 cannot encode.
+
+    Callers test ``text.isascii()`` first, inline, because validation runs for
+    every name and string of every node: ASCII text always encodes.
+    """
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return True
+    return False
 
 
 def _too_long(text: str) -> bool:
@@ -139,7 +150,7 @@ def _too_long(text: str) -> bool:
     runs for every name of every node: shorter text fits even at 4 bytes per
     character.
     """
-    return len(text.encode("utf-8", "surrogatepass")) > _U16_MAX
+    return len(text.encode("utf-8")) > _U16_MAX
 
 
 def _check_attributes(node: ETNode, out: list[Violation]) -> None:
@@ -155,10 +166,15 @@ def _check_attributes(node: ETNode, out: list[Violation]) -> None:
             if name in seen:
                 out.append(Violation(DUPLICATE_ATTRIBUTE, f"attribute {name!r} appears twice", node.id))
             seen.add(name)
-            if len(name) > _LONG_TEXT and _too_long(name):
+            if not name.isascii() and _not_utf8(name):
+                out.append(Violation(NOT_A_STRING, f"attribute name {name!r} is not UTF-8 text", node.id))
+            elif len(name) > _LONG_TEXT and _too_long(name):
                 out.append(Violation(OUT_OF_RANGE, f"attribute name is over {_U16_MAX} UTF-8 bytes", node.id))
-        if not isinstance(attr.doc_string, str):
+        doc = attr.doc_string
+        if not isinstance(doc, str):
             out.append(Violation(NOT_A_STRING, f"attribute {attr.name!r}: doc_string is not a string", node.id))
+        elif not doc.isascii() and _not_utf8(doc):
+            out.append(Violation(NOT_A_STRING, f"attribute {attr.name!r}: doc_string is not UTF-8 text", node.id))
         if not attr_value_matches_kind(attr.kind, attr.value):
             out.append(
                 Violation(
@@ -185,6 +201,9 @@ def _check_attributes(node: ETNode, out: list[Violation]) -> None:
         if kind is _INT:
             if not _I64_MIN <= value <= _I64_MAX:
                 out.append(Violation(OUT_OF_RANGE, f"attribute {attr.name!r}: {value} is outside int64", node.id))
+        elif kind is _STRING:
+            if not value.isascii() and _not_utf8(value):
+                out.append(Violation(NOT_A_STRING, f"attribute {attr.name!r}: value is not UTF-8 text", node.id))
         elif kind is _FLOAT:
             if not -_FLOAT_MAX <= value <= _FLOAT_MAX:
                 out.append(Violation(NON_FINITE, f"attribute {attr.name!r}: {value!r} is not finite", node.id))
@@ -194,18 +213,9 @@ def _check_attributes(node: ETNode, out: list[Violation]) -> None:
         elif kind is _FLOATS:
             if not all(-_FLOAT_MAX <= v <= _FLOAT_MAX for v in value):
                 out.append(Violation(NON_FINITE, f"attribute {attr.name!r}: an item is not finite", node.id))
-
-
-def _well_formed_attr(node: ETNode, name: str) -> "Attribute | None":
-    attr = node.attribute(name)
-    if attr is None:
-        return None
-    expected = _WELL_KNOWN_KINDS.get(name)
-    if expected is not None and attr.kind is not expected:
-        return None
-    if not attr_value_matches_kind(attr.kind, attr.value):
-        return None
-    return attr
+        elif kind is _STRINGS:
+            if not all(item.isascii() for item in value) and any(map(_not_utf8, value)):
+                out.append(Violation(NOT_A_STRING, f"attribute {attr.name!r}: an item is not UTF-8 text", node.id))
 
 
 def _check_comm_contract(node: ETNode, out: list[Violation]) -> None:
@@ -220,29 +230,31 @@ def _check_comm_contract(node: ETNode, out: list[Violation]) -> None:
         if node.attribute(name) is None:
             out.append(Violation(MISSING_REQUIRED_ATTR, f"{node.type.name} node lacks {name!r}", node.id))
 
-    ct = _well_formed_attr(node, ATTR_COMM_TYPE)
-    if ct is not None:
-        if ct.value not in _COMM_TYPE_VALUES:
-            out.append(Violation(BAD_COMM_TYPE, f"unknown comm_type {ct.value!r}", node.id))
-        elif node.type is NodeType.COMM_COLL and ct.value not in _COLLECTIVE_VALUES:
-            out.append(
-                Violation(BAD_COMM_TYPE, f"comm_type {ct.value!r} is point-to-point, node is COMM_COLL", node.id)
-            )
-        elif node.type is NodeType.COMM_SEND and ct.value != CommType.SEND.value:
-            out.append(Violation(BAD_COMM_TYPE, f"COMM_SEND node claims comm_type {ct.value!r}", node.id))
-        elif node.type is NodeType.COMM_RECV and ct.value != CommType.RECV.value:
-            out.append(Violation(BAD_COMM_TYPE, f"COMM_RECV node claims comm_type {ct.value!r}", node.id))
+    try:
+        ct = get_str_attr(node, ATTR_COMM_TYPE)
+    except TypeError:
+        return  # _check_attributes reports the kind
+    if ct is None:
+        return
+    if ct not in _COMM_TYPE_VALUES:
+        out.append(Violation(BAD_COMM_TYPE, f"unknown comm_type {ct!r}", node.id))
+    elif node.type is NodeType.COMM_COLL and ct not in _COLLECTIVE_VALUES:
+        out.append(Violation(BAD_COMM_TYPE, f"comm_type {ct!r} is point-to-point, node is COMM_COLL", node.id))
+    elif node.type is NodeType.COMM_SEND and ct != CommType.SEND.value:
+        out.append(Violation(BAD_COMM_TYPE, f"COMM_SEND node claims comm_type {ct!r}", node.id))
+    elif node.type is NodeType.COMM_RECV and ct != CommType.RECV.value:
+        out.append(Violation(BAD_COMM_TYPE, f"COMM_RECV node claims comm_type {ct!r}", node.id))
 
 
 def _find_cycle_members(nodes: dict[int, ETNode]) -> set[int]:
     """Ids of nodes on (or feeding only into) cycles, found by Kahn peeling."""
     indeg = {nid: 0 for nid in nodes}
     children: dict[int, list[int]] = {nid: [] for nid in nodes}
-    for node in nodes.values():
-        for pid in set(node.parents):
-            if pid in nodes and pid != node.id:
-                indeg[node.id] += 1
-                children[pid].append(node.id)
+    for nid, node in nodes.items():
+        for pid in node.parents:  # a repeated parent adds and removes one in-degree per copy
+            if type(pid) is int and pid in nodes and pid != nid:
+                indeg[nid] += 1
+                children[pid].append(nid)
     queue = [nid for nid, d in indeg.items() if d == 0]
     seen = 0
     while queue:
@@ -258,7 +270,15 @@ def _find_cycle_members(nodes: dict[int, ETNode]) -> set[int]:
 
 
 def validate_trace(trace: Trace) -> ValidationReport:
-    """Check every structural invariant; returns all violations, not just the first."""
+    """Check every structural invariant; returns all violations, not just the first.
+
+    A trace that passes is marked by an instance attribute, not a dataclass
+    field, so ==, hash, repr and dataclasses.replace ignore it. Later calls for
+    that object return the shared OK report at once: Trace, ETNode and
+    Attribute are frozen, so a trace that passed stays valid.
+    """
+    if getattr(trace, "_passed_validation", False):
+        return _OK
     out: list[Violation] = []
 
     try:
@@ -270,11 +290,16 @@ def validate_trace(trace: Trace) -> ValidationReport:
             out.append(Violation(BAD_SCHEMA_VERSION, f"unsupported major version in {trace.schema_version!r}"))
         elif minor > _U8_MAX:
             out.append(Violation(OUT_OF_RANGE, f"schema minor version {minor} is above {_U8_MAX}"))
-    if not 0 <= trace.npu_id <= _U32_MAX:
+    if type(trace.npu_id) is not int:
+        out.append(Violation(NOT_AN_INT, f"npu_id {trace.npu_id!r} is not an int"))
+    elif not 0 <= trace.npu_id <= _U32_MAX:
         out.append(Violation(OUT_OF_RANGE, f"npu_id {trace.npu_id} is outside 0..{_U32_MAX}"))
 
     by_id: dict[int, ETNode] = {}
     for node in trace.nodes:
+        if type(node.id) is not int:
+            out.append(Violation(NOT_AN_INT, f"node id {node.id!r} is not an int"))
+            continue
         if node.id < 0:
             out.append(Violation(NEGATIVE_ID, f"node id {node.id} is negative", node.id))
         elif node.id > _U64_MAX:
@@ -285,10 +310,15 @@ def validate_trace(trace: Trace) -> ValidationReport:
             by_id[node.id] = node
 
     for node in trace.nodes:
+        if type(node.id) is not int:
+            continue  # reported above; no violation could name the node
         if not isinstance(node.type, NodeType):
             out.append(Violation(BAD_NODE_TYPE, f"node type {node.type!r} is not a NodeType", node.id))
         seen_parents: set[int] = set()
         for pid in node.parents:
+            if type(pid) is not int:
+                out.append(Violation(NOT_AN_INT, f"parent {pid!r} is not an int", node.id))
+                continue
             if pid == node.id:
                 out.append(Violation(SELF_PARENT, "node lists itself as a parent", node.id))
             elif pid not in by_id:
@@ -298,6 +328,8 @@ def validate_trace(trace: Trace) -> ValidationReport:
             seen_parents.add(pid)
         if not isinstance(node.name, str):
             out.append(Violation(NOT_A_STRING, f"node name {node.name!r} is not a string", node.id))
+        elif not node.name.isascii() and _not_utf8(node.name):
+            out.append(Violation(NOT_A_STRING, f"node name {node.name!r} is not UTF-8 text", node.id))
         elif len(node.name) > _LONG_TEXT and _too_long(node.name):
             out.append(Violation(OUT_OF_RANGE, f"node name is over {_U16_MAX} UTF-8 bytes", node.id))
         if len(node.attributes) > _U16_MAX:
@@ -308,6 +340,8 @@ def validate_trace(trace: Trace) -> ValidationReport:
     for nid in sorted(_find_cycle_members(by_id)):
         out.append(Violation(CYCLE, "node participates in a dependency cycle", nid))
 
+    if not out:
+        object.__setattr__(trace, "_passed_validation", True)
     return ValidationReport(tuple(out))
 
 
@@ -316,8 +350,9 @@ def validate_workload(traces: "list[Trace] | tuple[Trace, ...]") -> ValidationRe
     out: list[Violation] = []
     seen_npus: set[int] = set()
     for trace in traces:
-        if trace.npu_id in seen_npus:
-            out.append(Violation(DUPLICATE_ID, f"npu_id {trace.npu_id} appears in more than one trace"))
-        seen_npus.add(trace.npu_id)
+        if type(trace.npu_id) is int:  # validate_trace reports any other npu_id
+            if trace.npu_id in seen_npus:
+                out.append(Violation(DUPLICATE_ID, f"npu_id {trace.npu_id} appears in more than one trace"))
+            seen_npus.add(trace.npu_id)
         out.extend(validate_trace(trace).violations)
     return ValidationReport(tuple(out))

@@ -11,7 +11,7 @@ import json
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .schema import ETNode, NodeType, Trace
+from .schema import NodeType, Trace
 
 _json_str = json.encoder.encode_basestring_ascii
 

@@ -4,10 +4,10 @@ import shutil
 
 import pytest
 
-from ettrace import codec
+from ettrace import codec, validate
 from ettrace.builder import TraceBuilder
 from ettrace.cli import main
-from ettrace.schema import CommType
+from ettrace.schema import CommType, ETNode, NodeType, Trace, make_attributes
 
 
 def run(capsys, *argv):
@@ -236,6 +236,46 @@ def test_fit_then_synthesize_chain(tmp_path, capsys):
     assert code == 0 and stdout.startswith("makespan_cycles,")
 
 
+def test_fit_refuses_an_invalid_corpus(tmp_path, capsys):
+    def coll(**attrs):
+        return ETNode(1, "ar", NodeType.COMM_COLL, attributes=make_attributes(attrs))
+
+    good = {"comm_type": "ALL_REDUCE", "comm_size": 64, "comm_group": "dp"}
+    for label, node in (
+        ("int comm_type", coll(**{**good, "comm_type": 3})),
+        ("no comm_group", coll(comm_type="ALL_REDUCE", comm_size=64)),
+        ("SEND collective", coll(**{**good, "comm_type": "SEND"})),
+        ("negative comm_size", coll(**{**good, "comm_size": -64})),
+    ):
+        work = tmp_path / label.replace(" ", "-")
+        codec.write_workload([Trace(0, (node,)), Trace(1, (node,))], work, validate=False)
+        code, _, err = run(capsys, "fit", str(work), "--components", "1", "--clusters", "1")
+        assert code == 2 and f"{work}: workload failed validation" in err and "Traceback" not in err, label
+
+
+def test_each_command_checks_each_trace_once(tmp_path, capsys, monkeypatch):
+    checks = []
+    real = validate._find_cycle_members  # runs once per real check, never on a repeat
+    monkeypatch.setattr(validate, "_find_cycle_members", lambda nodes: checks.append(1) or real(nodes))
+
+    def count(*argv):
+        checks.clear()
+        code, _, err = run(capsys, *argv)
+        assert code == 0, (argv, err)
+        return len(checks)
+
+    w1, w2, models = tmp_path / "w1", tmp_path / "w2", tmp_path / "models.json"
+    assert count("generate", "--preset", "mlp-dp", "--npus", "4", "--out", str(w1)) == 4
+    assert count("generate", "--preset", "mlp-mp", "--npus", "4", "--out", str(w2), "--trace-format", "binary") == 4
+    assert count("validate", str(w1)) == 4
+    assert count("simulate", "--trace-dir", str(w2), "--topology", "torus2d:2x2", "--bw", "62e9",
+                 "--chrome", str(tmp_path / "chrome.json")) == 4
+    assert count("fit", str(w1), str(w2), "--components", "1", "--output", str(models)) == 8
+    assert count("synthesize", "--models", str(models), "--npus", "4", "--num-ops", "6",
+                 "--out", str(tmp_path / "synth")) == 4
+    assert count("sweep", "--preset", "mlp-dp", "--npus", "4", "--bw", "31e9;62e9;124e9") == 4
+
+
 def test_convert_pytorch_and_flexflow(tmp_path, capsys):
     pt = tmp_path / "graph.json"
     pt.write_text(json.dumps({"nodes": [
@@ -292,6 +332,51 @@ def test_corrupted_trace_files_never_escape_the_exit_codes(tmp_path, capsys):
                 for argv in (
                     ["validate", str(work)],
                     ["simulate", "--trace-dir", str(work), "--topology", "torus2d:2x2", "--bw", "62e9"],
+                    ["fit", str(work), "--components", "1", "--clusters", "1", "--output", str(tmp_path / "m.json")],
                 ):
                     code, _, err = run(capsys, *argv)
                     assert code in (0, 1, 2, 3) and "Traceback" not in err, (argv, blob[:32], err)
+
+
+def test_corrupted_models_never_escape_the_exit_codes(tmp_path, capsys):
+    rng = random.Random(7)
+    w1 = gen(tmp_path, capsys, "w1")
+    w2 = tmp_path / "w2"
+    assert run(capsys, "generate", "--preset", "mlp-mp", "--npus", "4", "--out", str(w2))[0] == 0
+    models_file = tmp_path / "models.json"
+    assert run(capsys, "fit", str(w1), str(w2), "--components", "2", "--output", str(models_file))[0] == 0
+    text = models_file.read_text()
+    variants = [text[:cut] for cut in (0, 1, len(text) // 3, len(text) // 2, len(text) - 2)]
+    for _ in range(40):
+        chars = list(text)
+        chars[rng.randrange(len(chars))] = rng.choice('0123456789-.eE"{}[],: xnul')
+        variants.append("".join(chars))
+    doc = json.loads(text)
+    for path, replacement in (
+        (("version",), "1"),
+        (("type_model",), []),
+        (("type_model", "clusters"), []),
+        (("type_model", "clusters", 0, "weight"), "heavy"),
+        (("type_model", "clusters", 0, "lengths"), [0]),
+        (("type_model", "clusters", 0, "lengths"), [-3, "x"]),
+        (("type_model", "clusters", 0, "type_probs"), {"NOPE": 1.0}),
+        (("type_model", "clusters", 0, "type_probs"), {"ALL_REDUCE": "1"}),
+        (("type_model", "clusters", 0, "transitions"), {"ALL_REDUCE": {"ALL_REDUCE": None}}),
+        (("size_model",), {}),
+        (("size_model",), {"ALL_REDUCE": []}),
+        (("size_model",), {"ALL_REDUCE": [{"weight": 1.0, "mean": "big", "var": 1.0}]}),
+        (("size_model",), {"ALL_REDUCE": [{"weight": -1.0, "mean": 10.0, "var": -1.0}]}),
+    ):
+        changed = json.loads(text)
+        target = changed
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = replacement
+        variants.append(json.dumps(changed))
+    variants += ["null", "[]", "{}", json.dumps({**doc, "size_model": None}), "\x00" * 8]
+    for i, variant in enumerate(variants):
+        bad = tmp_path / f"models-{i}.json"
+        bad.write_text(variant)
+        argv = ["synthesize", "--models", str(bad), "--npus", "4", "--num-ops", "8", "--out", str(tmp_path / f"s{i}")]
+        code, _, err = run(capsys, *argv)
+        assert code in (0, 1, 2, 3) and "Traceback" not in err, (i, variant[:80], err)

@@ -24,7 +24,7 @@ from ettrace.codec import (
     write_workload,
 )
 from ettrace.schema import Attribute, AttributeKind, ETNode, NodeType, Trace, make_attributes
-from ettrace.validate import InvalidTraceError
+from ettrace.validate import InvalidTraceError, validate_trace
 
 from conftest import random_valid_trace
 
@@ -324,6 +324,50 @@ def _valid_traces(draw):
 @given(_valid_traces())
 def test_both_codecs_roundtrip_by_bytes(trace):
     # Bytes, not ==: -0.0 == 0.0 and 1 == 1.0, so == cannot see such a merge.
+    for fmt in (FORMAT_JSON, FORMAT_BINARY):
+        data = encode_trace(trace, fmt)
+        assert encode_trace(decode_trace(data), fmt) == data
+
+
+# Near-valid traces: ids that are not exactly int, and text with lone surrogates.
+_gate_ids = st.sampled_from([*range(12), True, 1.0, "1"])
+_gate_text = st.sampled_from(["n", "é", "", "a\ud800", "\udfff"]) | st.text(max_size=3) | _text
+_gate_attributes = st.sampled_from(list(AttributeKind)).flatmap(
+    lambda kind: st.builds(
+        Attribute,
+        name=_gate_text.filter(bool),
+        kind=st.just(kind),
+        value=st.lists(_gate_text, max_size=2).map(tuple) if kind is AttributeKind.STRINGS
+        else _gate_text if kind is AttributeKind.STRING else _valid_values[kind],
+        doc_string=_gate_text,
+    )
+)
+
+
+@st.composite
+def _gate_traces(draw):
+    ids = draw(st.lists(_gate_ids, unique=True, max_size=4))
+    nodes = [
+        ETNode(
+            node_id,
+            draw(_gate_text),
+            draw(st.sampled_from([NodeType.INVALID, NodeType.COMP])),
+            tuple(draw(st.lists(st.sampled_from(ids[:i]), unique=True, max_size=2))) if i else (),
+            tuple(draw(st.lists(_gate_attributes, unique_by=lambda a: a.name, max_size=2))),
+        )
+        for i, node_id in enumerate(ids)
+    ]
+    return Trace(draw(_gate_ids), tuple(nodes))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_gate_traces())
+def test_what_validation_passes_both_codecs_encode_and_round_trip(trace):
+    if not validate_trace(trace).ok:
+        for fmt in (FORMAT_JSON, FORMAT_BINARY):
+            with pytest.raises(InvalidTraceError):
+                encode_trace(trace, fmt)
+        return
     for fmt in (FORMAT_JSON, FORMAT_BINARY):
         data = encode_trace(trace, fmt)
         assert encode_trace(decode_trace(data), fmt) == data

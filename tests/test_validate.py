@@ -1,8 +1,13 @@
+import dataclasses
 import math
+import random
 
 import pytest
 
-from ettrace.codec import FORMAT_BINARY, FORMAT_JSON, decode_trace, encode_trace
+from ettrace.codec import FORMAT_BINARY, FORMAT_JSON, decode_trace, encode_trace, trace_to_json
+from ettrace.costmodel import Topology, TopologyKind
+from ettrace.feeder import Feeder
+from ettrace.simulator import SimConfig, run_simulation
 from ettrace.schema import Attribute, AttributeKind, ETNode, NodeType, Trace, make_attributes
 from ettrace import validate as v
 from ettrace.builder import TraceBuilder
@@ -227,3 +232,80 @@ def test_validate_workload_duplicate_npu():
     assert not report.ok
     assert v.DUPLICATE_ID in report.codes()
     assert v.validate_workload([Trace(0), Trace(1)]).ok
+
+
+def test_ids_must_be_ints():
+    for trace in (
+        Trace("0"),
+        Trace(True),
+        Trace(0.0),
+        Trace(0, (comp("1"),)),
+        Trace(0, (comp(True),)),
+        Trace(0, (comp(1.0),)),
+        Trace(0, (comp(1), comp(2, [[1]]))),
+        Trace(0, (comp(1), comp(2, [True]))),
+        Trace(0, (comp(1), comp(2, [1.0]))),
+    ):
+        assert codes(trace) == {v.NOT_AN_INT}, trace
+        for fmt in (FORMAT_JSON, FORMAT_BINARY):
+            with pytest.raises(v.InvalidTraceError, match="not-an-int"):
+                encode_trace(trace, fmt)
+    # A non-int id never reaches the id, parent and cycle checks.
+    assert codes(Trace(0, (comp([1], [[1]]), comp(2, [2])))) == {v.NOT_AN_INT, v.SELF_PARENT}
+    assert not v.validate_workload([Trace([0]), Trace(0)]).ok
+    assert v.NOT_AN_INT in v.ALL_CODES
+
+
+def test_lone_surrogates_are_not_utf8_text():
+    bad = "a\ud800"
+
+    def with_attr(*args, **kw):
+        return Trace(0, (ETNode(1, "n", NodeType.COMP, attributes=(Attribute(*args, **kw),)),))
+
+    for trace in (
+        Trace(0, (ETNode(1, bad, NodeType.COMP),)),
+        with_attr(bad, AttributeKind.INT, 1),
+        with_attr("x", AttributeKind.INT, 1, doc_string=bad),
+        with_attr("x", AttributeKind.STRING, bad),
+        with_attr("x", AttributeKind.STRINGS, ("ok", "\udfff")),
+    ):
+        assert codes(trace) == {v.NOT_A_STRING}, trace
+        for fmt in (FORMAT_JSON, FORMAT_BINARY):
+            with pytest.raises(v.InvalidTraceError, match="not UTF-8 text"):
+                encode_trace(trace, fmt)
+    fine = with_attr("\u00e9\U0001f600", AttributeKind.STRINGS, ("\u2603", ""), doc_string="\u00e9")
+    assert v.validate_trace(fine).ok
+
+
+def _refused_everywhere(trace):
+    with pytest.raises(v.InvalidTraceError):
+        encode_trace(trace)
+    with pytest.raises(v.InvalidTraceError):
+        Feeder(trace)
+    with pytest.raises(v.InvalidTraceError):
+        run_simulation([trace], SimConfig(topology=Topology(TopologyKind.TORUS_2D, 1, 1, 62e9, 62e9)))
+
+
+def test_only_a_clean_check_is_remembered():
+    b = TraceBuilder(0)
+    b.add_node("COMP", "n", {"runtime": -1})
+    _refused_everywhere(b.build(validate=False))  # never checked
+
+    failed = Trace(0, (comp(1, [99]),))
+    assert not v.validate_trace(failed).ok
+    _refused_everywhere(failed)  # checked, with violations
+
+    good = Trace(0, (comp(1),))
+    assert v.validate_trace(good).ok
+    _refused_everywhere(dataclasses.replace(good, nodes=good.nodes + (comp(2, [99]),)))
+    assert v.validate_trace(good).ok
+
+
+def test_the_mark_leaves_equality_hash_repr_and_bytes_alone():
+    trace = random_valid_trace(random.Random(11), max_nodes=60)
+    twin = dataclasses.replace(trace)
+    before = (repr(trace), hash(trace), trace_to_json(trace))
+    assert v.validate_trace(trace).ok
+    assert trace == twin and (repr(trace), hash(trace), trace_to_json(trace)) == before
+    assert (repr(twin), hash(twin), trace_to_json(twin)) == before
+    assert vars(trace).keys() - vars(twin).keys() == {"_passed_validation"}  # replace starts unmarked
