@@ -70,7 +70,12 @@ class SimConfig:
             raise ValueError("compute_rate must be positive")
 
     def seconds_to_cycles(self, seconds: float) -> int:
-        return max(0, math.ceil(seconds / self.cycle_time))
+        try:
+            return max(0, math.ceil(seconds / self.cycle_time))
+        except (OverflowError, ValueError):  # ceil of an infinity or a NaN
+            raise ValueError(
+                f"duration {seconds} s at cycle time {self.cycle_time} s is not a finite cycle count"
+            ) from None
 
 
 @dataclass(frozen=True)
@@ -239,11 +244,12 @@ def run_simulation(
     Raises DeadlockError when unfinished nodes remain but nothing can move
     (e.g. collective order disagreement across ranks, or an unmatched p2p).
     """
-    traces = sorted(traces, key=lambda t: t.npu_id)
-    if validate:
-        report = validate_workload(list(traces))
+    traces = list(traces)
+    if validate:  # before sorting, which needs every npu_id to be an int
+        report = validate_workload(traces)
         if not report.ok:
             raise InvalidTraceError(report, "refusing to simulate invalid workload")
+    traces.sort(key=lambda t: t.npu_id)
     lowered = _lower(traces, cfg)
 
     npus = {t.npu_id: _Npu(t.npu_id, Feeder(t, validate=False), lowered[t.npu_id]) for t in traces}

@@ -187,16 +187,19 @@ def _log_gaussian(x: np.ndarray, mean: float, var: float) -> np.ndarray:
     return -0.5 * (np.log(2 * np.pi * var) + (x - mean) ** 2 / var)
 
 
-def _kmeanspp_centers(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    centers = [x[rng.integers(len(x))]]
-    for _ in range(k - 1):
-        d2 = np.min([(x - c) ** 2 for c in centers], axis=0)
+def _kmeanspp_centers(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """``k`` rows of ``points`` (n x d), picked distance-weighted (k-means++)."""
+    n = len(points)
+    centers = points[[int(rng.integers(n))]].copy()
+    while len(centers) < k:
+        d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2).min(axis=1)
         total = d2.sum()
-        if total <= 0:
-            centers.append(x[rng.integers(len(x))])
-            continue
-        centers.append(x[rng.choice(len(x), p=d2 / total)])
-    return np.array(centers)
+        if total == 0:  # every point already coincides with a center
+            pick = int(rng.integers(n))
+        else:
+            pick = int(rng.choice(n, p=d2 / total))
+        centers = np.vstack([centers, points[[pick]]])
+    return centers
 
 
 def fit_gmm(
@@ -222,7 +225,7 @@ def fit_gmm(
         return Gmm1D((GmmComponent(1.0, float(x.mean()), float(max(x.var(), _VAR_FLOOR))),))
 
     rng = np.random.default_rng(seed)
-    means = _kmeanspp_centers(x, k, rng)
+    means = _kmeanspp_centers(x[:, None], k, rng)[:, 0]
     variances = np.full(k, max(float(x.var()), _VAR_FLOOR))
     weights = np.full(k, 1.0 / k)
 
@@ -301,15 +304,7 @@ def _kmeans(vectors: np.ndarray, k: int, rng: np.random.Generator, iters: int = 
     """
     n = len(vectors)
     k = min(k, n)
-    centers = vectors[[int(rng.integers(n))]].copy()
-    while len(centers) < k:
-        d2 = ((vectors[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2).min(axis=1)
-        total = d2.sum()
-        if total == 0:  # every point already coincides with a center
-            pick = int(rng.integers(n))
-        else:
-            pick = int(rng.choice(n, p=d2 / total))
-        centers = np.vstack([centers, vectors[[pick]]])
+    centers = _kmeanspp_centers(vectors, k, rng)
     assign = np.zeros(n, dtype=int)
     for _ in range(iters):
         dists = ((vectors[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)

@@ -86,170 +86,72 @@ def _cycles(total: int, divisor: int) -> int:
 def generate_workload(spec: WorkloadSpec) -> list[Trace]:
     """Per-NPU traces realizing the requested parallelization scheme."""
     spec.check()
-    gen = {
-        Parallelism.DP: _gen_dp,
-        Parallelism.MP: _gen_mp,
-        Parallelism.DP_MP: _gen_hybrid,
-        Parallelism.MP_DP: _gen_hybrid,
-        Parallelism.PIPELINE: _gen_pipeline,
-    }[spec.parallelism]
-    return gen(spec)
+    if spec.parallelism is Parallelism.PIPELINE:
+        return _gen_pipeline(spec)
+    return _gen_layered(spec)
 
 
 # --------------------------------------------------------------------------
-# Single-dimension schemes
+# Layered schemes: DP, MP and the two hybrids
 # --------------------------------------------------------------------------
 
 
-def _gen_dp(spec: WorkloadSpec) -> list[Trace]:
-    traces = []
-    emb = spec.embedding_layers
-    for rank in range(spec.npus):
-        b = TraceBuilder(rank)
-        prev = None
-        fwds: dict[int, int] = {}
-        for layer in range(1, spec.layers + 1):
-            if layer <= emb:
-                node = b.comp(f"fwd_emb_l{layer}", _cycles(spec.compute_cycles, spec.npus))
-                if prev is not None:
-                    b.assign_dep(prev, node)
-                prev = node
-                if spec.npus > 1:
-                    prev = b.coll(
-                        f"fwd_a2a_l{layer}",
-                        CommType.ALL_TO_ALL,
-                        spec.activation_bytes,
-                        "mp",
-                        parents=[node],
-                    )
-                fwds[layer] = node
-            else:
-                node = b.comp(f"fwd_l{layer}", spec.compute_cycles)
-                if prev is not None:
-                    b.assign_dep(prev, node)
-                prev = node
-                fwds[layer] = node
-        for layer in range(spec.layers, 0, -1):
-            if layer <= emb:
-                node = b.comp(f"bwd_emb_l{layer}", _cycles(spec.compute_cycles, spec.npus))
-                b.assign_dep(prev, node)
-                prev = node
-                if spec.npus > 1:
-                    prev = b.coll(
-                        f"bwd_a2a_l{layer}",
-                        CommType.ALL_TO_ALL,
-                        spec.activation_bytes,
-                        "mp",
-                        parents=[node],
-                    )
-            else:
-                node = b.comp(f"bwd_l{layer}", spec.compute_cycles)
-                b.assign_dep(prev, node)
-                prev = node
-                if spec.npus > 1:
-                    # Gradient sync hangs off the backward node; later layers'
-                    # backward compute may overlap it.
-                    b.coll(
-                        f"grad_allreduce_l{layer}",
-                        CommType.ALL_REDUCE,
-                        spec.weight_bytes,
-                        "dp",
-                        parents=[node],
-                    )
-        traces.append(b.build())
-    return traces
+def _gen_layered(spec: WorkloadSpec) -> list[Trace]:
+    """A forward chain of layers, then a backward one, on every rank.
 
-
-def _gen_mp(spec: WorkloadSpec) -> list[Trace]:
-    traces = []
-    cycles = _cycles(spec.compute_cycles, spec.npus)
-    for rank in range(spec.npus):
-        b = TraceBuilder(rank)
-        prev = None
-        for layer in range(1, spec.layers + 1):
-            node = b.comp(f"fwd_l{layer}", cycles)
-            if prev is not None:
-                b.assign_dep(prev, node)
-            prev = node
-            if spec.npus > 1:
-                prev = b.coll(
-                    f"fwd_act_allreduce_l{layer}",
-                    CommType.ALL_REDUCE,
-                    spec.activation_bytes,
-                    "mp",
-                    parents=[node],
-                )
-        for layer in range(spec.layers, 0, -1):
-            node = b.comp(f"bwd_l{layer}", cycles)
-            b.assign_dep(prev, node)
-            prev = node
-            if spec.npus > 1:
-                prev = b.coll(
-                    f"bwd_act_allreduce_l{layer}",
-                    CommType.ALL_REDUCE,
-                    spec.activation_bytes,
-                    "mp",
-                    parents=[node],
-                )
-        traces.append(b.build())
-    return traces
-
-
-# --------------------------------------------------------------------------
-# Hybrid schemes
-# --------------------------------------------------------------------------
-
-
-def _gen_hybrid(spec: WorkloadSpec) -> list[Trace]:
-    """DP_MP: data parallel along dim 1, model parallel along dim 2.
-    MP_DP: the reverse. Each rank belongs to one group per dimension."""
-    d1, d2 = spec.resolved_dims()
-    if spec.parallelism is Parallelism.DP_MP:
-        mp_degree = d2
-    else:
-        mp_degree = d1
-    dp_degree = spec.npus // mp_degree
-    cycles = _cycles(spec.compute_cycles, mp_degree)
-    # Weights are sharded across the MP partitions, so each rank syncs 1/mp of
-    # every layer's gradient in its DP group.
-    grad_bytes = max(1, spec.weight_bytes // mp_degree)
-
-    traces = []
-    for rank in range(spec.npus):
-        x, y = rank % d1, rank // d1
+    Each layer is a compute node chained to the one before, then an
+    activation all-reduce in the rank's MP group, chained too. A backward
+    layer's gradient sync in the rank's DP group hangs off its compute node,
+    so later layers' backward compute may overlap it. DP_MP is data parallel
+    along dim 1 and model parallel along dim 2; MP_DP is the reverse. DP's
+    leading embedding layers run sharded over all ranks, exchange activations
+    all-to-all and sync no gradient.
+    """
+    npus = spec.npus
+    if spec.parallelism in (Parallelism.DP_MP, Parallelism.MP_DP):
+        d1, d2 = spec.resolved_dims()
         if spec.parallelism is Parallelism.DP_MP:
-            dp_group, mp_group = f"dp_row{y}", f"mp_col{x}"
+            mp = d2
+            groups = [(f"mp_col{r % d1}", f"dp_row{r // d1}") for r in range(npus)]
         else:
-            mp_group, dp_group = f"mp_row{y}", f"dp_col{x}"
+            mp = d1
+            groups = [(f"mp_row{r // d1}", f"dp_col{r % d1}") for r in range(npus)]
+        # Weights are sharded across the MP partitions, so each rank syncs
+        # 1/mp of every layer's gradient in its DP group.
+        grad_bytes = max(1, spec.weight_bytes // mp)
+        zero2 = spec.dp_style == DP_STYLE_ZERO2
+    else:
+        # DP all-reduces whole gradients whatever dp_style says; MP has none.
+        mp = 1 if spec.parallelism is Parallelism.DP else npus
+        groups = [("mp", "dp")] * npus
+        grad_bytes, zero2 = spec.weight_bytes, False
+
+    # (name infix, cycles, activation collective, its name, whether it runs,
+    # whether the layer syncs gradients) per layer
+    dense = ("", _cycles(spec.compute_cycles, mp), CommType.ALL_REDUCE, "act_allreduce", mp > 1, npus > mp)
+    emb = ("emb_", _cycles(spec.compute_cycles, npus), CommType.ALL_TO_ALL, "a2a", npus > 1, False)
+    layers = range(1, spec.layers + 1)
+    passes = [("fwd", layer) for layer in layers] + [("bwd", layer) for layer in reversed(layers)]
+    shape = {layer: emb if layer <= spec.embedding_layers else dense for layer in layers}
+
+    traces = []
+    for rank, (mp_group, dp_group) in enumerate(groups):
         b = TraceBuilder(rank)
         prev = None
-        for layer in range(1, spec.layers + 1):
-            node = b.comp(f"fwd_l{layer}", cycles)
-            if prev is not None:
-                b.assign_dep(prev, node)
+        for phase, layer in passes:
+            infix, cycles, act_type, act_name, exchange, grad_sync = shape[layer]
+            node = b.comp(f"{phase}_{infix}l{layer}", cycles, parents=() if prev is None else (prev,))
             prev = node
-            if mp_degree > 1:
+            if exchange:
                 prev = b.coll(
-                    f"fwd_act_allreduce_l{layer}",
-                    CommType.ALL_REDUCE,
+                    f"{phase}_{act_name}_l{layer}",
+                    act_type,
                     spec.activation_bytes,
                     mp_group,
                     parents=[node],
                 )
-        for layer in range(spec.layers, 0, -1):
-            node = b.comp(f"bwd_l{layer}", cycles)
-            b.assign_dep(prev, node)
-            prev = node
-            if mp_degree > 1:
-                prev = b.coll(
-                    f"bwd_act_allreduce_l{layer}",
-                    CommType.ALL_REDUCE,
-                    spec.activation_bytes,
-                    mp_group,
-                    parents=[node],
-                )
-            if dp_degree > 1:
-                if spec.dp_style == DP_STYLE_ZERO2:
+            if phase == "bwd" and grad_sync:
+                if zero2:
                     rs = b.coll(
                         f"grad_reducescatter_l{layer}",
                         CommType.REDUCE_SCATTER,

@@ -176,6 +176,13 @@ def test_simulate_rank_outside_topology_is_data_error(tmp_path, capsys):
     assert "rank 2 outside topology of 2 NPUs" in err and "Traceback" not in err
 
 
+def test_simulate_infinite_duration_is_data_error(tmp_path, capsys):
+    d = gen(tmp_path, capsys)
+    for extra in (("--bw", "1e-300"), ("--bw", "62e9", "--cycle-time", "1e-320")):
+        code, _, err = run(capsys, "simulate", "--trace-dir", str(d), "--topology", "torus2d:2x2", *extra)
+        assert code == 2 and "not a finite cycle count" in err and "Traceback" not in err, (extra, err)
+
+
 def test_synthesize_bad_models_is_data_error(tmp_path, capsys):
     for name, text in (("list.json", "[]"), ("partial.json", '{"version": 1}')):
         models_file = tmp_path / name

@@ -1,7 +1,9 @@
 import hashlib
 import math
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ettrace import simulator
 from ettrace.builder import TraceBuilder
@@ -18,7 +20,7 @@ from ettrace.simulator import (
     sweep_npus,
     sweep_rows_to_csv,
 )
-from ettrace.validate import InvalidTraceError
+from ettrace.validate import InvalidTraceError, validate_workload
 from ettrace.viz import parse_timeline_csv
 from ettrace.workloads import Parallelism, WorkloadSpec, generate_workload, preset_spec
 
@@ -306,6 +308,12 @@ def test_validation_refusal():
         run_simulation([bad], cfg())
 
 
+def test_ids_are_validated_before_traces_are_sorted():
+    # sorting by npu_id first would compare "1" with 0 and raise TypeError
+    with pytest.raises(InvalidTraceError, match="not-an-int"):
+        run_simulation([Trace(0), Trace("1")], cfg(PAIR))
+
+
 def test_memory_compute_network_run_in_parallel():
     b = TraceBuilder(0)
     b.add_node(NodeType.MEM_LOAD, "ld", {"runtime": 8})
@@ -442,3 +450,69 @@ def test_timeline_csv_matches_golden_digest(name):
         spec = preset_spec(name, 8)
     result = run_simulation(generate_workload(spec), cfg(parse_topology("torus2d:4x2", 62e9, 1e-6)))
     assert hashlib.sha256(result.timeline_csv().encode()).hexdigest() == GOLDEN_TIMELINES[name]
+
+
+_COLLECTIVES = [CommType.ALL_REDUCE, CommType.ALL_GATHER, CommType.REDUCE_SCATTER, CommType.ALL_TO_ALL]
+_P2P_TYPES = {NodeType.COMM_SEND: CommType.SEND, NodeType.COMM_RECV: CommType.RECV}
+
+
+@st.composite
+def _replay_workloads(draw):
+    """Valid multi-rank workloads that need not replay: timing inputs may be
+    missing, and ranks, peers and groups may not match up or fit a 4-NPU
+    topology."""
+    usually = st.sampled_from([False, True, True, True])  # a timing input is there
+    traces = []
+    for npu in draw(st.lists(st.integers(0, 3), min_size=1, max_size=3, unique=True)):
+        ids = draw(st.permutations(range(1, draw(st.integers(0, 6)) + 1)))
+        nodes = []
+        for i, node_id in enumerate(ids):
+            node_type = draw(st.sampled_from(list(NodeType)))
+            attrs = {}
+            if draw(usually):
+                attrs["runtime"] = draw(st.integers(0, 50))
+            if node_type is NodeType.COMP and draw(st.booleans()):
+                attrs["num_ops"] = draw(st.integers(0, 10**6))
+            elif node_type in (NodeType.MEM_LOAD, NodeType.MEM_STORE) and draw(usually):
+                attrs["tensor_size"] = draw(st.integers(0, 2**20))
+            elif node_type is NodeType.COMM_COLL:
+                attrs["comm_type"] = draw(st.sampled_from(_COLLECTIVES)).value
+                attrs["comm_size"] = draw(st.integers(0, 2**20))
+                attrs["comm_group"] = draw(st.sampled_from(["g", "h"]))
+            elif node_type in _P2P_TYPES:
+                attrs["comm_size"] = draw(st.integers(0, 2**20))
+                attrs["comm_peer"] = draw(st.integers(0, 4))
+                if draw(st.booleans()):
+                    attrs["comm_type"] = _P2P_TYPES[node_type].value
+                if draw(st.booleans()):
+                    attrs["comm_tag"] = draw(st.integers(0, 1))
+            parents = draw(st.lists(st.sampled_from(ids[:i]), unique=True, max_size=2)) if i else []
+            nodes.append(ETNode(node_id, f"n{node_id}", node_type, tuple(parents), make_attributes(attrs)))
+        traces.append(Trace(npu, tuple(nodes)))
+    return traces
+
+
+_GRID = Topology(TopologyKind.TORUS_2D, 2, 2, 1e9, 1e9)
+_REPLAY_CONFIGS = (
+    cfg(_GRID, compute_timing=TimingMode.FROM_TRACE, comm_timing=TimingMode.FROM_TRACE),
+    cfg(_GRID, comm_timing=TimingMode.MODEL),
+    cfg(_GRID, compute_timing=TimingMode.MODEL),  # no compute_rate
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_replay_workloads())
+def test_valid_workloads_replay_deadlock_or_name_the_node(traces):
+    assert validate_workload(traces).ok
+    nodes = {(t.npu_id, n.id) for t in traces for n in t.nodes}
+    timed = {(t.npu_id, n.id) for t in traces for n in t.nodes if n.type is not NodeType.INVALID}
+    for config in _REPLAY_CONFIGS:
+        try:
+            result = run_simulation(traces, config)
+        except DeadlockError:
+            continue
+        except ValueError as exc:
+            named = re.match(r"npu (\d+) node (\d+): ", str(exc))
+            assert named and (int(named[1]), int(named[2])) in nodes, exc
+            continue
+        assert set(result.node_spans) == timed
