@@ -407,6 +407,33 @@ def test_sweep_bandwidth_rows():
     assert sweep_rows_to_csv([]) == ""
 
 
+# sha256 of the sweep CSV text, recorded before the sweeps shared one loop.
+SWEEP_CSV_SHA256 = {
+    "npus-mlp-mp-torus-bw-pair-lat-pair-cycle-2ns": (
+        lambda: sweep_npus("mlp-mp", [1, 2, 4, 6], "torus2d", (31e9, 62e9), (1e-6, 2e-6), cycle_time=2e-9),
+        "82f49f67545b5d9f9fdaf1228b9417719c9b989c19545f7b8dbe35fc080ece5e",
+    ),
+    "npus-dlrm-switch": (
+        lambda: sweep_npus("dlrm", [1, 4, 6], TopologyKind.SWITCH_2LVL, 62e9),
+        "ffdbd989520c3585a8390285fe60f9311edc87048605ccdbd68dc05fd69ef5f8",
+    ),
+    "bw-transformer-switch-lat": (
+        lambda: sweep_bandwidth("transformer", 4, "switch2lvl", [31e9, (62e9, 31e9), 124e9], latency=1e-6),
+        "1fbe974b5024208e94389a325d0672dceccf5c54dc89cb3e883696b43759f81f",
+    ),
+    "bw-mlp-hybrid-6-torus-lat-pair-cycle-2ns": (
+        lambda: sweep_bandwidth("mlp-hybrid", 6, "torus2d", [(10e9, 20e9), 62e9], (1e-6, 0.0), cycle_time=2e-9),
+        "f8b75f9d4e6ce1e989b9c8c728970660f7b98a9db9b7b6ca872d6af7f03eeeb9",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SWEEP_CSV_SHA256))
+def test_sweep_csv_bytes_are_pinned(case):
+    sweep, digest = SWEEP_CSV_SHA256[case]
+    assert hashlib.sha256(sweep_rows_to_csv(sweep()).encode()).hexdigest() == digest
+
+
 def test_empty_workload():
     result = run_simulation([], cfg())
     assert result.makespan == 0
