@@ -10,7 +10,7 @@ import sys
 from pathlib import Path
 
 from . import codec, convert, simulator, synth, validate, viz, workloads
-from .costmodel import TopologyKind, parse_topology
+from .costmodel import TopologyKind, dim_pair, parse_topology
 from .schema import Trace
 from .workloads import Parallelism, WorkloadSpec
 
@@ -33,16 +33,6 @@ def _info(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _parse_floats(text: str, flag: str, parser: _Parser) -> tuple[float, ...]:
-    try:
-        values = tuple(float(part) for part in text.split(",") if part.strip())
-    except ValueError:
-        parser.error(f"{flag} expects comma-separated numbers, got {text!r}")
-    if not values or len(values) > 2:
-        parser.error(f"{flag} expects one or two comma-separated numbers, got {text!r}")
-    return values
-
-
 def _parse_ints(text: str, flag: str, parser: _Parser) -> tuple[int, ...]:
     try:
         values = tuple(int(part) for part in text.split(",") if part.strip())
@@ -51,15 +41,6 @@ def _parse_ints(text: str, flag: str, parser: _Parser) -> tuple[int, ...]:
     if not values:
         parser.error(f"{flag} expects at least one integer")
     return values
-
-
-def _topology_from_args(args, parser: _Parser):
-    bw = _parse_floats(args.bw, "--bw", parser)
-    lat = _parse_floats(args.lat, "--lat", parser) if args.lat else (0.0,)
-    try:
-        return parse_topology(args.topology, bw, lat)
-    except ValueError as exc:
-        parser.error(str(exc))
 
 
 def _load_workload(args) -> list[Trace]:
@@ -153,7 +134,10 @@ def _cmd_generate(args, parser: _Parser) -> int:
 
 
 def _cmd_simulate(args, parser: _Parser) -> int:
-    topo = _topology_from_args(args, parser)
+    try:
+        topo = parse_topology(args.topology, args.bw, args.lat or 0.0)
+    except ValueError as exc:
+        parser.error(str(exc))
     cfg = simulator.SimConfig(
         topology=topo,
         compute_timing=simulator.TimingMode(args.compute_timing),
@@ -180,19 +164,19 @@ def _cmd_simulate(args, parser: _Parser) -> int:
 
 
 def _cmd_sweep(args, parser: _Parser) -> int:
-    kind = TopologyKind(args.kind)
     npus = _parse_ints(args.npus, "--npus", parser)
-    cells = [c for c in args.bw.split(";") if c.strip()]
-    if len(npus) > 1 and len(cells) > 1:
+    try:
+        bws = [dim_pair(cell, "--bw") for cell in args.bw.split(";") if cell.strip()]
+    except ValueError as exc:
+        parser.error(str(exc))
+    if not bws:
+        parser.error("--bw expects at least one bandwidth")
+    if len(npus) > 1 and len(bws) > 1:
         parser.error("sweep either --npus or --bw, not both")
     if len(npus) > 1:
-        bw = _parse_floats(cells[0], "--bw", parser)
-        rows = simulator.sweep_npus(args.preset, list(npus), kind, bw, cycle_time=args.cycle_time)
+        rows = simulator.sweep_npus(args.preset, npus, args.kind, bws[0], cycle_time=args.cycle_time)
     else:
-        bws = [_parse_floats(c, "--bw", parser) for c in cells]
-        rows = simulator.sweep_bandwidth(
-            args.preset, npus[0], kind, bws, cycle_time=args.cycle_time
-        )
+        rows = simulator.sweep_bandwidth(args.preset, npus[0], args.kind, bws, cycle_time=args.cycle_time)
     _write_output(simulator.sweep_rows_to_csv(rows), args.output)
     return 0
 

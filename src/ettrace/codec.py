@@ -74,13 +74,13 @@ def trace_to_obj(trace: Trace) -> dict:
     }
 
 
-def _require(obj: dict, key: str, ctx: str) -> object:
+def _require(obj: dict, key: str, prefix: str = "") -> object:
     if key not in obj:
-        raise DecodeError(f"{ctx}: missing required field {key!r}")
+        raise DecodeError(f"{prefix}missing required field {key!r}")
     return obj[key]
 
 
-def _attr_from_obj(obj: object, ctx: str, interned: "dict[tuple, Attribute]") -> Attribute:
+def _attr_from_obj(obj: object, interned: "dict[tuple, Attribute]") -> Attribute:
     """Decode one attribute; an INT, FLOAT or STRING one is built once per trace.
 
     The key holds ``type(value)`` so that 1 and 1.0 stay apart. A float zero
@@ -100,24 +100,24 @@ def _attr_from_obj(obj: object, ctx: str, interned: "dict[tuple, Attribute]") ->
             attr = interned.get(key)
             if attr is not None:
                 return attr
-    attr = _decode_attr_obj(obj, ctx)
+    attr = _decode_attr_obj(obj)
     if key is not None:
         interned[key] = attr
     return attr
 
 
-def _decode_attr_obj(obj: object, ctx: str) -> Attribute:
+def _decode_attr_obj(obj: object) -> Attribute:
     if not isinstance(obj, dict):
-        raise DecodeError(f"{ctx}: attribute must be an object")
-    name = _require(obj, "name", ctx)
-    kind_name = _require(obj, "kind", ctx)
-    value = _require(obj, "value", ctx)
+        raise DecodeError("attribute must be an object")
+    name = _require(obj, "name")
+    kind_name = _require(obj, "kind")
+    value = _require(obj, "value")
     if not isinstance(name, str):
-        raise DecodeError(f"{ctx}: attribute name must be a string")
+        raise DecodeError("attribute name must be a string")
     try:
         kind = AttributeKind[kind_name]  # type: ignore[index]
     except (KeyError, TypeError):
-        raise DecodeError(f"{ctx}: unknown attribute kind {kind_name!r}") from None
+        raise DecodeError(f"unknown attribute kind {kind_name!r}") from None
     if isinstance(value, list):
         value = tuple(value)
     if kind is AttributeKind.FLOAT and isinstance(value, int) and not isinstance(value, bool):
@@ -126,44 +126,46 @@ def _decode_attr_obj(obj: object, ctx: str) -> Attribute:
         if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value):
             value = tuple(float(v) for v in value)
     if not attr_value_matches_kind(kind, value):
-        raise DecodeError(f"{ctx}: attribute {name!r} value {value!r} does not match kind {kind.name}")
+        raise DecodeError(f"attribute {name!r} value {value!r} does not match kind {kind.name}")
     doc = obj.get("doc_string", "")
     if not isinstance(doc, str):
-        raise DecodeError(f"{ctx}: doc_string must be a string")
+        raise DecodeError("doc_string must be a string")
     return Attribute(name, kind, value, doc)
 
 
 def _node_from_obj(obj: object, interned: "dict[tuple, Attribute]") -> ETNode:
     if not isinstance(obj, dict):
         raise DecodeError("node must be an object")
-    node_id = _require(obj, "id", "node")
+    node_id = _require(obj, "id", "node: ")
     if not isinstance(node_id, int) or isinstance(node_id, bool):
         raise DecodeError("node id must be an integer")
-    ctx = f"node {node_id}"
-    name = _require(obj, "name", ctx)
-    if not isinstance(name, str):
-        raise DecodeError(f"{ctx}: name must be a string")
-    type_name = _require(obj, "type", ctx)
-    try:
-        node_type = NodeType[type_name]  # type: ignore[index]
-    except (KeyError, TypeError):
-        raise DecodeError(f"{ctx}: unknown node type {type_name!r}") from None
-    parents = obj.get("parents", [])
-    if not isinstance(parents, list) or not all(
-        isinstance(p, int) and not isinstance(p, bool) for p in parents
-    ):
-        raise DecodeError(f"{ctx}: parents must be a list of integers")
-    attrs_obj = obj.get("attributes", [])
-    if not isinstance(attrs_obj, list):
-        raise DecodeError(f"{ctx}: attributes must be a list")
-    attrs = tuple(_attr_from_obj(a, ctx, interned) for a in attrs_obj)
+    try:  # the node's errors are named after it only once one is raised
+        name = _require(obj, "name")
+        if not isinstance(name, str):
+            raise DecodeError("name must be a string")
+        type_name = _require(obj, "type")
+        try:
+            node_type = NodeType[type_name]  # type: ignore[index]
+        except (KeyError, TypeError):
+            raise DecodeError(f"unknown node type {type_name!r}") from None
+        parents = obj.get("parents", [])
+        if not isinstance(parents, list) or not all(
+            isinstance(p, int) and not isinstance(p, bool) for p in parents
+        ):
+            raise DecodeError("parents must be a list of integers")
+        attrs_obj = obj.get("attributes", [])
+        if not isinstance(attrs_obj, list):
+            raise DecodeError("attributes must be a list")
+        attrs = tuple(_attr_from_obj(a, interned) for a in attrs_obj)
+    except DecodeError as exc:
+        raise DecodeError(f"node {node_id}: {exc}") from None
     return ETNode(node_id, name, node_type, tuple(parents), attrs)
 
 
 def trace_from_obj(obj: object) -> Trace:
     if not isinstance(obj, dict):
         raise DecodeError("trace must be a JSON object")
-    version = _require(obj, "schema_version", "trace")
+    version = _require(obj, "schema_version", "trace: ")
     if not isinstance(version, str):
         raise DecodeError("schema_version must be a string")
     try:
@@ -172,10 +174,10 @@ def trace_from_obj(obj: object) -> Trace:
         raise DecodeError(str(exc)) from None
     if major > 0:
         raise DecodeError(f"unsupported schema_version {version!r}: major version too new")
-    npu_id = _require(obj, "npu_id", "trace")
+    npu_id = _require(obj, "npu_id", "trace: ")
     if not isinstance(npu_id, int) or isinstance(npu_id, bool):
         raise DecodeError("npu_id must be an integer")
-    nodes_obj = _require(obj, "nodes", "trace")
+    nodes_obj = _require(obj, "nodes", "trace: ")
     if not isinstance(nodes_obj, list):
         raise DecodeError("nodes must be a list")
     interned: dict[tuple, Attribute] = {}

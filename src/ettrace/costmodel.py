@@ -42,10 +42,10 @@ class Topology:
     def __post_init__(self) -> None:
         if self.dim1 < 1 or self.dim2 < 1:
             raise ValueError(f"topology dims must be >= 1, got {self.dim1}x{self.dim2}")
-        if self.bw1 <= 0 or self.bw2 <= 0:
-            raise ValueError("bandwidth must be positive")
-        if self.lat1 < 0 or self.lat2 < 0:
-            raise ValueError("latency must be non-negative")
+        if not (0 < self.bw1 < math.inf and 0 < self.bw2 < math.inf):
+            raise ValueError(f"bandwidth must be positive and finite, got {self.bw1}, {self.bw2}")
+        if not (0 <= self.lat1 < math.inf and 0 <= self.lat2 < math.inf):
+            raise ValueError(f"latency must be non-negative and finite, got {self.lat1}, {self.lat2}")
 
     @property
     def npus(self) -> int:
@@ -64,11 +64,18 @@ class Topology:
         raise ValueError(f"dimension must be 1 or 2, got {dim}")
 
 
-def dim_pair(value: "float | tuple[float, ...] | list[float]", what: str) -> tuple[float, float]:
-    """Per-dimension (dim 1, dim 2) values: one value applies to both dims."""
+def dim_pair(value: "float | str | tuple[float, ...] | list[float]", what: str) -> tuple[float, float]:
+    """Per-dimension (dim 1, dim 2) values: one value applies to both dims.
+
+    ``value`` is one or two numbers, or the same as text: ``"62e9"``, ``"31e9,62e9"``.
+    """
     if isinstance(value, (int, float)):
         return float(value), float(value)
-    values = tuple(float(v) for v in value)
+    parts = [part for part in value.split(",") if part.strip()] if isinstance(value, str) else value
+    try:
+        values = tuple(float(v) for v in parts)
+    except ValueError:
+        raise ValueError(f"{what} takes numbers, got {value!r}") from None
     if len(values) == 1:
         return values[0], values[0]
     if len(values) == 2:
@@ -81,13 +88,13 @@ _TOPO_RE = re.compile(r"^(torus2d|switch2lvl):(\d+)x(\d+)$")
 
 def parse_topology(
     spec: str,
-    bandwidth: "float | tuple[float, ...] | list[float]",
-    latency: "float | tuple[float, ...] | list[float]" = 0.0,
+    bandwidth: "float | str | tuple[float, ...] | list[float]",
+    latency: "float | str | tuple[float, ...] | list[float]" = 0.0,
 ) -> Topology:
     """Parse ``torus2d:<d1>x<d2>`` / ``switch2lvl:<d1>x<d2>`` plus link parameters.
 
-    A single bandwidth/latency value applies to both dimensions; a pair sets
-    them independently (dim-1 value first).
+    Bandwidth and latency are read by ``dim_pair``: a single value applies to
+    both dimensions; a pair sets them independently (dim-1 value first).
     """
     m = _TOPO_RE.match(spec.strip())
     if not m:

@@ -19,9 +19,9 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Sequence
+from typing import Callable, Sequence
 
-from . import costmodel
+from . import costmodel, workloads
 from .costmodel import Topology
 from .feeder import Feeder
 from .schema import (
@@ -62,12 +62,12 @@ class SimConfig:
     mem_bandwidth: float = 1e12  # bytes/sec for MODEL memory nodes
 
     def __post_init__(self) -> None:
-        if self.cycle_time <= 0:
-            raise ValueError("cycle_time must be positive")
-        if self.mem_bandwidth <= 0:
-            raise ValueError("mem_bandwidth must be positive")
-        if self.compute_rate is not None and self.compute_rate <= 0:
-            raise ValueError("compute_rate must be positive")
+        if not 0 < self.cycle_time < math.inf:
+            raise ValueError(f"cycle_time must be positive and finite, got {self.cycle_time}")
+        if not 0 < self.mem_bandwidth < math.inf:
+            raise ValueError(f"mem_bandwidth must be positive and finite, got {self.mem_bandwidth}")
+        if self.compute_rate is not None and not 0 < self.compute_rate < math.inf:
+            raise ValueError(f"compute_rate must be positive and finite, got {self.compute_rate}")
 
     def seconds_to_cycles(self, seconds: float) -> int:
         try:
@@ -398,63 +398,53 @@ def sweep_npus(
     preset: str,
     npus_list: Sequence[int],
     kind: "costmodel.TopologyKind | str",
-    bandwidth: "float | tuple[float, float]",
-    latency: "float | tuple[float, float]" = 0.0,
+    bandwidth: "float | str | tuple[float, float]",
+    latency: "float | str | tuple[float, float]" = 0.0,
     cycle_time: float = 1e-9,
 ) -> list[dict]:
     """Scaling sweep: one row per NPU count, performance normalized to the first cell."""
-    from .workloads import generate_workload, preset_spec  # local import; workloads uses costmodel
-
-    rows: list[dict] = []
-    base_makespan: "int | None" = None
-    for n in npus_list:
-        topo = _template_topology(kind, n, bandwidth, latency)
-        result = run_simulation(
-            generate_workload(preset_spec(preset, n)),
-            SimConfig(topology=topo, cycle_time=cycle_time),
-            collect_timeline=False,
-        )
-        if base_makespan is None:
-            base_makespan = result.makespan
-        rows.append(
-            {
-                "preset": preset,
-                "npus": n,
-                "dims": f"{topo.dim1}x{topo.dim2}",
-                "makespan_cycles": result.makespan,
-                "perf_norm": base_makespan / result.makespan if result.makespan else 0.0,
-                "exposed_share": _exposed_share(result),
-            }
-        )
-    return rows
+    cells = [(n, bandwidth) for n in npus_list]
+    return _sweep(preset, cells, kind, latency, cycle_time, lambda topo: {"dims": f"{topo.dim1}x{topo.dim2}"})
 
 
 def sweep_bandwidth(
     preset: str,
     npus: int,
     kind: "costmodel.TopologyKind | str",
-    bandwidths: Sequence["float | tuple[float, float]"],
-    latency: "float | tuple[float, float]" = 0.0,
+    bandwidths: Sequence["float | str | tuple[float, float]"],
+    latency: "float | str | tuple[float, float]" = 0.0,
     cycle_time: float = 1e-9,
 ) -> list[dict]:
     """Bandwidth sweep at a fixed NPU count, normalized to the first cell."""
-    from .workloads import generate_workload, preset_spec
+    cells = [(npus, bw) for bw in bandwidths]
+    return _sweep(preset, cells, kind, latency, cycle_time, lambda topo: {"bw1": topo.bw1, "bw2": topo.bw2})
 
-    traces = generate_workload(preset_spec(preset, npus))
+
+def _sweep(
+    preset: str,
+    cells: "list[tuple[int, float | str | tuple[float, float]]]",
+    kind: "costmodel.TopologyKind | str",
+    latency: "float | str | tuple[float, float]",
+    cycle_time: float,
+    columns: "Callable[[Topology], dict]",
+) -> list[dict]:
+    """One row per ``(npus, bandwidth)`` cell, with ``columns(topology)`` after the NPU count.
+
+    The workload is generated again only when the NPU count changes.
+    """
     rows: list[dict] = []
-    base_makespan: "int | None" = None
-    for bw in bandwidths:
-        topo = _template_topology(kind, npus, bw, latency)
+    traces_npus, traces = None, []
+    for npus, bandwidth in cells:
+        topo = _template_topology(kind, npus, bandwidth, latency)
+        if npus != traces_npus:
+            traces_npus, traces = npus, workloads.generate_workload(workloads.preset_spec(preset, npus))
         result = run_simulation(traces, SimConfig(topology=topo, cycle_time=cycle_time), collect_timeline=False)
-        if base_makespan is None:
-            base_makespan = result.makespan
-        b1, b2 = costmodel.dim_pair(bw, "bandwidth")
+        base_makespan = rows[0]["makespan_cycles"] if rows else result.makespan
         rows.append(
             {
                 "preset": preset,
                 "npus": npus,
-                "bw1": b1,
-                "bw2": b2,
+                **columns(topo),
                 "makespan_cycles": result.makespan,
                 "perf_norm": base_makespan / result.makespan if result.makespan else 0.0,
                 "exposed_share": _exposed_share(result),
@@ -466,13 +456,12 @@ def sweep_bandwidth(
 def _template_topology(
     kind: "costmodel.TopologyKind | str",
     npus: int,
-    bandwidth: "float | tuple[float, float]",
-    latency: "float | tuple[float, float]",
+    bandwidth: "float | str | tuple[float, float]",
+    latency: "float | str | tuple[float, float]",
 ) -> Topology:
-    kind = costmodel.TopologyKind(kind)
+    """A near-square ``kind`` fabric of ``npus`` NPUs."""
     d1, d2 = costmodel.near_square_dims(npus)
-    bw, lat = costmodel.dim_pair(bandwidth, "bandwidth"), costmodel.dim_pair(latency, "latency")
-    return Topology(kind, d1, d2, bw[0], bw[1], lat[0], lat[1])
+    return costmodel.parse_topology(f"{costmodel.TopologyKind(kind).value}:{d1}x{d2}", bandwidth, latency)
 
 
 def _exposed_share(result: SimResult) -> float:

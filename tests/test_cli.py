@@ -31,6 +31,12 @@ def test_usage_errors_exit_1(capsys):
         ["generate", "--npus", "4", "--out", "x"],  # neither preset nor parallelism
         ["simulate", "--trace-dir", "x", "--topology", "torus2d:2x2", "--bw", "a,b"],
         ["sweep", "--preset", "mlp-dp", "--npus", "1,4", "--bw", "31e9;62e9"],
+        ["simulate", "--trace-dir", "x", "--topology", "torus2d:2x2", "--bw", "inf"],
+        ["simulate", "--trace-dir", "x", "--topology", "torus2d:2x2", "--bw", "62e9,nan"],
+        ["simulate", "--trace-dir", "x", "--topology", "torus2d:2x2", "--bw", "62e9", "--lat", "inf"],
+        ["sweep", "--preset", "mlp-dp", "--npus", "4", "--bw", "31e9;1,2,3"],
+        ["sweep", "--preset", "mlp-dp", "--npus", "1,4", "--bw", ";"],
+        ["sweep", "--preset", "mlp-dp", "--npus", "4", "--bw", " ; "],
         ["generate", "--preset", "mlp-dp", "--npus", "4", "--out", "x", "--dims"],
     ):
         with pytest.raises(SystemExit) as exit_info:
@@ -181,6 +187,14 @@ def test_simulate_infinite_duration_is_data_error(tmp_path, capsys):
     for extra in (("--bw", "1e-300"), ("--bw", "62e9", "--cycle-time", "1e-320")):
         code, _, err = run(capsys, "simulate", "--trace-dir", str(d), "--topology", "torus2d:2x2", *extra)
         assert code == 2 and "not a finite cycle count" in err and "Traceback" not in err, (extra, err)
+
+
+def test_simulate_non_finite_machine_parameters_are_data_errors(tmp_path, capsys):
+    d = gen(tmp_path, capsys)
+    for extra in (("--cycle-time", "inf"), ("--cycle-time", "nan"), ("--compute-rate", "inf")):
+        code, _, err = run(capsys, "simulate", "--trace-dir", str(d), "--topology", "torus2d:2x2",
+                           "--bw", "62e9", *extra)
+        assert code == 2 and "positive and finite" in err and "Traceback" not in err, (extra, err)
 
 
 def test_synthesize_bad_models_is_data_error(tmp_path, capsys):

@@ -12,6 +12,7 @@ from ettrace.costmodel import (
     all_to_all_time,
     collective_time,
     collective_time_flat,
+    dim_pair,
     group_collective_time,
     group_dimension,
     hierarchical_all_reduce_time,
@@ -173,6 +174,29 @@ def test_parse_topology():
     for bad in ("mesh:2x2", "torus2d:2", "torus2d:0x4", "torus2d:axb"):
         with pytest.raises(ValueError):
             parse_topology(bad, 1e9)
+
+
+def test_dim_pair_reads_numbers_sequences_and_text():
+    assert dim_pair(62e9, "bandwidth") == (62e9, 62e9)
+    assert dim_pair((31e9,), "bandwidth") == (31e9, 31e9)
+    assert dim_pair([31e9, 62e9], "bandwidth") == (31e9, 62e9)
+    assert dim_pair("62e9", "bandwidth") == (62e9, 62e9)
+    assert dim_pair(" 31e9, 62e9 ,", "bandwidth") == (31e9, 62e9)
+    assert parse_topology("torus2d:2x2", "31e9,62e9", "1e-6") == parse_topology("torus2d:2x2", (31e9, 62e9), 1e-6)
+    for bad in ("", ",", "a", "1,b", "1,2,3", (), (1, 2, 3)):
+        with pytest.raises(ValueError, match="bandwidth"):
+            dim_pair(bad, "bandwidth")
+
+
+def test_non_finite_link_parameters_are_refused():
+    for value in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="bandwidth must be positive and finite"):
+            Topology(TopologyKind.TORUS_2D, 2, 2, 62e9, value)
+        with pytest.raises(ValueError, match="latency must be non-negative and finite"):
+            Topology(TopologyKind.SWITCH_2LVL, 2, 2, 62e9, 62e9, value, 0.0)
+        with pytest.raises(ValueError):
+            parse_topology("torus2d:2x2", str(value))
+    Topology(TopologyKind.TORUS_2D, 2, 2, 62e9, 62e9, 0.0, 1e-6)  # zero latency stays valid
 
 
 def test_topology_coords():

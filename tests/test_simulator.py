@@ -434,6 +434,14 @@ def test_sweep_csv_bytes_are_pinned(case):
     assert hashlib.sha256(sweep_rows_to_csv(sweep()).encode()).hexdigest() == digest
 
 
+def test_sim_config_refuses_non_finite_and_non_positive_parameters():
+    for field in ("cycle_time", "compute_rate", "mem_bandwidth"):
+        for value in (math.inf, -math.inf, math.nan, 0.0, -1.0):
+            with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
+                cfg(**{field: value})
+    assert cfg(compute_rate=None).compute_rate is None
+
+
 def test_empty_workload():
     result = run_simulation([], cfg())
     assert result.makespan == 0
