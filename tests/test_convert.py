@@ -1,8 +1,11 @@
+import hashlib
 import logging
+import random
 from collections import defaultdict, deque
 
 import pytest
 
+from ettrace.codec import trace_to_json
 from ettrace.convert import (
     ConvertError,
     DotParseError,
@@ -380,3 +383,22 @@ def test_flexflow_accepts_strict_and_quoted_ids():
     (trace,) = convert_flexflow(text)
     assert trace.npu_id == 1
     assert by_name(trace)["b"].parents == (by_name(trace)["a"].id,)
+
+
+# sha256 of the JSON encoding of a seeded random graph split over 6 NPUs,
+# recorded before the split bucketed nodes by NPU; it must never move.
+SPLIT_JSON_SHA256 = "caf3f107aff6d141b486bbe3fe04102d0cbb0d1502c96a7000227d9e456285c9"
+
+
+def test_split_output_matches_pinned_digest():
+    rng = random.Random(0x5B117)
+    parents_map = random_dag_parents(rng, 120, edge_prob=0.05)
+    nodes = [
+        gnode(2 * nid, rng.randrange(6), parents=[2 * pid for pid in sorted(parents_map[nid])],
+              attrs={"runtime": nid, "comm_tag": nid} if nid % 10 == 0 else None)
+        for nid in parents_map
+    ]
+    rng.shuffle(nodes)
+    traces = split_per_npu(nodes)
+    assert len(traces) == 6
+    assert hashlib.sha256("".join(trace_to_json(t) for t in traces).encode()).hexdigest() == SPLIT_JSON_SHA256

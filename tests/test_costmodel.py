@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -216,3 +217,78 @@ def test_near_square_dims():
     for n, (d1, d2) in ((6, (3, 2)), (7, (7, 1)), (18, (6, 3))):
         assert near_square_dims(n) == (d1, d2)
         assert d1 * d2 == n and d1 >= d2
+
+
+# Every public price over a grid, as "call -> repr(result)" lines; the sha256 of
+# those lines was recorded before the flat collectives shared one closed form
+# and must never move.
+_SIZES = (0, 1, 4096, 12345, 2**33)
+_GROUP_SIZES = (1, 2, 3, 7, 128)
+_BANDWIDTHS = (62e9, 2.0**33, 23.7e9, 3.3)
+_LATENCIES = (0.0, 1e-6)
+_FLAT_FUNCTIONS = (all_reduce_time, all_gather_time, reduce_scatter_time, all_to_all_time)
+
+
+def _priced(name, fn, *args):
+    return f"{name}{args!r} -> {fn(*args)!r}"
+
+
+def _flat_prices():
+    for size in _SIZES:
+        for bw in _BANDWIDTHS:
+            for lat in _LATENCIES:
+                yield _priced("p2p_transfer_time", p2p_transfer_time, size, bw, lat)
+                for n in _GROUP_SIZES:
+                    for fn in _FLAT_FUNCTIONS:
+                        yield _priced(fn.__name__, fn, size, n, bw, lat)
+                    for ct in CommType:
+                        yield _priced("collective_time_flat", collective_time_flat, ct.value, size, n, bw, lat)
+
+
+def _hierarchical_prices():
+    for size in _SIZES:
+        for n1 in _GROUP_SIZES[:4]:
+            for n2 in _GROUP_SIZES[:4]:
+                for bw1, bw2 in ((62e9, 62e9), (23.7e9, 62e9), (2.0**33, 3.3)):
+                    for lat1, lat2 in ((0.0, 0.0), (1e-6, 0.0), (1e-6, 2.5e-6)):
+                        yield _priced("hierarchical_all_reduce_time", hierarchical_all_reduce_time,
+                                      size, n1, n2, bw1, bw2, lat1, lat2)
+
+
+def _pin_topologies():
+    yield Topology(TopologyKind.TORUS_2D, 2, 2, 62e9, 62e9)
+    yield Topology(TopologyKind.TORUS_2D, 4, 2, 23.7e9, 62e9, 1e-6, 2.5e-6)
+    yield Topology(TopologyKind.SWITCH_2LVL, 3, 2, 2.0**33, 3.3, 0.0, 1e-6)
+
+
+def _group_prices():
+    for topo in _pin_topologies():
+        ranks = range(topo.npus)
+        for mask in range(1, 1 << topo.npus):
+            members = frozenset(r for r in ranks if mask >> r & 1)
+            yield f"group_dimension({sorted(members)}, {topo!r}) -> {group_dimension(members, topo)!r}"
+            for ct in CommType:
+                for size in (0, 12345, 2**33):
+                    yield _priced("group_collective_time", group_collective_time, ct.value, size, members, topo)
+        for src in ranks:
+            for dst in ranks:
+                for size in (0, 12345, 2**33):
+                    yield _priced("p2p_time", p2p_time, size, src, dst, topo)
+        for ct in CommType:
+            for size in (0, 12345):
+                yield _priced("collective_time", collective_time, ct.value, size, topo.npus, HIERARCHICAL, topo)
+                for dim, n in ((1, topo.dim1), (2, topo.dim2)):
+                    yield _priced("collective_time", collective_time, ct.value, size, n, dim, topo)
+
+
+PRICE_SHA256 = {
+    "flat": (_flat_prices, "d853a12b0348137f8474644f51b3d08f9d2515cda4ed353f7a0de57b72f15c27"),
+    "hierarchical": (_hierarchical_prices, "a3b1d441cc957809fb5a564be59c0bb469e8414ab5ec12945514255a712cf0c6"),
+    "groups": (_group_prices, "eb134d098454ae4417e0a74618d5880428296a2d41eaa3f69ee6189aed9b48fc"),
+}
+
+
+@pytest.mark.parametrize("grid", sorted(PRICE_SHA256))
+def test_prices_match_pinned_digest(grid):
+    lines, digest = PRICE_SHA256[grid]
+    assert hashlib.sha256("\n".join(lines()).encode()).hexdigest() == digest

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -264,3 +265,47 @@ def test_exhaustive_small_dag_orders_match_topological_set(rng):
         found: set = set()
         explore(Feeder(trace), [], found)
         assert found == all_topological_orders(parents_map)
+
+
+def mixed_random_trace(rng, n_nodes):
+    """A random DAG whose nodes are COMP or INVALID, about half each."""
+    parents_map = random_dag_parents(rng, n_nodes, edge_prob=0.3)
+    return Trace(0, tuple(
+        (comp if rng.random() < 0.5 else invalid)(i, sorted(parents_map[i])) for i in sorted(parents_map)
+    ))
+
+
+def _load_and_drain_log(rng):
+    for _ in range(60):
+        feeder = Feeder(mixed_random_trace(rng, rng.randint(1, 30)))
+        yield f"load {feeder.queued_ids}"
+        while feeder.has_nodes_to_issue():
+            node_id = feeder.get_next_issuable_node().id
+            yield f"free {node_id} {feeder.free_children_nodes(node_id)}"
+
+
+def _add_and_drain_log(rng):
+    for _ in range(60):
+        nodes = list(mixed_random_trace(rng, rng.randint(1, 30)).nodes)
+        feeder = Feeder()
+        while nodes or feeder.has_nodes_to_issue():
+            if nodes and (not feeder.has_nodes_to_issue() or rng.random() < 0.5):
+                feeder.add_node(nodes.pop(0))
+                yield f"add {feeder.queued_ids}"
+            else:
+                node_id = feeder.get_next_issuable_node().id
+                yield f"free {node_id} {feeder.free_children_nodes(node_id)}"
+
+
+# sha256 of the FIFO release log on seeded COMP/INVALID DAGs, recorded before
+# the feeder released dependencies iteratively; the digests must never move.
+RELEASE_LOG_SHA256 = {
+    "load": (_load_and_drain_log, "7299dfd34ca826f183ae7bfe42910c2e0344f134416719d0f33498b8ffdcd7e2"),
+    "add_node": (_add_and_drain_log, "7c8f38d35751bccb72295ca832cb19aae150600e7928afaf3f406af10d03d8c8"),
+}
+
+
+@pytest.mark.parametrize("path", sorted(RELEASE_LOG_SHA256))
+def test_release_order_matches_pinned_digest(path):
+    log, digest = RELEASE_LOG_SHA256[path]
+    assert hashlib.sha256("\n".join(log(random.Random(0xFEED))).encode()).hexdigest() == digest
