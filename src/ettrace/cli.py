@@ -10,7 +10,7 @@ import sys
 from pathlib import Path
 
 from . import codec, convert, simulator, synth, validate, viz, workloads
-from .costmodel import TopologyKind, dim_pair, parse_topology
+from .costmodel import Topology, TopologyKind, dim_pair, parse_topology
 from .schema import Trace
 from .workloads import Parallelism, WorkloadSpec
 
@@ -167,6 +167,8 @@ def _cmd_sweep(args, parser: _Parser) -> int:
     npus = _parse_ints(args.npus, "--npus", parser)
     try:
         bws = [dim_pair(cell, "--bw") for cell in args.bw.split(";") if cell.strip()]
+        for bw1, bw2 in bws:  # each cell's link must pass before any replay
+            Topology(args.kind, 1, 1, bw1, bw2)
     except ValueError as exc:
         parser.error(str(exc))
     if not bws:

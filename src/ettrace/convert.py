@@ -86,7 +86,8 @@ def split_per_npu(nodes: Sequence[GlobalNode]) -> list[Trace]:
     new_parents: dict[int, list[int]] = {n.id: [] for n in nodes}
     pair_for: dict[tuple[int, int], int] = {}  # (source node, target npu) -> recv id
 
-    for node in sorted(nodes, key=lambda n: n.id):
+    ordered = sorted(nodes, key=lambda n: n.id)
+    for node in ordered:
         for pid in node.parents:
             parent = by_id[pid]
             if parent.npu == node.npu:
@@ -124,17 +125,14 @@ def split_per_npu(nodes: Sequence[GlobalNode]) -> list[Trace]:
                 pair_for[key] = recv_id
             new_parents[node.id].append(pair_for[key])
 
-    npu_ids = sorted({n.npu for n in nodes} | set(extra))
+    own: dict[int, list[ETNode]] = {}  # every npu in ``extra`` also holds a node
+    for n in ordered:
+        own.setdefault(n.npu, []).append(ETNode(n.id, n.name, n.type, tuple(new_parents[n.id]), n.attributes))
     traces = []
-    for npu in npu_ids:
-        own = [
-            ETNode(n.id, n.name, n.type, tuple(new_parents[n.id]), n.attributes)
-            for n in sorted(nodes, key=lambda n: n.id)
-            if n.npu == npu
-        ]
-        own.extend(extra.get(npu, []))
-        own.sort(key=lambda n: n.id)
-        traces.append(Trace(npu_id=npu, nodes=tuple(own)))
+    for npu in sorted(own):
+        npu_nodes = own[npu] + extra.get(npu, [])
+        npu_nodes.sort(key=lambda n: n.id)
+        traces.append(Trace(npu_id=npu, nodes=tuple(npu_nodes)))
     return traces
 
 

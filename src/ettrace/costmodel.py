@@ -1,9 +1,10 @@
 """Analytical timing for communication on simple two-dimensional fabrics.
 
-All times are seconds; sizes are bytes; bandwidths are bytes/second. The
-collective models are the usual ring/bucket closed forms: a collective over
-one member is free, and every formula is linear in payload over the
-bottleneck link plus a per-step latency term.
+All times are seconds; sizes are bytes; bandwidths are bytes/second. Every
+flat collective is priced by one ring closed form, ``collective_time_flat``:
+a collective over one member is free, and every other cost is linear in
+payload over the bottleneck link plus a latency term. One rule, ``_check_args``,
+checks every payload, group size and link, those of a ``Topology`` included.
 """
 from __future__ import annotations
 
@@ -29,6 +30,7 @@ class Topology:
     For a torus, dim 1 is the ring within a row and dim 2 the ring within a
     column. For a two-level switch, dim 1 is the leaf switch an NPU hangs off
     (d1 endpoints each) and dim 2 the spine connecting the d2 leaves.
+    ``kind`` may be given as its text, ``"torus2d"`` or ``"switch2lvl"``.
     """
 
     kind: TopologyKind
@@ -40,12 +42,11 @@ class Topology:
     lat2: float = 0.0
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "kind", TopologyKind(self.kind))
         if self.dim1 < 1 or self.dim2 < 1:
             raise ValueError(f"topology dims must be >= 1, got {self.dim1}x{self.dim2}")
-        if not (0 < self.bw1 < math.inf and 0 < self.bw2 < math.inf):
-            raise ValueError(f"bandwidth must be positive and finite, got {self.bw1}, {self.bw2}")
-        if not (0 <= self.lat1 < math.inf and 0 <= self.lat2 < math.inf):
-            raise ValueError(f"latency must be non-negative and finite, got {self.lat1}, {self.lat2}")
+        _check_args(0, 1, self.bw1, self.lat1)
+        _check_args(0, 1, self.bw2, self.lat2)
 
     @property
     def npus(self) -> int:
@@ -119,53 +120,10 @@ def _check_args(size_bytes: float, n: int, bandwidth: float, latency: float) -> 
         raise ValueError(f"size must be >= 0, got {size_bytes}")
     if n < 1:
         raise ValueError(f"group size must be >= 1, got {n}")
-    if bandwidth <= 0:
-        raise ValueError(f"bandwidth must be positive, got {bandwidth}")
-    if latency < 0:
-        raise ValueError(f"latency must be >= 0, got {latency}")
-
-
-def all_reduce_time(size_bytes: float, n: int, bandwidth: float, latency: float = 0.0) -> float:
-    """Ring all-reduce: reduce-scatter plus all-gather, 2(n-1) steps."""
-    _check_args(size_bytes, n, bandwidth, latency)
-    if n == 1:
-        return 0.0
-    return 2 * (n - 1) * size_bytes / (n * bandwidth) + 2 * (n - 1) * latency
-
-
-def all_gather_time(size_bytes: float, n: int, bandwidth: float, latency: float = 0.0) -> float:
-    """Ring all-gather of a final buffer of ``size_bytes``, n-1 steps."""
-    _check_args(size_bytes, n, bandwidth, latency)
-    if n == 1:
-        return 0.0
-    return (n - 1) * size_bytes / (n * bandwidth) + (n - 1) * latency
-
-
-def reduce_scatter_time(size_bytes: float, n: int, bandwidth: float, latency: float = 0.0) -> float:
-    """Ring reduce-scatter of an input buffer of ``size_bytes``, n-1 steps."""
-    return all_gather_time(size_bytes, n, bandwidth, latency)
-
-
-def all_to_all_time(size_bytes: float, n: int, bandwidth: float, latency: float = 0.0) -> float:
-    """Full exchange; every rank ships (n-1)/n of its buffer, one latency charge."""
-    _check_args(size_bytes, n, bandwidth, latency)
-    if n == 1:
-        return 0.0
-    return (n - 1) * size_bytes / (n * bandwidth) + latency
-
-
-def p2p_transfer_time(size_bytes: float, bandwidth: float, latency: float = 0.0) -> float:
-    """One point-to-point message over one link."""
-    _check_args(size_bytes, 1, bandwidth, latency)
-    return size_bytes / bandwidth + latency
-
-
-_DISPATCH = {
-    CommType.ALL_REDUCE: all_reduce_time,
-    CommType.ALL_GATHER: all_gather_time,
-    CommType.REDUCE_SCATTER: reduce_scatter_time,
-    CommType.ALL_TO_ALL: all_to_all_time,
-}
+    if not 0 < bandwidth < math.inf:
+        raise ValueError(f"bandwidth must be positive and finite, got {bandwidth}")
+    if not 0 <= latency < math.inf:
+        raise ValueError(f"latency must be non-negative and finite, got {latency}")
 
 
 def collective_time_flat(
@@ -175,14 +133,47 @@ def collective_time_flat(
     bandwidth: float,
     latency: float = 0.0,
 ) -> float:
-    """Time of one collective over a flat group of ``n`` members on one link class."""
+    """Time of one collective over a flat group of ``n`` members on one link class.
+
+    A ring collective takes ``steps`` = 2(n-1) for all-reduce (reduce-scatter
+    then all-gather) and n-1 otherwise; each step moves 1/n of the buffer and
+    pays one latency, except that all-to-all pays a single latency for its
+    whole exchange. Send and receive move the whole buffer over one link. A
+    one-member group moves nothing.
+    """
     ct = CommType(comm_type)
-    if ct in (CommType.SEND, CommType.RECV):
-        _check_args(size_bytes, n, bandwidth, latency)
-        if n == 1:  # a one-member group moves nothing, same as the collectives
-            return 0.0
-        return p2p_transfer_time(size_bytes, bandwidth, latency)
-    return _DISPATCH[ct](size_bytes, n, bandwidth, latency)
+    _check_args(size_bytes, n, bandwidth, latency)
+    if n == 1:
+        return 0.0
+    if ct is CommType.SEND or ct is CommType.RECV:
+        return size_bytes / bandwidth + latency
+    steps = 2 * (n - 1) if ct is CommType.ALL_REDUCE else n - 1
+    return steps * size_bytes / (n * bandwidth) + (latency if ct is CommType.ALL_TO_ALL else steps * latency)
+
+
+def all_reduce_time(size_bytes: float, n: int, bandwidth: float, latency: float = 0.0) -> float:
+    """Ring all-reduce: reduce-scatter plus all-gather, 2(n-1) steps."""
+    return collective_time_flat(CommType.ALL_REDUCE, size_bytes, n, bandwidth, latency)
+
+
+def all_gather_time(size_bytes: float, n: int, bandwidth: float, latency: float = 0.0) -> float:
+    """Ring all-gather of a final buffer of ``size_bytes``, n-1 steps."""
+    return collective_time_flat(CommType.ALL_GATHER, size_bytes, n, bandwidth, latency)
+
+
+def reduce_scatter_time(size_bytes: float, n: int, bandwidth: float, latency: float = 0.0) -> float:
+    """Ring reduce-scatter of an input buffer of ``size_bytes``, n-1 steps."""
+    return collective_time_flat(CommType.REDUCE_SCATTER, size_bytes, n, bandwidth, latency)
+
+
+def all_to_all_time(size_bytes: float, n: int, bandwidth: float, latency: float = 0.0) -> float:
+    """Full exchange; every rank ships (n-1)/n of its buffer, one latency charge."""
+    return collective_time_flat(CommType.ALL_TO_ALL, size_bytes, n, bandwidth, latency)
+
+
+def p2p_transfer_time(size_bytes: float, bandwidth: float, latency: float = 0.0) -> float:
+    """One point-to-point message over one link: a send within a pair."""
+    return collective_time_flat(CommType.SEND, size_bytes, 2, bandwidth, latency)
 
 
 # --------------------------------------------------------------------------
@@ -229,8 +220,6 @@ def hierarchical_all_reduce_time(
     Reduce-scatter across dim 1 (full payload), all-reduce of the resulting
     1/n1 shard across dim 2, then all-gather back across dim 1.
     """
-    _check_args(size_bytes, n1, bw1, lat1)
-    _check_args(size_bytes, n2, bw2, lat2)
     return (
         reduce_scatter_time(size_bytes, n1, bw1, lat1)
         + all_reduce_time(size_bytes / n1, n2, bw2, lat2)
@@ -244,17 +233,20 @@ def group_dimension(members: "frozenset[int] | set[int] | tuple[int, ...]", topo
     Members sharing a row use dim 1, members sharing a column use dim 2, and
     anything spanning both coordinates is ``HIERARCHICAL``.
     """
+    return _group_shape(members, topo)[3]
+
+
+def _group_shape(
+    members: "frozenset[int] | set[int] | tuple[int, ...]", topo: Topology
+) -> "tuple[int, int, int, int | str]":
+    """Member count, distinct dim-1 and dim-2 coordinates, and the dimension they map onto."""
     ranks = sorted(set(members))
     if not ranks:
         raise ValueError("empty communicator")
     coords = [topo.coords(r) for r in ranks]
-    xs = {c[0] for c in coords}
-    ys = {c[1] for c in coords}
-    if len(ranks) == 1 or len(ys) == 1:
-        return 1
-    if len(xs) == 1:
-        return 2
-    return HIERARCHICAL
+    n1 = len({x for x, _ in coords})
+    n2 = len({y for _, y in coords})
+    return len(ranks), n1, n2, 1 if n2 == 1 else 2 if n1 == 1 else HIERARCHICAL
 
 
 def group_collective_time(
@@ -270,18 +262,15 @@ def group_collective_time(
     into a dim-1 phase followed by a dim-2 phase (a deliberate, simple upper
     structure rather than an optimal algorithm).
     """
-    ranks = sorted(set(members))
-    n = len(ranks)
-    if n == 1:
+    ranks = set(members)
+    if len(ranks) == 1:
         return 0.0
     ct = CommType(comm_type)
-    dim = group_dimension(ranks, topo)
-    if dim in (1, 2):
-        bw, lat = topo.bw_lat(int(dim))
-        return collective_time_flat(ct, size_bytes, n, bw, lat)
-    n1 = len({topo.coords(r)[0] for r in ranks})
-    n2 = len({topo.coords(r)[1] for r in ranks})
-    return _two_phase_time(ct, size_bytes, n1, n2, topo)
+    n, n1, n2, dim = _group_shape(ranks, topo)
+    if dim == HIERARCHICAL:
+        return _two_phase_time(ct, size_bytes, n1, n2, topo)
+    bw, lat = topo.bw_lat(dim)
+    return collective_time_flat(ct, size_bytes, n, bw, lat)
 
 
 def _two_phase_time(ct: CommType, size_bytes: float, n1: int, n2: int, topo: Topology) -> float:

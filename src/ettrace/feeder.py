@@ -48,7 +48,8 @@ class Feeder:
         for node in trace.nodes:
             self._nodes[node.id] = node
             self._children.setdefault(node.id, [])
-        for node in sorted(trace.nodes, key=lambda n: n.id):
+        ordered = sorted(trace.nodes, key=lambda n: n.id)
+        for node in ordered:
             parents = set(node.parents)
             self._unmet[node.id] = len(parents)
             for pid in sorted(parents):
@@ -58,18 +59,9 @@ class Feeder:
                 self._children[pid].append(node.id)
         # Collapse source-side INVALID chains before queueing anything, so the
         # initial queue order is purely ascending id.
-        worklist = [
-            nid
-            for nid in sorted(self._nodes)
-            if self._unmet[nid] == 0 and self._nodes[nid].type is NodeType.INVALID
-        ]
-        while worklist:
-            nid = worklist.pop(0)
-            self._completed.add(nid)
-            for child_id in self._children[nid]:
-                self._unmet[child_id] -= 1
-                if self._unmet[child_id] == 0 and self._nodes[child_id].type is NodeType.INVALID:
-                    worklist.append(child_id)
+        for node in ordered:
+            if not node.parents and node.type is NodeType.INVALID:
+                self._complete(node.id)
         self._queue.extend(
             nid
             for nid in sorted(self._nodes)
@@ -92,7 +84,10 @@ class Feeder:
                 self._children[pid].append(node.id)
         self._unmet[node.id] = unmet
         if unmet == 0:
-            self._on_ready(node.id)
+            if node.type is NodeType.INVALID:
+                self._complete(node.id)
+            else:
+                self._queue.append(node.id)
 
     # ------------------------------------------------------------------
     # Issue loop
@@ -132,26 +127,30 @@ class Feeder:
         if node_id not in self._issued:
             raise FeederError(f"node {node_id} was never issued")
         self._issued.discard(node_id)
-        freed: list[int] = []
-        self._complete(node_id, freed)
+        freed = self._complete(node_id)
+        self._queue.extend(freed)
         return freed
 
-    def _complete(self, node_id: int, freed: list[int]) -> None:
-        self._completed.add(node_id)
-        for child_id in self._children[node_id]:
-            self._unmet[child_id] -= 1
-            if self._unmet[child_id] == 0:
-                self._on_ready(child_id, freed)
+    def _complete(self, node_id: int) -> list[int]:
+        """Mark ``node_id`` complete; return the non-INVALID nodes it readied, in order.
 
-    def _on_ready(self, node_id: int, freed: "list[int] | None" = None) -> None:
-        # INVALID nodes never surface; they complete in place, which may in
-        # turn ready their own children (chains collapse transparently).
-        if self._nodes[node_id].type is NodeType.INVALID:
-            self._complete(node_id, freed if freed is not None else [])
-        else:
-            self._queue.append(node_id)
-            if freed is not None:
-                freed.append(node_id)
+        Readied INVALID nodes complete in place, depth first, on an explicit stack.
+        """
+        freed: list[int] = []
+        self._completed.add(node_id)
+        stack = [iter(self._children[node_id])]
+        while stack:
+            for child_id in stack[-1]:
+                self._unmet[child_id] -= 1
+                if self._unmet[child_id] == 0:
+                    if self._nodes[child_id].type is NodeType.INVALID:
+                        self._completed.add(child_id)
+                        stack.append(iter(self._children[child_id]))
+                        break
+                    freed.append(child_id)
+            else:
+                stack.pop()
+        return freed
 
     # ------------------------------------------------------------------
     # Lookup and removal

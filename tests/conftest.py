@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from ettrace.builder import TraceBuilder
 from ettrace.schema import (
     Attribute,
     AttributeKind,
@@ -29,6 +30,16 @@ def random_dag_parents(rng: random.Random, n_nodes: int, edge_prob: float = 0.4)
     return {
         i: {j for j in ids if j < i and rng.random() < edge_prob} for i in ids
     }
+
+
+def invalid_chain_trace(length: int) -> Trace:
+    """COMP "head", then ``length`` chained INVALID nodes, then COMP "tail"; runtime 5 each."""
+    b = TraceBuilder(0)
+    prev = b.comp("head", 5)
+    for i in range(length):
+        prev = b.add_node(NodeType.INVALID, f"ghost{i}", parents=[prev])
+    b.comp("tail", 5, parents=[prev])
+    return b.build()
 
 
 def random_valid_trace(rng: random.Random, npu_id: int = 0, max_nodes: int = 200) -> Trace:

@@ -9,6 +9,8 @@ from ettrace.builder import TraceBuilder
 from ettrace.cli import main
 from ettrace.schema import CommType, ETNode, NodeType, Trace, make_attributes
 
+from conftest import invalid_chain_trace
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -37,6 +39,9 @@ def test_usage_errors_exit_1(capsys):
         ["sweep", "--preset", "mlp-dp", "--npus", "4", "--bw", "31e9;1,2,3"],
         ["sweep", "--preset", "mlp-dp", "--npus", "1,4", "--bw", ";"],
         ["sweep", "--preset", "mlp-dp", "--npus", "4", "--bw", " ; "],
+        ["sweep", "--preset", "mlp-dp", "--npus", "4", "--bw", "0"],
+        ["sweep", "--preset", "mlp-dp", "--npus", "4", "--bw", "inf"],
+        ["sweep", "--preset", "mlp-dp", "--npus", "4", "--bw=-5"],
         ["generate", "--preset", "mlp-dp", "--npus", "4", "--out", "x", "--dims"],
     ):
         with pytest.raises(SystemExit) as exit_info:
@@ -180,6 +185,13 @@ def test_simulate_rank_outside_topology_is_data_error(tmp_path, capsys):
     code, _, err = run(capsys, "simulate", "--trace-dir", str(d), "--topology", "torus2d:2x1", "--bw", "62e9")
     assert code == 2
     assert "rank 2 outside topology of 2 NPUs" in err and "Traceback" not in err
+
+
+def test_simulate_long_invalid_chain(tmp_path, capsys):
+    d = tmp_path / "chain"
+    codec.write_workload([invalid_chain_trace(5000)], d)
+    code, out, err = run(capsys, "simulate", "--trace-dir", str(d), "--topology", "torus2d:1x1", "--bw", "62e9")
+    assert code == 0 and out.startswith("makespan_cycles,10\n") and "Traceback" not in err
 
 
 def test_simulate_infinite_duration_is_data_error(tmp_path, capsys):

@@ -200,6 +200,30 @@ def test_non_finite_link_parameters_are_refused():
     Topology(TopologyKind.TORUS_2D, 2, 2, 62e9, 62e9, 0.0, 1e-6)  # zero latency stays valid
 
 
+def test_flat_prices_refuse_non_finite_links():
+    for value in (math.inf, math.nan):
+        for fn in (all_reduce_time, all_gather_time, reduce_scatter_time, all_to_all_time):
+            with pytest.raises(ValueError, match="bandwidth must be positive and finite"):
+                fn(1 << 20, 4, value)
+            with pytest.raises(ValueError, match="latency must be non-negative and finite"):
+                fn(1 << 20, 4, 62e9, value)
+        with pytest.raises(ValueError, match="bandwidth must be positive and finite"):
+            p2p_transfer_time(10, value, 0.0)
+        with pytest.raises(ValueError, match="latency must be non-negative and finite"):
+            p2p_transfer_time(10, 1e9, value)
+        with pytest.raises(ValueError, match="latency must be non-negative and finite"):
+            hierarchical_all_reduce_time(1 << 20, 2, 2, 62e9, 62e9, 0.0, value)
+
+
+def test_topology_kind_is_coerced_from_text():
+    text = Topology("torus2d", 2, 1, bw1=62e9, bw2=62e9, lat1=1e-6, lat2=1e-6)
+    assert text.kind is TopologyKind.TORUS_2D
+    assert text == parse_topology("torus2d:2x1", 62e9, 1e-6)
+    assert Topology("switch2lvl", 2, 2, 62e9, 62e9) == parse_topology("switch2lvl:2x2", 62e9)
+    with pytest.raises(ValueError, match="mesh"):
+        Topology("mesh", 2, 2, 62e9, 62e9)
+
+
 def test_topology_coords():
     topo = square_torus(2)
     assert [topo.coords(r) for r in range(4)] == [(0, 0), (1, 0), (0, 1), (1, 1)]

@@ -7,7 +7,7 @@ from ettrace.feeder import Feeder, FeederError
 from ettrace.schema import ETNode, NodeType, Trace, make_attributes
 from ettrace.validate import InvalidTraceError
 
-from conftest import random_dag_parents
+from conftest import invalid_chain_trace, random_dag_parents
 from oracles import all_topological_orders, is_topological
 
 
@@ -309,3 +309,11 @@ RELEASE_LOG_SHA256 = {
 def test_release_order_matches_pinned_digest(path):
     log, digest = RELEASE_LOG_SHA256[path]
     assert hashlib.sha256("\n".join(log(random.Random(0xFEED))).encode()).hexdigest() == digest
+
+
+def test_long_invalid_chain_releases_without_recursion():
+    trace = invalid_chain_trace(5000)
+    feeder = Feeder(trace)
+    head = feeder.get_next_issuable_node()
+    assert [feeder.lookup_node(i).name for i in feeder.free_children_nodes(head.id)] == ["tail"]
+    assert feeder.pending_count() == 1

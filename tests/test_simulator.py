@@ -24,7 +24,7 @@ from ettrace.validate import InvalidTraceError, validate_workload
 from ettrace.viz import parse_timeline_csv
 from ettrace.workloads import Parallelism, WorkloadSpec, generate_workload, preset_spec
 
-from conftest import random_dag_parents
+from conftest import invalid_chain_trace, random_dag_parents
 from oracles import exposed_time_oracle, replay_oracle
 
 ONE = Topology(TopologyKind.TORUS_2D, 1, 1, 62e9, 62e9)
@@ -214,6 +214,10 @@ def test_invalid_nodes_are_skipped_but_preserved_in_deps():
     names = [r.node_name for r in result.timeline]
     assert "ghost" not in names
     assert len(result.timeline) == 4
+
+
+def test_long_invalid_chain_replays():
+    assert run_simulation([invalid_chain_trace(5000)], cfg()).makespan == 10
 
 
 def test_model_compute_timing_uses_num_ops():
