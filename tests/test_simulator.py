@@ -1,5 +1,7 @@
 import hashlib
+import itertools
 import math
+import random
 import re
 
 import pytest
@@ -9,7 +11,7 @@ from ettrace import simulator
 from ettrace.builder import TraceBuilder
 from ettrace.costmodel import Topology, TopologyKind, all_reduce_time, p2p_time, parse_topology
 from ettrace.feeder import Feeder
-from ettrace.schema import CommType, ETNode, NodeType, Trace, make_attributes
+from ettrace.schema import Attribute, AttributeKind, CommType, ETNode, NodeType, Trace, make_attributes
 from ettrace.simulator import (
     DeadlockError,
     SimConfig,
@@ -555,3 +557,141 @@ def test_valid_workloads_replay_deadlock_or_name_the_node(traces):
             assert named and (int(named[1]), int(named[2])) in nodes, exc
             continue
         assert set(result.node_spans) == timed
+
+
+def _deadlock_candidate(seed):
+    """A seeded 4-rank workload of random DAGs over every node type, with
+    collectives and p2p whose order or peers need not match across ranks."""
+    rng = random.Random(seed)
+    traces = []
+    for npu in range(4):
+        parents_map = random_dag_parents(rng, rng.randint(3, 9), edge_prob=0.35)
+        nodes = []
+        for nid in sorted(parents_map):
+            node_type = rng.choice(list(NodeType))
+            attrs = {"runtime": rng.randint(1, 30)}
+            if node_type is NodeType.COMM_COLL:
+                attrs.update(comm_type=rng.choice(_COLLECTIVES[:2]).value, comm_size=rng.randint(0, 4096),
+                             comm_group=rng.choice(["g", "h"]))
+            elif node_type in _P2P_TYPES:
+                attrs.update(comm_size=rng.randint(0, 4096), comm_peer=rng.choice([p for p in range(4) if p != npu]))
+            elif node_type in (NodeType.MEM_LOAD, NodeType.MEM_STORE):
+                attrs["tensor_size"] = rng.randint(0, 4096)
+            nodes.append(ETNode(nid, f"r{npu}n{nid}", node_type, tuple(sorted(parents_map[nid])),
+                                make_attributes(attrs)))
+        traces.append(Trace(npu, tuple(nodes)))
+    return traces
+
+
+def _deadlocks(count):
+    """The first ``count`` seeds whose candidate deadlocks, with its DeadlockError."""
+    found = []
+    for seed in itertools.count():
+        traces = _deadlock_candidate(seed)
+        try:
+            run_simulation(traces, cfg(_GRID))
+        except DeadlockError as exc:
+            found.append((seed, traces, exc))
+            if len(found) == count:
+                return found
+
+
+# sha256 over the stuck list (npu, node, name, state, in order) and the
+# message of each seeded deadlock, recorded before replay's records changed.
+DEADLOCK_SHA256 = "b9702c9e1702a7ae6a951982fe5bbf09619fce6f01c9cdf54545b8cc1f17537f"
+
+
+def test_deadlock_reports_are_pinned():
+    lines = []
+    states = set()
+    invalid_stuck = 0
+    for seed, traces, exc in _deadlocks(24):
+        types = {(t.npu_id, n.id): n.type for t in traces for n in t.nodes}
+        states |= {s.state for s in exc.stuck}
+        invalid_stuck += sum(types[s.npu_id, s.node_id] is NodeType.INVALID for s in exc.stuck)
+        lines.append(f"{seed} {exc.stuck!r} {exc}")
+    assert states == {"in-flight", "queued", "blocked"} and invalid_stuck
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == DEADLOCK_SHA256
+
+
+def _attrs_node(node_id, node_type, *attrs, parents=()):
+    return ETNode(node_id, f"n{node_id}", node_type, parents, tuple(Attribute(*a) for a in attrs))
+
+
+_I, _S, _F = AttributeKind.INT, AttributeKind.STRING, AttributeKind.FLOAT
+_COLL_ATTRS = (("comm_type", _S, "ALL_REDUCE"), ("comm_size", _I, 64), ("comm_group", _S, "g"))
+
+# (case, nodes on npu 0, config, makespan or the exact error), all replayed
+# with validate=False, so replay itself sees every wrong-kind attribute.
+LOWER_CASES = [
+    ("runtime-string", [_attrs_node(1, NodeType.COMP, ("runtime", _S, "5"))], cfg(),
+     "TypeError: node 1: attribute 'runtime' is not an INT"),
+    ("runtime-float", [_attrs_node(1, NodeType.COMP, ("runtime", _F, 5.0))], cfg(),
+     "TypeError: node 1: attribute 'runtime' is not an INT"),
+    ("runtime-kind-int-value-str", [_attrs_node(1, NodeType.COMP, ("runtime", _I, "5"))], cfg(),
+     "TypeError: node 1: attribute 'runtime' is not an INT"),
+    ("runtime-bool", [_attrs_node(1, NodeType.COMP, ("runtime", _I, True))], cfg(),
+     "TypeError: node 1: attribute 'runtime' is not an INT"),
+    # runtime is read first on every timed node, even when num_ops times it
+    ("runtime-string-with-num-ops",
+     [_attrs_node(1, NodeType.COMP, ("num_ops", _I, 10), ("runtime", _S, "5"))],
+     cfg(compute_timing=TimingMode.MODEL, compute_rate=1e9),
+     "TypeError: node 1: attribute 'runtime' is not an INT"),
+    ("runtime-string-on-collective", [_attrs_node(1, NodeType.COMM_COLL, *_COLL_ATTRS, ("runtime", _S, "x"))],
+     cfg(), "TypeError: node 1: attribute 'runtime' is not an INT"),
+    ("first-runtime-wins", [_attrs_node(1, NodeType.COMP, ("runtime", _I, 5), ("runtime", _S, "x"))], cfg(), 5),
+    ("first-runtime-wins-wrong", [_attrs_node(1, NodeType.COMP, ("runtime", _S, "x"), ("runtime", _I, 5))], cfg(),
+     "TypeError: node 1: attribute 'runtime' is not an INT"),
+    ("num-ops-string-model", [_attrs_node(1, NodeType.COMP, ("runtime", _I, 5), ("num_ops", _S, "9"))],
+     cfg(compute_timing=TimingMode.MODEL, compute_rate=1e9),
+     "TypeError: node 1: attribute 'num_ops' is not an INT"),
+    ("num-ops-string-from-trace", [_attrs_node(1, NodeType.COMP, ("runtime", _I, 5), ("num_ops", _S, "9"))],
+     cfg(), 5),
+    ("comp-string-peer", [_attrs_node(1, NodeType.COMP, ("comm_peer", _S, "one"), ("runtime", _I, 7))], cfg(), 7),
+    ("comp-string-size-and-type",
+     [_attrs_node(1, NodeType.COMP, ("runtime", _I, 3), ("comm_size", _S, "1"), ("comm_type", _I, 4))], cfg(), 3),
+    ("tensor-size-string", [_attrs_node(1, NodeType.MEM_LOAD, ("tensor_size", _S, "4"), ("runtime", _I, 2))], cfg(),
+     "TypeError: node 1: attribute 'tensor_size' is not an INT"),
+    ("comm-size-string", [_attrs_node(1, NodeType.COMM_COLL, ("comm_type", _S, "ALL_REDUCE"), ("comm_size", _S, "64"),
+                                      ("comm_group", _S, "g"))], cfg(),
+     "TypeError: node 1: attribute 'comm_size' is not an INT"),
+    ("comm-size-string-from-trace",
+     [_attrs_node(1, NodeType.COMM_COLL, ("comm_type", _S, "ALL_REDUCE"), ("comm_size", _S, "64"),
+                  ("comm_group", _S, "g"), ("runtime", _I, 4))],
+     cfg(comm_timing=TimingMode.FROM_TRACE), 4),
+    ("comm-size-missing-before-group-kind",
+     [_attrs_node(1, NodeType.COMM_COLL, ("comm_type", _S, "ALL_REDUCE"), ("comm_group", _I, 1))], cfg(),
+     "ValueError: npu 0 node 1: MODEL comm timing requires 'comm_size'"),
+    ("comm-group-int", [_attrs_node(1, NodeType.COMM_COLL, ("comm_type", _S, "ALL_REDUCE"), ("comm_size", _I, 64),
+                                    ("comm_group", _I, 1))], cfg(),
+     "TypeError: node 1: attribute 'comm_group' is not a STRING"),
+    ("comm-type-int", [_attrs_node(1, NodeType.COMM_COLL, ("comm_type", _I, 3), ("comm_size", _I, 64),
+                                   ("comm_group", _S, "g"))], cfg(),
+     "TypeError: node 1: attribute 'comm_type' is not a STRING"),
+    ("group-checked-before-type",
+     [_attrs_node(1, NodeType.COMM_COLL, ("comm_type", _I, 3), ("comm_size", _I, 64), ("comm_group", _I, 1))], cfg(),
+     "TypeError: node 1: attribute 'comm_group' is not a STRING"),
+    ("comm-type-missing", [_attrs_node(1, NodeType.COMM_COLL, ("comm_size", _I, 64), ("comm_group", _S, "g"))], cfg(),
+     "ValueError: npu 0 node 1: collective lacks 'comm_type'"),
+    ("send-peer-string", [_attrs_node(1, NodeType.COMM_SEND, ("comm_size", _I, 64), ("comm_peer", _S, "0"))], cfg(),
+     "TypeError: node 1: attribute 'comm_peer' is not an INT"),
+    ("send-tag-string", [_attrs_node(1, NodeType.COMM_SEND, ("comm_size", _I, 64), ("comm_peer", _I, 0),
+                                     ("comm_tag", _S, "t"))], cfg(),
+     "TypeError: node 1: attribute 'comm_tag' is not an INT"),
+    ("send-comm-type-int-unread",
+     [Trace(0, (_attrs_node(1, NodeType.COMM_SEND, ("comm_size", _I, 64), ("comm_peer", _I, 1),
+                            ("comm_type", _I, 1)),)),
+      Trace(1, (_attrs_node(1, NodeType.COMM_RECV, ("comm_size", _I, 64), ("comm_peer", _I, 0)),))],
+     cfg(PAIR), 64),
+]
+
+
+@pytest.mark.parametrize("case", [c[0] for c in LOWER_CASES])
+def test_lowering_reads_and_checks_attributes_as_pinned(case):
+    _, nodes, config, want = next(c for c in LOWER_CASES if c[0] == case)
+    traces = nodes if isinstance(nodes[0], Trace) else [Trace(0, tuple(nodes))]
+    try:
+        got = run_simulation(traces, config, validate=False).makespan
+    except (TypeError, ValueError) as exc:
+        got = f"{type(exc).__name__}: {exc}"
+    assert got == want
