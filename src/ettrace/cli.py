@@ -152,7 +152,7 @@ def _cmd_simulate(args, parser: _Parser) -> int:
         _info(f"wrote timeline to {args.timeline}")
     if args.chrome:
         type_of = viz.node_type_lookup(traces)
-        Path(args.chrome).write_text(viz.timeline_to_chrome_trace(result.timeline, type_of))
+        Path(args.chrome).write_text(viz.timeline_to_chrome_trace(result.records, type_of))
         _info(f"wrote chrome trace to {args.chrome}")
     lines = ["npu_id,compute_busy,comm_busy,mem_busy,exposed_comm"]
     for npu_id in sorted(result.per_npu):

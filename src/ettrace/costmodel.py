@@ -260,13 +260,11 @@ def group_collective_time(
     Row/column groups use the matching dimension's link. Mixed groups run a
     hierarchical all-reduce; other collectives over mixed groups decompose
     into a dim-1 phase followed by a dim-2 phase (a deliberate, simple upper
-    structure rather than an optimal algorithm).
+    structure rather than an optimal algorithm). A one-member group costs 0,
+    once its comm type, rank and size pass the same checks as a larger one.
     """
-    ranks = set(members)
-    if len(ranks) == 1:
-        return 0.0
     ct = CommType(comm_type)
-    n, n1, n2, dim = _group_shape(ranks, topo)
+    n, n1, n2, dim = _group_shape(members, topo)
     if dim == HIERARCHICAL:
         return _two_phase_time(ct, size_bytes, n1, n2, topo)
     bw, lat = topo.bw_lat(dim)

@@ -3,7 +3,9 @@
 Hands out nodes whose parents have all completed, in FIFO order (seeded by
 ascending node id), and unlocks children as completions are reported back.
 INVALID nodes are transparent: they complete on their own the moment their
-parents finish, so consumers never see them.
+parents finish, so consumers never see them. ``load`` stores child lists as
+tuples, which the cyclic garbage collector stops tracking once they hold only
+ids; ``add_node`` grows lists.
 """
 from __future__ import annotations
 
@@ -20,7 +22,7 @@ class FeederError(RuntimeError):
 class Feeder:
     def __init__(self, trace: "Trace | None" = None, *, validate: bool = True):
         self._nodes: dict[int, ETNode] = {}
-        self._children: dict[int, list[int]] = {}
+        self._children: dict[int, "tuple[int, ...] | list[int]"] = {}  # tuples from load
         self._unmet: dict[int, int] = {}
         self._queue: deque[int] = deque()
         self._issued: set[int] = set()
@@ -45,9 +47,10 @@ class Feeder:
             if not report.ok:
                 raise InvalidTraceError(report, "feeder refuses invalid trace")
         self.__init__()
+        children: dict[int, list[int]] = {}
         for node in trace.nodes:
             self._nodes[node.id] = node
-            self._children.setdefault(node.id, [])
+            children[node.id] = []
         ordered = sorted(trace.nodes, key=lambda n: n.id)
         for node in ordered:
             parents = set(node.parents)
@@ -56,7 +59,8 @@ class Feeder:
                 if pid not in self._nodes:
                     # structurally impossible even with validation off
                     raise FeederError(f"node {node.id}: unknown parents [{pid}]")
-                self._children[pid].append(node.id)
+                children[pid].append(node.id)
+        self._children = {nid: tuple(kids) for nid, kids in children.items()}
         # Collapse source-side INVALID chains before queueing anything, so the
         # initial queue order is purely ascending id.
         for node in ordered:
@@ -76,12 +80,15 @@ class Feeder:
         if missing:
             raise FeederError(f"node {node.id}: unknown parents {missing}")
         self._nodes[node.id] = node
-        self._children.setdefault(node.id, [])
+        self._children[node.id] = []  # it may gain children
         unmet = 0
         for pid in set(node.parents):
             if pid not in self._completed:
                 unmet += 1
-                self._children[pid].append(node.id)
+                children = self._children[pid]
+                if isinstance(children, tuple):  # loaded: copy once, then append in O(1)
+                    children = self._children[pid] = list(children)
+                children.append(node.id)
         self._unmet[node.id] = unmet
         if unmet == 0:
             if node.type is NodeType.INVALID:

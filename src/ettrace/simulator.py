@@ -8,13 +8,15 @@ the last member arrives, and all members finish on the same cycle. SEND/RECV
 pair up by explicit tag (or issue order per directed rank pair) and also
 complete simultaneously. Both kinds of match go through one rendezvous.
 Every attribute replay needs is read once, before the first event, by
-``_lower``. The event loop is integer-cycle and fully deterministic:
-identical inputs produce byte-identical timelines.
+``_lower``, in one pass over each node's attributes. The event loop is
+integer-cycle and fully deterministic: identical inputs produce
+byte-identical timelines. It records the timeline as plain tuples, which the
+cyclic garbage collector stops tracking, and builds ``TimelineRow``s only
+when ``SimResult.timeline`` is read.
 """
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 from collections import deque
 from dataclasses import dataclass, field
@@ -33,11 +35,11 @@ from .schema import (
     ATTR_NUM_OPS,
     ATTR_RUNTIME,
     ATTR_TENSOR_SIZE,
+    AttributeKind,
     ETNode,
     NodeType,
     Trace,
-    get_int_attr,
-    get_str_attr,
+    checked_value,
 )
 from .validate import InvalidTraceError, validate_workload
 from .viz import CALLBACK, ISSUE, TimelineRow, emit_timeline_csv
@@ -50,6 +52,12 @@ class TimingMode(Enum):
 
 # Resource classes, as indices in the fixed order the engine issues them.
 _MEMORY, _COMPUTE, _NETWORK = range(3)
+
+# Module-level aliases: reading an Enum member off its class runs
+# Python-level Enum code, once per node in ``_lower``.
+_INVALID, _COMP, _MEM_LOAD, _MEM_STORE = NodeType.INVALID, NodeType.COMP, NodeType.MEM_LOAD, NodeType.MEM_STORE
+_SEND, _COLL = NodeType.COMM_SEND, NodeType.COMM_COLL
+_INT, _STRING = AttributeKind.INT, AttributeKind.STRING
 
 
 @dataclass(frozen=True)
@@ -91,10 +99,15 @@ class SimResult:
     makespan: int
     per_npu: "dict[int, NpuStats]"
     node_spans: "dict[tuple[int, int], tuple[int, int]]"  # (npu, node) -> (start, finish)
-    timeline: list[TimelineRow]
+    records: "list[tuple[str, int, int, int, str]]"  # (event, npu, cycle, node id, name), in replay order
+
+    @property
+    def timeline(self) -> list[TimelineRow]:
+        """The records as ``TimelineRow``s, built anew on each read."""
+        return list(map(TimelineRow._make, self.records))
 
     def timeline_csv(self) -> str:
-        return emit_timeline_csv(self.timeline)
+        return emit_timeline_csv(self.records)
 
 
 @dataclass(frozen=True)
@@ -166,67 +179,82 @@ def _lower(traces: Sequence[Trace], cfg: SimConfig) -> "dict[int, dict[int, tupl
 
     A node that lacks its timing input raises ValueError naming it. So does,
     under MODEL comm timing, a communication node whose own rank or peer is
-    not on the topology.
+    not on the topology. Each node's attributes are scanned once, and of each
+    name the first counts, as in ``ETNode.attribute``. An attribute the
+    node's kind reads must have its well-known kind, or TypeError names the
+    node. Untagged SEND/RECV share one ``sync`` per ``(src, dst, side)``.
     """
     groups: dict[str, set[int]] = {}
+    p2p_syncs: dict[tuple, tuple] = {}  # untagged (src, dst, side) -> sync
     lowered: dict[int, dict[int, tuple]] = {}
+    trace_compute = cfg.compute_timing is TimingMode.FROM_TRACE
+    trace_comm = cfg.comm_timing is TimingMode.FROM_TRACE
+    model_comm = cfg.comm_timing is TimingMode.MODEL
+    fabric = cfg.topology.npus if model_comm else 0
     for trace in traces:
         npu = trace.npu_id
         ops = lowered[npu] = {}
         for node in trace.nodes:
             kind = node.type
-            if kind is NodeType.INVALID:
+            if kind is _INVALID:
                 continue
             if not isinstance(kind, NodeType):
                 raise ValueError(f"npu {npu} node {node.id}: node type {kind!r} is not a NodeType")
-            runtime = get_int_attr(node, ATTR_RUNTIME)
+            attrs = {}
+            for attr in node.attributes:
+                if attr.name not in attrs:
+                    attrs[attr.name] = attr
+            runtime = checked_value(node, attrs.get(ATTR_RUNTIME), _INT)
             sync = None
-            if kind is NodeType.COMP:
+            if kind is _COMP:
                 cls = _COMPUTE
-                if cfg.compute_timing is TimingMode.FROM_TRACE:
+                num_ops = None if trace_compute else checked_value(node, attrs.get(ATTR_NUM_OPS), _INT)
+                if num_ops is not None and cfg.compute_rate is not None:
+                    amount = cfg.seconds_to_cycles(num_ops / cfg.compute_rate)
+                elif trace_compute:
                     what = "FROM_TRACE compute timing requires a 'runtime' attribute"
                     amount = _need(runtime, npu, node, what)
-                elif (num_ops := get_int_attr(node, ATTR_NUM_OPS)) is not None and cfg.compute_rate is not None:
-                    amount = cfg.seconds_to_cycles(num_ops / cfg.compute_rate)
                 else:
                     what = "MODEL compute timing requires 'num_ops' and a compute_rate, or 'runtime'"
                     amount = _need(runtime, npu, node, what)
-            elif kind in (NodeType.MEM_LOAD, NodeType.MEM_STORE):
+            elif kind is _MEM_LOAD or kind is _MEM_STORE:
                 cls = _MEMORY
-                size = get_int_attr(node, ATTR_TENSOR_SIZE)
+                size = checked_value(node, attrs.get(ATTR_TENSOR_SIZE), _INT)
                 if size is not None:
                     amount = cfg.seconds_to_cycles(size / cfg.mem_bandwidth)
                 else:
                     amount = _need(runtime, npu, node, "memory node needs 'tensor_size' or 'runtime'")
             else:
                 cls = _NETWORK
-                if cfg.comm_timing is TimingMode.FROM_TRACE:
+                if trace_comm:
                     amount = _need(runtime, npu, node, "FROM_TRACE comm timing requires 'runtime'")
                 else:
-                    size = get_int_attr(node, ATTR_COMM_SIZE)
+                    size = checked_value(node, attrs.get(ATTR_COMM_SIZE), _INT)
                     amount = _need(size, npu, node, "MODEL comm timing requires 'comm_size'")
-                if kind is NodeType.COMM_COLL:
-                    group = get_str_attr(node, ATTR_COMM_GROUP)
+                if kind is _COLL:
+                    group = checked_value(node, attrs.get(ATTR_COMM_GROUP), _STRING)
                     ranks = groups.setdefault(group, set())
                     ranks.add(npu)
-                    comm_type = get_str_attr(node, ATTR_COMM_TYPE)
+                    comm_type = checked_value(node, attrs.get(ATTR_COMM_TYPE), _STRING)
                     _need(comm_type, npu, node, "collective lacks 'comm_type'")
                     sync = ((npu, group), (group,), ranks, comm_type)
                 else:
-                    peer = get_int_attr(node, ATTR_COMM_PEER)
-                    ranks = (npu, peer) if kind is NodeType.COMM_SEND else (peer, npu)
-                    tag = get_int_attr(node, ATTR_COMM_TAG)
+                    peer = checked_value(node, attrs.get(ATTR_COMM_PEER), _INT)
+                    ranks = (npu, peer) if kind is _SEND else (peer, npu)
+                    tag = checked_value(node, attrs.get(ATTR_COMM_TAG), _INT)
                     if tag is None:
-                        sync = ((*ranks, kind.value), (*ranks, "seq"), ranks, None)
+                        counter = (*ranks, "send" if kind is _SEND else "recv")
+                        if counter not in p2p_syncs:
+                            p2p_syncs[counter] = (counter, (*ranks, "seq"), ranks, None)
+                        sync = p2p_syncs[counter]
                     else:
                         sync = (None, (*ranks, "tag", tag), ranks, None)
-                if cfg.comm_timing is TimingMode.MODEL:
+                if model_comm:
                     # The cost model places every rank it prices on the fabric.
-                    for rank in (npu,) if kind is NodeType.COMM_COLL else ranks:
-                        if not (isinstance(rank, int) and 0 <= rank < cfg.topology.npus):
+                    for rank in (npu,) if kind is _COLL else ranks:
+                        if not (isinstance(rank, int) and 0 <= rank < fabric):
                             raise ValueError(
-                                f"npu {npu} node {node.id}: rank {rank} outside topology "
-                                f"of {cfg.topology.npus} NPUs"
+                                f"npu {npu} node {node.id}: rank {rank} outside topology of {fabric} NPUs"
                             )
             ops[node.id] = (cls, node.name, amount, sync)
     return lowered
@@ -255,15 +283,16 @@ def run_simulation(
     npus = {t.npu_id: _Npu(t.npu_id, Feeder(t, validate=False), lowered[t.npu_id]) for t in traces}
     counters: dict[tuple, int] = {}  # sync counter -> number of the last arrival
     waiting: dict[tuple, list[tuple]] = {}  # rendezvous key -> members arrived so far
+    prices: dict[tuple, float] = {}  # (comm_type, payload, group) -> seconds of that collective
+    model_comm = cfg.comm_timing is TimingMode.MODEL
 
-    heap: list[tuple[int, int, int, int]] = []  # (cycle, seq, npu, node_id)
-    order = itertools.count()
+    heap: list[tuple[int, int, int]] = []  # (cycle, npu, node_id): a cycle's callbacks pop in (npu, node) order
     spans: dict[tuple[int, int], tuple[int, int]] = {}
-    timeline: list[TimelineRow] = []
+    records: list[tuple[str, int, int, int, str]] = []
 
     def finish(npu_id: int, node_id: int, cycle: int, dur: int) -> None:
         spans[(npu_id, node_id)] = (cycle, cycle + dur)
-        heapq.heappush(heap, (cycle + dur, next(order), npu_id, node_id))
+        heapq.heappush(heap, (cycle + dur, npu_id, node_id))
 
     def launch(key: tuple, members: "list[tuple]", ranks: "set[int] | tuple[int, int]", cycle: int) -> None:
         """Start a full rendezvous.
@@ -276,11 +305,15 @@ def run_simulation(
             return
         del waiting[key]
         dur = max(m[2] for m in members)
-        if cfg.comm_timing is TimingMode.MODEL:
+        if model_comm:
             if comm_type is None:
                 seconds = costmodel.p2p_time(dur, *ranks, cfg.topology)
             else:
-                seconds = costmodel.group_collective_time(comm_type, dur, ranks, cfg.topology)
+                # A group's ranks are fixed once lowered, so its name stands for them.
+                price = (comm_type, dur, key[0])
+                if price not in prices:
+                    prices[price] = costmodel.group_collective_time(comm_type, dur, ranks, cfg.topology)
+                seconds = prices[price]
             dur = cfg.seconds_to_cycles(seconds)
         if comm_type is not None:
             members.sort()  # collective spans are recorded in rank order, a pair's in arrival order
@@ -292,7 +325,7 @@ def run_simulation(
         npu.busy[cls] = node_id
         npu.issue_cycle[node_id] = cycle
         if collect_timeline:
-            timeline.append(TimelineRow(ISSUE, npu.npu_id, cycle, node_id, name))
+            records.append((ISSUE, npu.npu_id, cycle, node_id, name))
         if sync is None:
             finish(npu.npu_id, node_id, cycle, amount)
             return
@@ -318,22 +351,20 @@ def run_simulation(
         issue(npu, now)
     while heap:
         now = heap[0][0]
-        batch: list[tuple[int, int]] = []
+        called_back: dict[int, None] = {}  # NPU ids, ascending
         while heap and heap[0][0] == now:
-            _, _, npu_id, node_id = heapq.heappop(heap)
-            batch.append((npu_id, node_id))
-        batch.sort()
-        for npu_id, node_id in batch:
+            _, npu_id, node_id = heapq.heappop(heap)
             npu = npus[npu_id]
             cls, name, _, _ = npu.ops[node_id]
             if collect_timeline:
-                timeline.append(TimelineRow(CALLBACK, npu_id, now, node_id, name))
+                records.append((CALLBACK, npu_id, now, node_id, name))
             npu.intervals[cls].append((npu.issue_cycle[node_id], now))
             npu.busy[cls] = None
             npu.feeder.free_children_nodes(node_id)
+            called_back[npu_id] = None
         # Only a callback changes an NPU's feeder or class queues, so the NPUs
         # without one in this batch have nothing new to issue.
-        for npu_id in dict.fromkeys(npu_id for npu_id, _ in batch):
+        for npu_id in called_back:
             issue(npus[npu_id], now)
 
     stuck = _collect_stuck(npus)
@@ -342,7 +373,7 @@ def run_simulation(
 
     makespan = max((f for _, f in spans.values()), default=0)
     per_npu = {npu_id: _stats(npu) for npu_id, npu in npus.items()}
-    return SimResult(makespan=makespan, per_npu=per_npu, node_spans=spans, timeline=timeline)
+    return SimResult(makespan=makespan, per_npu=per_npu, node_spans=spans, records=records)
 
 
 def _collect_stuck(npus: "dict[int, _Npu]") -> list[StuckNode]:

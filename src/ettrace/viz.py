@@ -4,12 +4,14 @@
 * The replay timeline CSV format (``issue``/``callback`` rows).
 * Conversion of a timeline into Chrome trace-viewer JSON, where each
   issue/callback pair becomes one complete ("X") event.
+
+Timeline functions read rows by position, so they take ``TimelineRow``s and
+replay's plain ``(event, gpu_id, cycle, node_id, node_name)`` records alike.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .schema import NodeType, Trace
 
@@ -37,8 +39,7 @@ class TimelineError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class TimelineRow:
+class TimelineRow(NamedTuple):
     event: str  # ISSUE or CALLBACK
     gpu_id: int
     cycle: int
@@ -47,7 +48,7 @@ class TimelineRow:
 
 
 def emit_timeline_csv(rows: Iterable[TimelineRow]) -> str:
-    lines = [f"{r.event},[{r.gpu_id}],[{r.cycle}],[{r.node_id}],[{r.node_name}]" for r in rows]
+    lines = [f"{event},[{gpu}],[{cycle}],[{node}],[{name}]" for event, gpu, cycle, node, name in rows]
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -136,32 +137,33 @@ def timeline_to_chrome_events(rows: Sequence[TimelineRow], type_of: TypeLookup) 
     issue needs a later callback for the same (gpu, node) and vice versa;
     leftovers mean the timeline is truncated or corrupt and raise.
     """
-    open_issues: dict[tuple[int, int], TimelineRow] = {}
+    open_issues: dict[tuple[int, int], tuple[int, str]] = {}  # (gpu, node) -> (issue cycle, name)
     events: list[dict] = []
-    for row in rows:
-        key = (row.gpu_id, row.node_id)
-        if row.event == ISSUE:
+    for event, gpu_id, cycle, node_id, node_name in rows:
+        key = (gpu_id, node_id)
+        if event == ISSUE:
             if key in open_issues:
-                raise TimelineError(f"node {row.node_id} on gpu {row.gpu_id} issued twice without callback")
-            open_issues[key] = row
+                raise TimelineError(f"node {node_id} on gpu {gpu_id} issued twice without callback")
+            open_issues[key] = (cycle, node_name)
         else:
             issue = open_issues.pop(key, None)
             if issue is None:
-                raise TimelineError(f"callback without issue for node {row.node_id} on gpu {row.gpu_id}")
-            if row.cycle < issue.cycle:
-                raise TimelineError(f"node {row.node_id} on gpu {row.gpu_id}: callback precedes issue")
-            node_type = type_of(row.gpu_id, row.node_id)
+                raise TimelineError(f"callback without issue for node {node_id} on gpu {gpu_id}")
+            issue_cycle, issue_name = issue
+            if cycle < issue_cycle:
+                raise TimelineError(f"node {node_id} on gpu {gpu_id}: callback precedes issue")
+            node_type = type_of(gpu_id, node_id)
             tid = _TID_FOR_TYPE.get(node_type)
             if tid is None:
-                raise TimelineError(f"node {row.node_id} on gpu {row.gpu_id} has untimeable type {node_type.name}")
+                raise TimelineError(f"node {node_id} on gpu {gpu_id} has untimeable type {node_type.name}")
             events.append(
                 {
-                    "name": issue.node_name,
+                    "name": issue_name,
                     "ph": "X",
-                    "pid": row.gpu_id,
+                    "pid": gpu_id,
                     "tid": tid,
-                    "ts": issue.cycle,
-                    "dur": row.cycle - issue.cycle,
+                    "ts": issue_cycle,
+                    "dur": cycle - issue_cycle,
                 }
             )
     if open_issues:

@@ -153,6 +153,20 @@ def test_group_collective_time_paths():
     assert two_phase == all_to_all_time(s, 2, 10e9) + all_to_all_time(s, 2, 5e9)
 
 
+def test_one_member_groups_are_checked_like_larger_ones():
+    topo = parse_topology("torus2d:2x2", 62e9)
+    for members in ({99}, {98, 99}):
+        with pytest.raises(ValueError, match="'BOGUS' is not a valid CommType"):
+            group_collective_time("BOGUS", -5, members, topo)
+        with pytest.raises(ValueError, match=f"rank {min(members)} outside 0..3"):
+            group_collective_time("ALL_REDUCE", 5, members, topo)
+    for members in ({0}, {0, 1}):
+        with pytest.raises(ValueError, match="size must be >= 0, got -5"):
+            group_collective_time("ALL_REDUCE", -5, members, topo)
+    for ct in CommType:
+        assert group_collective_time(ct.value, 12345, {3}, topo) == 0.0
+
+
 def test_p2p_time_legs():
     topo = Topology(TopologyKind.TORUS_2D, 2, 2, 10e9, 5e9, 1e-6, 2e-6)
     s = 10e9  # 1 second on dim1, 2 on dim2

@@ -1,10 +1,11 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ettrace.builder import TraceBuilder
 from ettrace.costmodel import parse_topology
-from ettrace.schema import ETNode, NodeType, Trace
+from ettrace.schema import ETNode, NodeType, Trace, make_attributes
 from ettrace.simulator import SimConfig, run_simulation
 from ettrace.viz import (
     TID_COMM,
@@ -182,3 +183,55 @@ def test_chrome_text_is_json_dumps_for_every_preset(preset):
     result = run_simulation(traces, SimConfig(topology=parse_topology("torus2d:4x2", 62e9, 1e-6)))
     type_of = node_type_lookup(traces)
     assert timeline_to_chrome_trace(result.timeline, type_of) == _chrome_by_json_dumps(result.timeline, type_of)
+
+
+_NAMES = st.text(alphabet="ab, é☃[]", max_size=6)
+
+
+@st.composite
+def _replayable_workloads(draw):
+    """1-3 ranks of random DAGs over COMP/MEM nodes with INVALID chains spliced
+    in, plus the same chain of collectives on every rank, so replay finishes."""
+    colls = draw(st.lists(st.sampled_from(["ALL_REDUCE", "ALL_GATHER"]), max_size=3))
+    traces = []
+    for npu in range(draw(st.integers(1, 3))):
+        nodes = []
+        for _ in range(draw(st.integers(0, 8))):
+            node_id = len(nodes) + 1
+            parents = tuple(draw(st.sets(st.integers(1, node_id - 1), max_size=2))) if node_id > 1 else ()
+            if draw(st.booleans()):
+                node_type = draw(st.sampled_from([NodeType.COMP, NodeType.MEM_LOAD, NodeType.MEM_STORE]))
+                attrs = {"runtime": draw(st.integers(0, 20))}
+            else:
+                node_type, attrs = NodeType.INVALID, {}
+            nodes.append(ETNode(node_id, draw(_NAMES), node_type, tuple(sorted(parents)), make_attributes(attrs)))
+            for _ in range(draw(st.integers(0, 3)) if node_type is NodeType.INVALID else 0):
+                nodes.append(ETNode(len(nodes) + 1, draw(_NAMES), NodeType.INVALID, (len(nodes),)))
+        for comm_type in colls:
+            parents = (len(nodes),) if nodes else ()
+            attrs = {"comm_type": comm_type, "comm_size": draw(st.integers(0, 4096)), "comm_group": "g"}
+            nodes.append(ETNode(len(nodes) + 1, draw(_NAMES), NodeType.COMM_COLL, parents, make_attributes(attrs)))
+        traces.append(Trace(npu, tuple(nodes)))
+    return traces
+
+
+@settings(max_examples=150, deadline=None)
+@given(_replayable_workloads())
+def test_records_and_timeline_rows_give_the_same_outputs(traces):
+    result = run_simulation(traces, SimConfig(topology=parse_topology("torus2d:2x2", 1e9, 1e-6)))
+    timeline = result.timeline
+    assert {(gpu, node) for _, gpu, _, node, _ in result.records} == {
+        (t.npu_id, n.id) for t in traces for n in t.nodes if n.type is not NodeType.INVALID
+    }
+    assert result.timeline_csv() == emit_timeline_csv(timeline)
+    assert parse_timeline_csv(result.timeline_csv()) == timeline
+    type_of = node_type_lookup(traces)
+    assert timeline_to_chrome_trace(result.records, type_of) == timeline_to_chrome_trace(timeline, type_of)
+    for row, record in zip(timeline, result.records, strict=True):
+        event, gpu_id, cycle, node_id, node_name = row
+        assert type(row) is TimelineRow and (event, gpu_id, cycle, node_id, node_name) == record
+        assert (row.event, row.gpu_id, row.cycle, row.node_id, row.node_name) == record
+        assert repr(row) == (
+            f"TimelineRow(event={event!r}, gpu_id={gpu_id!r}, cycle={cycle!r}, node_id={node_id!r}, "
+            f"node_name={node_name!r})"
+        )
