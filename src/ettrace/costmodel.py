@@ -118,6 +118,8 @@ def parse_topology(
 def _check_args(size_bytes: float, n: int, bandwidth: float, latency: float) -> None:
     if size_bytes < 0:
         raise ValueError(f"size must be >= 0, got {size_bytes}")
+    if not size_bytes < math.inf:  # NaN or infinity
+        raise ValueError(f"size must be finite, got {size_bytes}")
     if n < 1:
         raise ValueError(f"group size must be >= 1, got {n}")
     if not 0 < bandwidth < math.inf:
@@ -286,8 +288,7 @@ def _two_phase_time(ct: CommType, size_bytes: float, n1: int, n2: int, topo: Top
 
 def p2p_time(size_bytes: float, src: int, dst: int, topo: Topology) -> float:
     """Point-to-point transfer time: one leg per coordinate that differs."""
-    if size_bytes < 0:
-        raise ValueError(f"size must be >= 0, got {size_bytes}")
+    _check_args(size_bytes, 2, topo.bw1, topo.lat1)
     sx, sy = topo.coords(src)
     dx, dy = topo.coords(dst)
     total = 0.0

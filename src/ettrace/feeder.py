@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import deque
 
 from .schema import ETNode, NodeType, Trace
-from .validate import InvalidTraceError, validate_trace
+from .validate import validate_trace
 
 
 class FeederError(RuntimeError):
@@ -43,9 +43,7 @@ class Feeder:
         (and chains of them) completing on the spot.
         """
         if validate:
-            report = validate_trace(trace)
-            if not report.ok:
-                raise InvalidTraceError(report, "feeder refuses invalid trace")
+            validate_trace(trace).require_ok("feeder refuses invalid trace")
         self.__init__()
         children: dict[int, list[int]] = {}
         for node in trace.nodes:
@@ -193,10 +191,6 @@ class Feeder:
     @property
     def queued_ids(self) -> tuple[int, ...]:
         return tuple(self._queue)
-
-    @property
-    def in_flight_ids(self) -> frozenset[int]:
-        return frozenset(self._issued)
 
     def pending_count(self) -> int:
         return len(self._nodes) - len(self._completed)

@@ -6,7 +6,8 @@ wait FIFO. Collectives rendezvous: the k-th collective a rank issues in a
 communicator matches the k-th of every other member, the transfer starts when
 the last member arrives, and all members finish on the same cycle. SEND/RECV
 pair up by explicit tag (or issue order per directed rank pair) and also
-complete simultaneously. Both kinds of match go through one rendezvous.
+complete simultaneously. Both kinds of match go through one rendezvous;
+``SimResult.launches`` logs its launches for ``synth.build_master_trace``.
 Every attribute replay needs is read once, before the first event, by
 ``_lower``, in one pass over each node's attributes. The event loop is
 integer-cycle and fully deterministic: identical inputs produce
@@ -21,7 +22,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import costmodel, workloads
 from .costmodel import Topology
@@ -41,7 +42,7 @@ from .schema import (
     Trace,
     checked_value,
 )
-from .validate import InvalidTraceError, validate_workload
+from .validate import validate_workload
 from .viz import CALLBACK, ISSUE, TimelineRow, emit_timeline_csv
 
 
@@ -100,6 +101,8 @@ class SimResult:
     per_npu: "dict[int, NpuStats]"
     node_spans: "dict[tuple[int, int], tuple[int, int]]"  # (npu, node) -> (start, finish)
     records: "list[tuple[str, int, int, int, str]]"  # (event, npu, cycle, node id, name), in replay order
+    # (rendezvous key, comm_type or None, [(npu, node id, amount, comm_type)]), in launch order
+    launches: "list[tuple[tuple, str | None, list[tuple]]]" = field(default_factory=list)
 
     @property
     def timeline(self) -> list[TimelineRow]:
@@ -121,8 +124,10 @@ class StuckNode:
 class DeadlockError(RuntimeError):
     """No event can make progress while unfinished nodes remain."""
 
-    def __init__(self, stuck: Sequence[StuckNode]):
+    def __init__(self, stuck: Sequence[StuckNode], waiting: "Iterable[tuple[tuple, Sequence[tuple]]]" = ()):
         self.stuck = tuple(stuck)
+        # (key, arrived members) of each rendezvous that never launched, as in ``SimResult.launches``
+        self.waiting = tuple((key, tuple(members)) for key, members in waiting)
         shown = ", ".join(
             f"npu {s.npu_id} node {s.node_id} ({s.name!r}, {s.state})" for s in self.stuck[:20]
         )
@@ -274,9 +279,7 @@ def run_simulation(
     """
     traces = list(traces)
     if validate:  # before sorting, which needs every npu_id to be an int
-        report = validate_workload(traces)
-        if not report.ok:
-            raise InvalidTraceError(report, "refusing to simulate invalid workload")
+        validate_workload(traces).require_ok("refusing to simulate invalid workload")
     traces.sort(key=lambda t: t.npu_id)
     lowered = _lower(traces, cfg)
 
@@ -284,6 +287,7 @@ def run_simulation(
     counters: dict[tuple, int] = {}  # sync counter -> number of the last arrival
     waiting: dict[tuple, list[tuple]] = {}  # rendezvous key -> members arrived so far
     prices: dict[tuple, float] = {}  # (comm_type, payload, group) -> seconds of that collective
+    launches: list[tuple] = []
     model_comm = cfg.comm_timing is TimingMode.MODEL
 
     heap: list[tuple[int, int, int]] = []  # (cycle, npu, node_id): a cycle's callbacks pop in (npu, node) order
@@ -317,6 +321,7 @@ def run_simulation(
             dur = cfg.seconds_to_cycles(seconds)
         if comm_type is not None:
             members.sort()  # collective spans are recorded in rank order, a pair's in arrival order
+        launches.append((key, comm_type, members))
         for npu_id, node_id, _, _ in members:
             finish(npu_id, node_id, cycle, dur)
 
@@ -369,11 +374,11 @@ def run_simulation(
 
     stuck = _collect_stuck(npus)
     if stuck:
-        raise DeadlockError(stuck)
+        raise DeadlockError(stuck, waiting.items())
 
     makespan = max((f for _, f in spans.values()), default=0)
     per_npu = {npu_id: _stats(npu) for npu_id, npu in npus.items()}
-    return SimResult(makespan=makespan, per_npu=per_npu, node_spans=spans, records=records)
+    return SimResult(makespan=makespan, per_npu=per_npu, node_spans=spans, records=records, launches=launches)
 
 
 def _collect_stuck(npus: "dict[int, _Npu]") -> list[StuckNode]:

@@ -1,22 +1,25 @@
 """Statistical trace synthesis.
 
-Pipeline: merge per-rank collective sequences into one lossless master trace;
-fit distribution models on a corpus of masters (collective-type composition
+Pipeline: merge per-rank collective sequences into one lossless master trace,
+matching collectives by replaying the workload as ``simulate`` does; fit
+distribution models on a corpus of masters (collective-type composition
 clusters with first-order transition structure, per-type Gaussian mixtures
 over log2 message size, empirical sequence lengths); sample new masters that
 respect the same per-group ordering constraints and reconstruct per-rank
-traces from them. Only COMM_COLL nodes participate — compute/memory nodes are
-neither merged nor synthesized.
+traces from them. Only COMM_COLL nodes become master ops; compute, memory and
+p2p nodes only order them during the merge and are not synthesized.
 """
 from __future__ import annotations
 
 import json
 import logging
 import sys
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import simulator
 from .builder import TraceBuilder
 from .schema import (
     ATTR_COMM_GROUP,
@@ -28,6 +31,7 @@ from .schema import (
     get_int_attr,
     get_str_attr,
 )
+from .validate import validate_workload
 
 logger = logging.getLogger(__name__)
 
@@ -52,8 +56,8 @@ class MasterOp:
     comm_group: str
     participants: frozenset[int]
     sizes: "dict[int, int]"  # rank -> bytes
-    # Position of this op in each rank's full collective sequence; this is
-    # what makes reconstruction exact even when ranks interleave groups
+    # Position of this op in the order each rank issues its collectives; this
+    # is what makes reconstruction exact even when ranks interleave groups
     # differently.
     positions: "dict[int, int]" = field(default_factory=dict)
 
@@ -83,59 +87,57 @@ def comm_sequence(trace: Trace) -> tuple[tuple[str, str, int], ...]:
 
 
 def build_master_trace(traces: "list[Trace]") -> MasterTrace:
-    """Merge per-rank collective sequences into one master.
+    """Merge per-rank collective sequences into one master: one op per collective launch.
 
-    Every rank that uses a communicator must list the same collective types in
-    the same order within it; disagreement raises MergeConflictError naming
-    the group and the conflicting ops.
+    The workload replays on a fixed ``switch2lvl`` fabric with the default
+    ``SimConfig``. A deadlock on a collective raises MergeConflictError naming
+    its group; any other deadlock raises the DeadlockError.
     """
-    rank_seqs: dict[int, list[tuple[str, str, int]]] = {}
+    validate_workload(traces).require_ok("refusing to merge invalid workload")  # before npu ids size the fabric
+    ranks = frozenset(t.npu_id for t in traces)
+    cfg = simulator.SimConfig(simulator._template_topology("switch2lvl", max(ranks, default=0) + 1, 62e9, 0.0))
+    try:
+        result = simulator.run_simulation(traces, cfg, validate=False, collect_timeline=False)
+    except simulator.DeadlockError as exc:
+        raise _merge_conflict(traces, exc) from None
+
+    cells = []  # (earliest (position, rank), group, slot, comm type, members, positions)
+    launched: dict[int, int] = {}  # rank -> its collective launches so far
+    for key, comm_type, members in result.launches:
+        if comm_type is None:
+            continue
+        # An NPU holds one network node at a time, so its collectives launch in the order it issues them.
+        positions = {npu: launched.get(npu, 0) for npu, _, _, _ in members}
+        launched.update((npu, pos + 1) for npu, pos in positions.items())
+        cells.append((min((pos, npu) for npu, pos in positions.items()), *key, comm_type, members, positions))
+    ops = tuple(
+        MasterOp(seq_no, CommType(ct), group, frozenset(positions), {m[0]: m[2] for m in members}, positions)
+        for seq_no, (_, group, _, ct, members, positions) in enumerate(sorted(cells, key=lambda c: c[:3]))
+    )
+    return MasterTrace(ops=ops, ranks=ranks)
+
+
+def _merge_conflict(traces: "list[Trace]", exc: "simulator.DeadlockError") -> Exception:
+    """MergeConflictError for the first collective that deadlocked replay, or else ``exc``."""
+    counts: dict[str, Counter] = {}  # group -> rank -> number of its ops in that group
     for trace in sorted(traces, key=lambda t: t.npu_id):
-        if trace.npu_id in rank_seqs:
-            raise ValueError(f"two traces claim npu_id {trace.npu_id}")
-        rank_seqs[trace.npu_id] = list(comm_sequence(trace))
-
-    # group -> rank -> [(type, size, position in rank's full sequence)]
-    per_group: dict[str, dict[int, list[tuple[str, int, int]]]] = {}
-    for rank, seq in rank_seqs.items():
-        for pos, (ctype, group, size) in enumerate(seq):
-            per_group.setdefault(group, {}).setdefault(rank, []).append((ctype, size, pos))
-
-    cells: list[tuple[tuple[int, int], str, int]] = []  # (order key, group, slot)
-    for group in per_group:
-        members = per_group[group]
-        lengths = {rank: len(ops) for rank, ops in members.items()}
-        if len(set(lengths.values())) > 1:
-            detail = ", ".join(f"rank {r} has {n} ops" for r, n in sorted(lengths.items()))
-            raise MergeConflictError(group, f"ranks disagree on op count: {detail}")
-        n_slots = next(iter(lengths.values()))
-        for slot in range(n_slots):
-            types = {rank: members[rank][slot][0] for rank in members}
-            if len(set(types.values())) > 1:
-                detail = ", ".join(f"rank {r} op {slot} is {t}" for r, t in sorted(types.items()))
-                raise MergeConflictError(group, f"op order conflict at slot {slot}: {detail}")
-            order_key = min((members[rank][slot][2], rank) for rank in members)
-            cells.append((order_key, group, slot))
-
-    ops = []
-    for seq_no, (_, group, slot) in enumerate(sorted(cells)):
-        members = per_group[group]
-        ctype = CommType(next(iter(members.values()))[slot][0])
-        ops.append(
-            MasterOp(
-                seq_no=seq_no,
-                comm_type=ctype,
-                comm_group=group,
-                participants=frozenset(members),
-                sizes={rank: members[rank][slot][1] for rank in members},
-                positions={rank: members[rank][slot][2] for rank in members},
-            )
-        )
-    return MasterTrace(ops=tuple(ops), ranks=frozenset(rank_seqs))
+        for _, group, _ in comm_sequence(trace):
+            counts.setdefault(group, Counter())[trace.npu_id] += 1
+    for group, per_rank in counts.items():
+        if len(set(per_rank.values())) > 1:
+            detail = ", ".join(f"rank {r} has {n} ops" for r, n in sorted(per_rank.items()))
+            return MergeConflictError(group, f"ranks disagree on op count: {detail}")
+    open_colls = [(key, members) for key, members in exc.waiting if members[0][3] is not None]
+    if not open_colls:
+        return exc
+    # Name a rendezvous whose members disagree on the type first: the others may only wait on it.
+    (group, slot), members = min(open_colls, key=lambda c: len({m[3] for m in c[1]}) == 1)
+    detail = ", ".join(f"rank {npu} op {slot} is {t}" for npu, _, _, t in sorted(members))
+    return MergeConflictError(group, f"op order conflict at slot {slot}: {detail}")
 
 
 def reconstruct_rank_traces(master: MasterTrace, npus: int) -> list[Trace]:
-    """Per-rank traces from a master: each rank's ops chained in its original order."""
+    """Per-rank traces from a master: each rank's ops chained in the order it issued them."""
     traces = []
     for rank in range(npus):
         mine = [op for op in master.ops if rank in op.participants]
@@ -143,14 +145,13 @@ def reconstruct_rank_traces(master: MasterTrace, npus: int) -> list[Trace]:
         b = TraceBuilder(rank)
         prev = None
         for op in mine:
-            node = b.coll(
+            prev = b.coll(
                 f"{op.comm_type.value.lower()}_{op.seq_no}",
                 op.comm_type,
                 op.sizes[rank],
                 op.comm_group,
                 parents=[prev] if prev is not None else [],
             )
-            prev = node
         traces.append(b.build())
     return traces
 

@@ -286,6 +286,37 @@ def test_fit_refuses_an_invalid_corpus(tmp_path, capsys):
         assert code == 2 and f"{work}: workload failed validation" in err and "Traceback" not in err, label
 
 
+def test_fit_matches_collectives_as_simulate_does(tmp_path, capsys):
+    def coll(node_id, ctype, group, parents=()):
+        attrs = {"comm_type": ctype, "comm_size": 64, "comm_group": group}
+        return ETNode(node_id, ctype.lower(), NodeType.COMM_COLL, parents, make_attributes(attrs))
+
+    def fit(name, *traces):
+        work = tmp_path / name
+        codec.write_workload(list(traces), work)
+        return run(capsys, "fit", str(work), "--components", "1", "--clusters", "1")
+
+    # rank 0 lists ALL_REDUCE first but gates it on a COMP: both ranks issue ALL_GATHER first
+    warmup = ETNode(3, "warmup", NodeType.COMP, attributes=make_attributes({"runtime": 10}))
+    rank0 = Trace(0, (coll(1, "ALL_REDUCE", "g", (3,)), coll(2, "ALL_GATHER", "g"), warmup))
+    rank1 = Trace(1, (coll(1, "ALL_GATHER", "g"), coll(2, "ALL_REDUCE", "g", (1,))))
+    code, out, err = fit("issue-order", rank0, rank1)
+    assert code == 0 and json.loads(out)["version"] == 1, err
+
+    # each rank waits in one group for the other rank, which waits in the other group
+    rank0 = Trace(0, (coll(1, "ALL_REDUCE", "g1"), coll(2, "ALL_GATHER", "g2", (1,))))
+    rank1 = Trace(1, (coll(1, "ALL_GATHER", "g2"), coll(2, "ALL_REDUCE", "g1", (1,))))
+    code, _, err = fit("circular-wait", rank0, rank1)
+    assert code == 2 and "group 'g1'" in err and "Traceback" not in err
+
+    untimed = ETNode(1, "untimed", NodeType.COMP)
+    code, _, err = fit("no-runtime", Trace(0, (untimed, coll(2, "ALL_REDUCE", "g", (1,)))))
+    assert code == 2 and "node 1: FROM_TRACE compute timing requires a 'runtime'" in err
+    code, _, err = run(capsys, "simulate", "--trace-dir", str(tmp_path / "no-runtime"),
+                       "--topology", "torus2d:1x1", "--bw", "62e9")
+    assert code == 2 and "node 1: FROM_TRACE compute timing requires a 'runtime'" in err
+
+
 def test_each_command_checks_each_trace_once(tmp_path, capsys, monkeypatch):
     checks = []
     real = validate._find_cycle_members  # runs once per real check, never on a repeat

@@ -229,6 +229,26 @@ def test_flat_prices_refuse_non_finite_links():
             hierarchical_all_reduce_time(1 << 20, 2, 2, 62e9, 62e9, 0.0, value)
 
 
+def test_prices_refuse_non_finite_payloads():
+    topo = parse_topology("torus2d:2x2", 62e9)
+    for value in (math.inf, math.nan):
+        for fn in (all_reduce_time, all_gather_time, reduce_scatter_time, all_to_all_time):
+            with pytest.raises(ValueError, match="size must be finite"):
+                fn(value, 4, 62e9)
+        with pytest.raises(ValueError, match="size must be finite"):
+            p2p_transfer_time(value, 1e9)
+        with pytest.raises(ValueError, match="size must be finite"):
+            hierarchical_all_reduce_time(value, 2, 2, 62e9, 62e9)
+        for members in ({0}, {0, 1}, {0, 1, 2, 3}):
+            with pytest.raises(ValueError, match="size must be finite"):
+                group_collective_time("ALL_REDUCE", value, members, topo)
+        for dst in (0, 3):  # a transfer to itself moves nothing, but its size is checked all the same
+            with pytest.raises(ValueError, match="size must be finite"):
+                p2p_time(value, 0, dst, topo)
+    with pytest.raises(ValueError, match="size must be >= 0, got -inf"):
+        all_reduce_time(-math.inf, 4, 62e9)
+
+
 def test_topology_kind_is_coerced_from_text():
     text = Topology("torus2d", 2, 1, bw1=62e9, bw2=62e9, lat1=1e-6, lat2=1e-6)
     assert text.kind is TopologyKind.TORUS_2D

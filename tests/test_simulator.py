@@ -159,6 +159,33 @@ def test_mismatched_collective_order_deadlocks_naming_nodes():
     assert stuck_names == {"A", "B"}
 
 
+def test_deadlock_reports_the_collective_whose_types_disagree():
+    b0 = TraceBuilder(0)
+    warmup = b0.comp("warmup", 4)
+    b0.coll("A", CommType.ALL_REDUCE, 64, "g", parents=[warmup])
+    b1 = TraceBuilder(1)
+    b1.coll("B", CommType.ALL_GATHER, 32, "g")
+    with pytest.raises(DeadlockError) as err:
+        run_simulation([b0.build(), b1.build()], cfg(PAIR))
+    # members in arrival order: rank 1's ALL_GATHER at cycle 0, rank 0's ALL_REDUCE when it is free
+    assert err.value.waiting == ((("g", 0), ((1, 1, 32, "ALL_GATHER"), (0, 2, 64, "ALL_REDUCE"))),)
+
+
+def test_launches_log_every_rendezvous_in_launch_order():
+    b0 = TraceBuilder(0)
+    b0.send("s", 10, comm_peer=1)
+    b0.coll("ar", CommType.ALL_REDUCE, 64, "g")
+    b1 = TraceBuilder(1)
+    b1.recv("r", 10, comm_peer=0)
+    late = b1.comp("warmup", 50)
+    b1.coll("ar", CommType.ALL_REDUCE, 48, "g", parents=[late])
+    result = run_simulation([b0.build(), b1.build()], cfg(PAIR))
+    assert result.launches == [
+        ((0, 1, "seq", 0), None, [(0, 1, 10, None), (1, 1, 10, None)]),
+        (("g", 0), "ALL_REDUCE", [(0, 2, 64, "ALL_REDUCE"), (1, 3, 48, "ALL_REDUCE")]),
+    ]
+
+
 def test_unmatched_p2p_deadlocks():
     b0 = TraceBuilder(0)
     b0.send("lonely", 64, comm_peer=1)

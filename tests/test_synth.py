@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ettrace.builder import TraceBuilder
 from ettrace.costmodel import Topology, TopologyKind, near_square_dims
-from ettrace.schema import CommType
-from ettrace.simulator import SimConfig, run_simulation
+from ettrace.schema import CommType, ETNode, NodeType, Trace, make_attributes
+from ettrace.simulator import DeadlockError, SimConfig, _template_topology, run_simulation
 from ettrace.synth import (
     ClusterModel,
     CommTypeModel,
@@ -66,15 +67,14 @@ def test_merge_groupwise_participation():
 
 
 def test_merge_orders_by_earliest_appearance():
-    # rank 0 sees g2's op first; rank 1 sees g1's op first — both orders are
-    # preserved per-rank and the master interleaves by earliest (pos, rank)
+    # rank 0 waits in g1 for rank 1, which waits in g2 for rank 0: replay
+    # deadlocks on this circular wait, so the merge refuses it too
     traces = [
         rank_trace(0, [(AR, "g1", 8), (AG, "g2", 8)]),
         rank_trace(1, [(AG, "g2", 8), (AR, "g1", 8)]),
     ]
-    master = build_master_trace(traces)
-    assert [op.comm_group for op in master.ops] == ["g1", "g2"]
-    assert master.ops[0].positions == {0: 0, 1: 1}
+    with pytest.raises(MergeConflictError, match="group 'g1': op order conflict at slot 0: rank 0 op 0 is ALL_REDUCE$"):
+        build_master_trace(traces)
 
 
 def test_merge_count_conflict_names_group():
@@ -102,6 +102,94 @@ def test_merge_slot_type_conflict_names_both_ops():
 def test_merge_duplicate_rank_rejected():
     with pytest.raises(ValueError, match="npu_id 0"):
         build_master_trace([rank_trace(0, []), rank_trace(0, [])])
+
+
+def issue_order_workload():
+    """Rank 0 lists ALL_REDUCE first but gates it on a COMP, so both ranks issue ALL_GATHER first."""
+    rank0 = Trace(0, (
+        ETNode(1, "ar", NodeType.COMM_COLL, (3,), make_attributes(
+            {"comm_type": "ALL_REDUCE", "comm_size": 64, "comm_group": "g"})),
+        ETNode(2, "ag", NodeType.COMM_COLL, (), make_attributes(
+            {"comm_type": "ALL_GATHER", "comm_size": 64, "comm_group": "g"})),
+        ETNode(3, "warmup", NodeType.COMP, (), make_attributes({"runtime": 10})),
+    ))
+    return [rank0, rank_trace(1, [(AG, "g", 64), (AR, "g", 64)])]
+
+
+def test_merge_matches_collectives_in_issue_order():
+    traces = issue_order_workload()
+    master = build_master_trace(traces)
+    assert [(op.comm_type, op.positions) for op in master.ops] == [(AG, {0: 0, 1: 0}), (AR, {0: 1, 1: 1})]
+    pair = SimConfig(topology=Topology(TopologyKind.TORUS_2D, 2, 1, 1e9, 1e9))
+    rebuilt = reconstruct_rank_traces(master, 2)
+    assert run_simulation(rebuilt, pair).makespan == run_simulation(traces, pair).makespan == 96
+
+
+def test_merge_reraises_a_deadlock_without_an_open_collective():
+    # a RECV whose peer never sends: replay deadlocks on a pair, not on a collective
+    b0 = TraceBuilder(0)
+    b0.coll("ar", AR, 8, "g")
+    b0.recv("r", 8, comm_peer=1)
+    b1 = TraceBuilder(1)
+    b1.coll("ar", AR, 8, "g")
+    with pytest.raises(DeadlockError, match="'r', in-flight") as err:
+        build_master_trace([b0.build(), b1.build()])
+    assert [key for key, _ in err.value.waiting] == [(1, 0, "seq", 0)]
+
+
+def test_merge_needs_the_timing_attributes_replay_needs():
+    b = TraceBuilder(0)
+    gate = b.add_node(NodeType.COMP, "no-runtime", {})
+    b.coll("ar", AR, 8, "g", parents=[gate])
+    with pytest.raises(ValueError, match="node 1: FROM_TRACE compute timing requires a 'runtime'"):
+        build_master_trace([b.build()])
+
+
+@st.composite
+def gated_collective_workloads(draw):
+    """Random collectives per rank, each chained to the last, gated on a COMP, or free.
+
+    A gate lets a rank issue its collectives out of trace order, and ranks may
+    list a group's ops in different orders, so some workloads deadlock.
+    """
+    npus = draw(st.integers(1, 4))
+    groups = [draw(st.sets(st.integers(0, npus - 1), min_size=1)) for _ in range(draw(st.integers(1, 3)))]
+    ops = draw(st.lists(st.tuples(st.integers(0, len(groups) - 1), st.sampled_from([AR, AG, RS, A2A]),
+                                  st.integers(1, 1 << 12)), max_size=8))
+    traces = []
+    for rank in range(npus):
+        mine = [(f"g{g}", ctype, size) for g, ctype, size in ops if rank in groups[g]]
+        if draw(st.booleans()):
+            mine = draw(st.permutations(mine))
+        b = TraceBuilder(rank)
+        prev = None
+        for group, ctype, size in mine:
+            mode = draw(st.sampled_from(["chain", "gate", "free"]))
+            if mode == "gate":
+                parents = [b.comp("gate", draw(st.integers(0, 200)))]
+            else:
+                parents = [prev] if mode == "chain" and prev is not None else []
+            prev = b.coll(ctype.value.lower(), ctype, size, group, parents=parents)
+        traces.append(b.build())
+    return traces
+
+
+@settings(max_examples=150, deadline=None)
+@given(gated_collective_workloads())
+def test_merge_succeeds_exactly_when_replay_finishes(traces):
+    fabric = SimConfig(_template_topology("switch2lvl", len(traces), 62e9, 0.0))
+    try:
+        run_simulation(traces, fabric, collect_timeline=False)
+        replays = True
+    except DeadlockError:
+        replays = False
+    try:
+        master = build_master_trace(traces)
+    except (MergeConflictError, DeadlockError):
+        assert not replays
+        return
+    assert replays
+    assert build_master_trace(reconstruct_rank_traces(master, len(traces))) == master
 
 
 def test_reconstruct_names_and_chaining():
