@@ -21,7 +21,7 @@ from .schema import (
     Trace,
     make_attributes,
 )
-from .validate import validate_trace
+from .validate import InvalidTraceError, validate_trace
 
 
 class DependencyCycleError(ValueError):
@@ -168,5 +168,7 @@ class TraceBuilder:
         )
         trace = Trace(npu_id=self.npu_id, nodes=nodes, schema_version=self.schema_version)
         if validate:
-            validate_trace(trace).require_ok("built trace failed validation")
+            report = validate_trace(trace)
+            if not report.ok:
+                raise InvalidTraceError(report, "built trace failed validation")
         return trace

@@ -187,7 +187,9 @@ def _cmd_fit(args, parser: _Parser) -> int:
     corpus = []
     for raw in args.trace_dirs:
         traces = codec.read_workload(raw, prefix=args.prefix)
-        validate.validate_workload(traces).require_ok(f"{raw}: workload failed validation")
+        report = validate.validate_workload(traces)
+        if not report.ok:
+            raise validate.InvalidTraceError(report, f"{raw}: workload failed validation")
         corpus.append(synth.build_master_trace(traces))
     models = synth.fit_models(
         corpus, k_components=args.components, n_clusters=args.clusters, seed=args.seed

@@ -21,7 +21,7 @@ from .schema import (
     attr_value_matches_kind,
     parse_schema_version,
 )
-from .validate import validate_trace
+from .validate import InvalidTraceError, validate_trace
 
 MAGIC = b"CHKET\0"
 FORMAT_JSON = "json"
@@ -487,7 +487,9 @@ def trace_from_binary(data: bytes) -> Trace:
 
 def encode_trace(trace: Trace, fmt: str = FORMAT_JSON, *, validate: bool = True) -> bytes:
     if validate:
-        validate_trace(trace).require_ok("refusing to encode invalid trace")
+        report = validate_trace(trace)
+        if not report.ok:
+            raise InvalidTraceError(report, "refusing to encode invalid trace")
     if fmt == FORMAT_JSON:
         return trace_to_json(trace).encode("utf-8")
     if fmt == FORMAT_BINARY:

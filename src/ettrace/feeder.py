@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import deque
 
 from .schema import ETNode, NodeType, Trace
-from .validate import validate_trace
+from .validate import InvalidTraceError, validate_trace
 
 
 class FeederError(RuntimeError):
@@ -43,7 +43,9 @@ class Feeder:
         (and chains of them) completing on the spot.
         """
         if validate:
-            validate_trace(trace).require_ok("feeder refuses invalid trace")
+            report = validate_trace(trace)
+            if not report.ok:
+                raise InvalidTraceError(report, "feeder refuses invalid trace")
         self.__init__()
         children: dict[int, list[int]] = {}
         for node in trace.nodes:

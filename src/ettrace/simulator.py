@@ -7,7 +7,8 @@ communicator matches the k-th of every other member, the transfer starts when
 the last member arrives, and all members finish on the same cycle. SEND/RECV
 pair up by explicit tag (or issue order per directed rank pair) and also
 complete simultaneously. Both kinds of match go through one rendezvous;
-``SimResult.launches`` logs its launches for ``synth.build_master_trace``.
+``SimResult.launches`` logs the collective launches, which
+``synth.build_master_trace`` turns into master ops.
 Every attribute replay needs is read once, before the first event, by
 ``_lower``, in one pass over each node's attributes. The event loop is
 integer-cycle and fully deterministic: identical inputs produce
@@ -42,7 +43,7 @@ from .schema import (
     Trace,
     checked_value,
 )
-from .validate import validate_workload
+from .validate import InvalidTraceError, validate_workload
 from .viz import CALLBACK, ISSUE, TimelineRow, emit_timeline_csv
 
 
@@ -101,8 +102,8 @@ class SimResult:
     per_npu: "dict[int, NpuStats]"
     node_spans: "dict[tuple[int, int], tuple[int, int]]"  # (npu, node) -> (start, finish)
     records: "list[tuple[str, int, int, int, str]]"  # (event, npu, cycle, node id, name), in replay order
-    # (rendezvous key, comm_type or None, [(npu, node id, amount, comm_type)]), in launch order
-    launches: "list[tuple[tuple, str | None, list[tuple]]]" = field(default_factory=list)
+    # (rendezvous key, comm_type, [(npu, node id, amount, comm_type)]) of each collective, in launch order
+    launches: "list[tuple[tuple, str, list[tuple]]]" = field(default_factory=list)
 
     @property
     def timeline(self) -> list[TimelineRow]:
@@ -126,7 +127,8 @@ class DeadlockError(RuntimeError):
 
     def __init__(self, stuck: Sequence[StuckNode], waiting: "Iterable[tuple[tuple, Sequence[tuple]]]" = ()):
         self.stuck = tuple(stuck)
-        # (key, arrived members) of each rendezvous that never launched, as in ``SimResult.launches``
+        # (key, arrived members) of each rendezvous that never launched, p2p included;
+        # members as in ``SimResult.launches``
         self.waiting = tuple((key, tuple(members)) for key, members in waiting)
         shown = ", ".join(
             f"npu {s.npu_id} node {s.node_id} ({s.name!r}, {s.state})" for s in self.stuck[:20]
@@ -279,7 +281,9 @@ def run_simulation(
     """
     traces = list(traces)
     if validate:  # before sorting, which needs every npu_id to be an int
-        validate_workload(traces).require_ok("refusing to simulate invalid workload")
+        report = validate_workload(traces)
+        if not report.ok:
+            raise InvalidTraceError(report, "refusing to simulate invalid workload")
     traces.sort(key=lambda t: t.npu_id)
     lowered = _lower(traces, cfg)
 
@@ -321,7 +325,7 @@ def run_simulation(
             dur = cfg.seconds_to_cycles(seconds)
         if comm_type is not None:
             members.sort()  # collective spans are recorded in rank order, a pair's in arrival order
-        launches.append((key, comm_type, members))
+            launches.append((key, comm_type, members))
         for npu_id, node_id, _, _ in members:
             finish(npu_id, node_id, cycle, dur)
 

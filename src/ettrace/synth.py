@@ -1,12 +1,12 @@
 """Statistical trace synthesis.
 
 Pipeline: merge per-rank collective sequences into one lossless master trace,
-matching collectives by replaying the workload as ``simulate`` does; fit
-distribution models on a corpus of masters (collective-type composition
-clusters with first-order transition structure, per-type Gaussian mixtures
-over log2 message size, empirical sequence lengths); sample new masters that
-respect the same per-group ordering constraints and reconstruct per-rank
-traces from them. Only COMM_COLL nodes become master ops; compute, memory and
+matching collectives by replaying the workload as ``simulate`` does, on one
+fixed fabric; fit distribution models on a corpus of masters
+(collective-type composition clusters with first-order transition structure,
+per-type Gaussian mixtures over log2 message size, empirical sequence
+lengths); sample new masters that respect the same per-group ordering
+constraints and reconstruct per-rank traces from them. Only COMM_COLL nodes become master ops; compute, memory and
 p2p nodes only order them during the merge and are not synthesized.
 """
 from __future__ import annotations
@@ -15,7 +15,7 @@ import json
 import logging
 import sys
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from .schema import (
     get_int_attr,
     get_str_attr,
 )
-from .validate import validate_workload
+from .validate import InvalidTraceError, validate_workload
 
 logger = logging.getLogger(__name__)
 
@@ -91,29 +91,41 @@ def build_master_trace(traces: "list[Trace]") -> MasterTrace:
 
     The workload replays on a fixed ``switch2lvl`` fabric with the default
     ``SimConfig``. A deadlock on a collective raises MergeConflictError naming
-    its group; any other deadlock raises the DeadlockError.
+    its group; any other deadlock raises the DeadlockError. Issue order can
+    depend on how long each transfer takes, so on another topology
+    ``simulate`` may order a workload's collectives differently, or deadlock
+    where this replay finishes.
     """
-    validate_workload(traces).require_ok("refusing to merge invalid workload")  # before npu ids size the fabric
+    report = validate_workload(traces)  # before the npu ids size the fabric
+    if not report.ok:
+        raise InvalidTraceError(report, "refusing to merge invalid workload")
     ranks = frozenset(t.npu_id for t in traces)
-    cfg = simulator.SimConfig(simulator._template_topology("switch2lvl", max(ranks, default=0) + 1, 62e9, 0.0))
+    fabric = simulator._template_topology("switch2lvl", max(ranks, default=0) + 1, 62e9, 0.0)
     try:
-        result = simulator.run_simulation(traces, cfg, validate=False, collect_timeline=False)
+        result = simulator.run_simulation(traces, simulator.SimConfig(fabric), validate=False, collect_timeline=False)
     except simulator.DeadlockError as exc:
         raise _merge_conflict(traces, exc) from None
 
-    cells = []  # (earliest (position, rank), group, slot, comm type, members, positions)
-    launched: dict[int, int] = {}  # rank -> its collective launches so far
-    for key, comm_type, members in result.launches:
-        if comm_type is None:
-            continue
-        # An NPU holds one network node at a time, so its collectives launch in the order it issues them.
-        positions = {npu: launched.get(npu, 0) for npu, _, _, _ in members}
-        launched.update((npu, pos + 1) for npu, pos in positions.items())
-        cells.append((min((pos, npu) for npu, pos in positions.items()), *key, comm_type, members, positions))
-    ops = tuple(
-        MasterOp(seq_no, CommType(ct), group, frozenset(positions), {m[0]: m[2] for m in members}, positions)
-        for seq_no, (_, group, _, ct, members, positions) in enumerate(sorted(cells, key=lambda c: c[:3]))
-    )
+    # An NPU holds one network node at a time, so its collectives launch in
+    # the order it issues them: the n-th launch a rank joins is its op n.
+    launched: dict[int, int] = {}  # rank -> number of collective launches it joined so far
+    keyed = []  # (earliest (position, rank), group, arrival number), op; seq_no is set once sorted
+    for (group, slot), comm_type, members in result.launches:
+        positions = {}
+        for npu, _, _, _ in members:
+            positions[npu] = launched.get(npu, 0)
+            launched[npu] = positions[npu] + 1
+        op = MasterOp(
+            seq_no=-1,
+            comm_type=CommType(comm_type),
+            comm_group=group,
+            participants=frozenset(positions),
+            sizes={npu: amount for npu, _, amount, _ in members},
+            positions=positions,
+        )
+        keyed.append(((min((pos, rank) for rank, pos in positions.items()), group, slot), op))
+    keyed.sort(key=lambda entry: entry[0])
+    ops = tuple(replace(op, seq_no=seq_no) for seq_no, (_, op) in enumerate(keyed))
     return MasterTrace(ops=ops, ranks=ranks)
 
 
@@ -131,7 +143,8 @@ def _merge_conflict(traces: "list[Trace]", exc: "simulator.DeadlockError") -> Ex
     if not open_colls:
         return exc
     # Name a rendezvous whose members disagree on the type first: the others may only wait on it.
-    (group, slot), members = min(open_colls, key=lambda c: len({m[3] for m in c[1]}) == 1)
+    disagreeing = [(key, members) for key, members in open_colls if len({m[3] for m in members}) > 1]
+    (group, slot), members = (disagreeing or open_colls)[0]
     detail = ", ".join(f"rank {npu} op {slot} is {t}" for npu, _, _, t in sorted(members))
     return MergeConflictError(group, f"op order conflict at slot {slot}: {detail}")
 
@@ -145,13 +158,14 @@ def reconstruct_rank_traces(master: MasterTrace, npus: int) -> list[Trace]:
         b = TraceBuilder(rank)
         prev = None
         for op in mine:
-            prev = b.coll(
+            node = b.coll(
                 f"{op.comm_type.value.lower()}_{op.seq_no}",
                 op.comm_type,
                 op.sizes[rank],
                 op.comm_group,
                 parents=[prev] if prev is not None else [],
             )
+            prev = node
         traces.append(b.build())
     return traces
 

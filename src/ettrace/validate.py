@@ -110,11 +110,6 @@ class ValidationReport:
     def codes(self) -> set[str]:
         return {v.code for v in self.violations}
 
-    def require_ok(self, context: str) -> None:
-        """Raise InvalidTraceError, its message led by ``context``, unless the report is ok."""
-        if self.violations:
-            raise InvalidTraceError(self, context)
-
     def __str__(self) -> str:
         if self.ok:
             return "valid"

@@ -171,18 +171,20 @@ def test_deadlock_reports_the_collective_whose_types_disagree():
     assert err.value.waiting == ((("g", 0), ((1, 1, 32, "ALL_GATHER"), (0, 2, 64, "ALL_REDUCE"))),)
 
 
-def test_launches_log_every_rendezvous_in_launch_order():
-    b0 = TraceBuilder(0)
-    b0.send("s", 10, comm_peer=1)
-    b0.coll("ar", CommType.ALL_REDUCE, 64, "g")
-    b1 = TraceBuilder(1)
-    b1.recv("r", 10, comm_peer=0)
-    late = b1.comp("warmup", 50)
-    b1.coll("ar", CommType.ALL_REDUCE, 48, "g", parents=[late])
-    result = run_simulation([b0.build(), b1.build()], cfg(PAIR))
+def test_launches_log_each_collective_in_launch_order():
+    builders = []
+    for rank, peer_op in ((0, TraceBuilder.send), (1, TraceBuilder.recv)):
+        b = TraceBuilder(rank)
+        peer_op(b, "p2p", 10, comm_peer=1 - rank)
+        warmup = b.comp("warmup", 50)
+        b.coll("ar", CommType.ALL_REDUCE, 64 - 16 * rank, "g1", parents=[warmup])
+        b.coll("ag", CommType.ALL_GATHER, 32, "g2")
+        builders.append(b)
+    result = run_simulation([b.build() for b in builders], cfg(PAIR))
+    # the ALL_GATHER, listed second, launches first; the SEND/RECV pair launches but is not logged
     assert result.launches == [
-        ((0, 1, "seq", 0), None, [(0, 1, 10, None), (1, 1, 10, None)]),
-        (("g", 0), "ALL_REDUCE", [(0, 2, 64, "ALL_REDUCE"), (1, 3, 48, "ALL_REDUCE")]),
+        (("g2", 0), "ALL_GATHER", [(0, 4, 32, "ALL_GATHER"), (1, 4, 32, "ALL_GATHER")]),
+        (("g1", 0), "ALL_REDUCE", [(0, 3, 64, "ALL_REDUCE"), (1, 3, 48, "ALL_REDUCE")]),
     ]
 
 

@@ -125,6 +125,25 @@ def test_merge_matches_collectives_in_issue_order():
     assert run_simulation(rebuilt, pair).makespan == run_simulation(traces, pair).makespan == 96
 
 
+def test_merge_order_is_that_of_its_fixed_fabric():
+    # rank 0's gated ALL_GATHER is ready at cycle 100; if its ALL_REDUCE is still
+    # running then, the ALL_GATHER queues ahead of the REDUCE_SCATTER rank 1 issues next
+    b0 = TraceBuilder(0)
+    ar = b0.coll("ar", AR, 64, "g")
+    b0.coll("ag", AG, 64, "g", parents=[b0.comp("gate", 100)])
+    b0.coll("rs", RS, 64, "g", parents=[ar])
+    b1 = TraceBuilder(1)
+    prev = b1.coll("ar", AR, 64, "g")
+    prev = b1.coll("rs", RS, 64, "g", parents=[prev])
+    b1.coll("ag", AG, 64, "g", parents=[prev])
+    traces = [b0.build(), b1.build()]
+    master = build_master_trace(traces)  # 62 GB/s: the ALL_REDUCE ends long before cycle 100
+    assert [op.comm_type for op in master.ops] == [AR, RS, AG]
+    slow = SimConfig(topology=Topology(TopologyKind.TORUS_2D, 2, 1, 1e6, 1e6))
+    with pytest.raises(DeadlockError, match="npu 0 node 3 \\('ag', in-flight\\)"):
+        run_simulation(traces, slow)
+
+
 def test_merge_reraises_a_deadlock_without_an_open_collective():
     # a RECV whose peer never sends: replay deadlocks on a pair, not on a collective
     b0 = TraceBuilder(0)
