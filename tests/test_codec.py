@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import struct
@@ -25,6 +26,7 @@ from ettrace.codec import (
 )
 from ettrace.schema import Attribute, AttributeKind, ETNode, NodeType, Trace, make_attributes
 from ettrace.validate import InvalidTraceError, validate_trace
+from ettrace.workloads import PRESETS, Parallelism, WorkloadSpec, generate_workload, preset_spec
 
 from conftest import random_valid_trace
 
@@ -413,3 +415,128 @@ def test_json_interning_keeps_value_types_apart():
         obj["nodes"][1]["attributes"][0]["value"] = bad
         with pytest.raises(DecodeError, match="does not match kind"):
             trace_from_json(json.dumps(obj))
+
+
+# sha256 of the binary encoding of every preset, a pipeline, a trace with
+# every attribute kind and coercion, and seeded random traces, recorded
+# before the binary encoder packed through the decoder's field table.
+BINARY_CORPUS_SHA256 = "7b09fcef5da72518f8c30410bba972e3b4f73834daf9520e43bdbf37789a9530"
+
+
+def _binary_corpus():
+    for name in sorted(PRESETS):
+        yield from generate_workload(preset_spec(name, 4))
+    yield from generate_workload(WorkloadSpec(npus=3, parallelism=Parallelism.PIPELINE, layers=3, microbatches=2))
+    yield small_trace()
+    yield Trace(7, (ETNode(2**64 - 1, "é☃", NodeType.COMP, attributes=(
+        Attribute("f", AttributeKind.FLOAT, 3),  # an int payload packs as 3.0
+        Attribute("z", AttributeKind.FLOAT, -0.0, "ünï"),
+        Attribute("fs", AttributeKind.FLOATS, (1, -0.0, 2.5)),
+        Attribute("is", AttributeKind.INTS, (-(2**63), 2**63 - 1)),
+        Attribute("e", AttributeKind.INTS, ()),
+        Attribute("ss", AttributeKind.STRINGS, ("", "☃")),
+        Attribute("n", AttributeKind.INT, -(2**63)),
+    )),), "0.255")
+    rng = random.Random(0xB1)
+    for npu in range(40):
+        yield random_valid_trace(rng, npu_id=npu)
+
+
+def test_binary_encoding_of_a_seeded_corpus_is_pinned():
+    digest = hashlib.sha256()
+    for trace in _binary_corpus():
+        digest.update(trace_to_binary(trace))
+    assert digest.hexdigest() == BINARY_CORPUS_SHA256
+
+
+def _odd(**node_fields) -> Trace:
+    fields = {"id": 1, "name": "n", "type": NodeType.COMP, "parents": (), "attributes": ()}
+    fields.update(node_fields)
+    return Trace(0, (ETNode(**fields),))
+
+
+def _odd_attr(kind, value, name="a", doc="") -> Trace:
+    return _odd(attributes=(Attribute(name, kind, value, doc),))
+
+
+# Traces validation refuses, given to the binary encoder with validate=False:
+# what it raises (module, type and text), or the sha256 of what it writes.
+UNVALIDATED_TRACES = {
+    "type-is-a-str": _odd(type="COMP"),
+    "negative-id": _odd(id=-1),
+    "id-above-u64": _odd(id=2**64),
+    "id-is-a-str": _odd(id="1"),
+    "id-is-a-bool": _odd(id=True),
+    "mixed-id-types": Trace(0, (ETNode(1, "a", NodeType.COMP), ETNode("2", "b", NodeType.COMP))),
+    "negative-npu": Trace(-1),
+    "npu-above-u32": Trace(2**32),
+    "minor-above-u8": Trace(0, (), "0.256"),
+    "bad-version": Trace(0, (), "x"),
+    "name-is-an-int": _odd(name=5),
+    "name-is-a-surrogate": _odd(name="a\ud800"),
+    "name-over-u16": _odd(name="x" * 70_000),
+    "negative-parent": _odd(parents=(-1,)),
+    "parent-is-a-str": _odd(parents=("1",)),
+    "attrs-over-u16": _odd(attributes=(Attribute("a", AttributeKind.INT, 1),) * 70_000),
+    "attr-name-is-an-int": _odd_attr(AttributeKind.INT, 1, name=5),
+    "attr-name-over-u16": _odd_attr(AttributeKind.INT, 1, name="x" * 70_000),
+    "doc-is-none": _odd_attr(AttributeKind.INT, 1, doc=None),
+    "doc-is-a-surrogate": _odd_attr(AttributeKind.INT, 1, doc="\udfff"),
+    "kind-is-a-str": _odd_attr("INT", 1),
+    "int-holds-a-str": _odd_attr(AttributeKind.INT, "x"),
+    "int-above-i64": _odd_attr(AttributeKind.INT, 2**63),
+    "float-holds-a-bool": _odd_attr(AttributeKind.FLOAT, True),
+    "float-too-large": _odd_attr(AttributeKind.FLOAT, 10**400),
+    "float-is-nan": _odd_attr(AttributeKind.FLOAT, float("nan")),
+    "string-is-a-surrogate": _odd_attr(AttributeKind.STRING, "\ud800"),
+    "floats-too-large": _odd_attr(AttributeKind.FLOATS, (1.0, 10**400)),
+    "ints-above-i64": _odd_attr(AttributeKind.INTS, (1, 2**63)),
+    "ints-is-a-list": _odd_attr(AttributeKind.INTS, [1, 2]),
+    "strings-hold-an-int": _odd_attr(AttributeKind.STRINGS, ("a", 1)),
+    "strings-item-is-a-surrogate": _odd_attr(AttributeKind.STRINGS, ("a", "\ud800")),
+}
+UNVALIDATED_OUTCOMES = {
+    'attr-name-is-an-int': "builtins.AttributeError: 'int' object has no attribute 'encode'",
+    'attr-name-over-u16': 'struct.error: ushort format requires 0 <= number <= 65535',
+    'attrs-over-u16': 'struct.error: ushort format requires 0 <= number <= 65535',
+    'bad-version': "builtins.ValueError: malformed schema_version 'x'; expected '<major>.<minor>'",
+    'doc-is-a-surrogate': "builtins.UnicodeEncodeError: 'utf-8' codec can't encode character '\\udfff' in position 0: surrogates not allowed",
+    'doc-is-none': "builtins.AttributeError: 'NoneType' object has no attribute 'encode'",
+    'float-holds-a-bool': "builtins.ValueError: attribute 'a': value does not match kind FLOAT",
+    'float-is-nan': '74f1a6e4140cec8931b4bb54af3ee70b5021e735bae7420a2a9cecb0e18e8822',
+    'float-too-large': 'builtins.OverflowError: int too large to convert to float',
+    'floats-too-large': 'builtins.OverflowError: int too large to convert to float',
+    'id-above-u64': 'struct.error: argument out of range',
+    'id-is-a-bool': '8d6146408590cf691f03f1c29ec257e52093925aa33c01e31e930b4322bbaadd',
+    'id-is-a-str': 'struct.error: required argument is not an integer',
+    'int-above-i64': 'struct.error: argument out of range',
+    'int-holds-a-str': "builtins.ValueError: attribute 'a': value does not match kind INT",
+    'ints-above-i64': 'struct.error: argument out of range',
+    'ints-is-a-list': 'e9a62316514bb6c0eb6829d3bf16f18e6e4f1aaa9885cccffa3c8363d3a9030e',
+    'kind-is-a-str': "builtins.AttributeError: 'str' object has no attribute 'name'",
+    'minor-above-u8': 'struct.error: ubyte format requires 0 <= number <= 255',
+    'mixed-id-types': "builtins.TypeError: '<' not supported between instances of 'str' and 'int'",
+    'name-is-a-surrogate': "builtins.UnicodeEncodeError: 'utf-8' codec can't encode character '\\ud800' in position 1: surrogates not allowed",
+    'name-is-an-int': "builtins.AttributeError: 'int' object has no attribute 'encode'",
+    'name-over-u16': 'struct.error: ushort format requires 0 <= number <= 65535',
+    'negative-id': 'struct.error: argument out of range',
+    'negative-npu': 'struct.error: argument out of range',
+    'negative-parent': 'struct.error: argument out of range',
+    'npu-above-u32': "struct.error: 'I' format requires 0 <= number <= 4294967295",
+    'parent-is-a-str': 'struct.error: required argument is not an integer',
+    'string-is-a-surrogate': "builtins.UnicodeEncodeError: 'utf-8' codec can't encode character '\\ud800' in position 0: surrogates not allowed",
+    'strings-hold-an-int': "builtins.ValueError: attribute 'a': value does not match kind STRINGS",
+    'strings-item-is-a-surrogate': "builtins.UnicodeEncodeError: 'utf-8' codec can't encode character '\\ud800' in position 0: surrogates not allowed",
+    'type-is-a-str': "builtins.KeyError: 'COMP'",
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNVALIDATED_TRACES))
+def test_binary_encoding_of_unvalidated_traces_is_pinned(name):
+    try:
+        data = encode_trace(UNVALIDATED_TRACES[name], FORMAT_BINARY, validate=False)
+    except Exception as exc:
+        outcome = f"{type(exc).__module__}.{type(exc).__name__}: {exc}"
+    else:
+        outcome = hashlib.sha256(data).hexdigest()
+    assert outcome == UNVALIDATED_OUTCOMES[name]

@@ -309,3 +309,50 @@ def test_the_mark_leaves_equality_hash_repr_and_bytes_alone():
     assert trace == twin and (repr(trace), hash(trace), trace_to_json(trace)) == before
     assert (repr(twin), hash(twin), trace_to_json(twin)) == before
     assert vars(trace).keys() - vars(twin).keys() == {"_passed_validation"}  # replace starts unmarked
+
+
+def _comm(node_id, node_type, *attrs):
+    return ETNode(node_id, f"c{node_id}", node_type, attributes=tuple(Attribute(*a) for a in attrs))
+
+
+# Comm nodes whose attributes repeat, carry the wrong kind or miss: the full
+# report, recorded before the comm contract read the attribute scan's map.
+COMM_CONTRACT_REPORT = """\
+[missing-required-attribute] node 1: COMM_COLL node lacks 'comm_type'
+[missing-required-attribute] node 1: COMM_COLL node lacks 'comm_size'
+[missing-required-attribute] node 1: COMM_COLL node lacks 'comm_group'
+[wrong-attribute-kind] node 2: attribute 'comm_type' must be STRING, got INT
+[duplicate-attribute] node 2: attribute 'comm_type' appears twice
+[missing-required-attribute] node 2: COMM_COLL node lacks 'comm_group'
+[duplicate-attribute] node 3: attribute 'comm_type' appears twice
+[missing-required-attribute] node 3: COMM_COLL node lacks 'comm_size'
+[bad-comm-type] node 3: comm_type 'SEND' is point-to-point, node is COMM_COLL
+[kind-value-mismatch] node 4: attribute 'comm_type': value 7 does not match kind STRING
+[missing-required-attribute] node 4: COMM_SEND node lacks 'comm_peer'
+[bad-comm-type] node 5: COMM_RECV node claims comm_type 'SEND'
+[not-a-string] node 6: attribute name 5 is not a string
+[wrong-attribute-kind] node 6: attribute 'comm_peer' must be INT, got STRING
+[missing-required-attribute] node 6: COMM_RECV node lacks 'comm_size'
+[bad-comm-type] node 6: unknown comm_type 'BOGUS'
+[negative-size] node 7: comm_size -1 is negative
+[duplicate-attribute] node 7: attribute 'comm_size' appears twice
+[missing-required-attribute] node 7: COMM_SEND node lacks 'comm_peer'
+[bad-comm-type] node 7: COMM_SEND node claims comm_type 'ALL_GATHER'
+[wrong-attribute-kind] node 8: attribute 'comm_group' must be STRING, got INT
+[wrong-attribute-kind] node 8: attribute 'comm_size' must be INT, got STRING"""
+
+
+def test_comm_contract_report_is_pinned():
+    I, S = AttributeKind.INT, AttributeKind.STRING
+    trace = Trace(0, (
+        _comm(1, NodeType.COMM_COLL),
+        _comm(2, NodeType.COMM_COLL, ("comm_type", I, 1), ("comm_type", S, "ALL_REDUCE"), ("comm_size", I, 8)),
+        _comm(3, NodeType.COMM_COLL, ("comm_type", S, "SEND"), ("comm_type", S, "ALL_REDUCE"), ("comm_group", S, "g")),
+        _comm(4, NodeType.COMM_SEND, ("comm_type", S, 7), ("comm_size", I, 8)),
+        _comm(5, NodeType.COMM_RECV, ("comm_type", S, "SEND"), ("comm_size", I, 8), ("comm_peer", I, 1)),
+        _comm(6, NodeType.COMM_RECV, ("comm_type", S, "BOGUS"), (5, I, 1), ("comm_peer", S, "x")),
+        _comm(7, NodeType.COMM_SEND, ("comm_size", I, -1), ("comm_size", I, 8), ("comm_type", S, "ALL_GATHER")),
+        _comm(8, NodeType.COMM_COLL, ("comm_group", I, 3), ("comm_type", S, "ALL_TO_ALL"), ("comm_size", S, "8")),
+        _comm(9, NodeType.COMP, ("comm_type", S, "BOGUS")),
+    ))
+    assert str(v.validate_trace(trace)) == COMM_CONTRACT_REPORT
