@@ -6,7 +6,6 @@ report the absolute byte offset where the stream ran out or went bad.
 """
 from __future__ import annotations
 
-import io
 import json
 import struct
 from pathlib import Path
@@ -257,72 +256,7 @@ def trace_from_json(text: "str | bytes") -> Trace:
 # Binary
 # --------------------------------------------------------------------------
 
-_TYPE_TAGS = {t: t.value for t in NodeType}
-_TYPE_FROM_TAG = {t.value: t for t in NodeType}
-_KIND_TAGS = {k: k.value for k in AttributeKind}
-_KIND_FROM_TAG = {k.value: k for k in AttributeKind}
-
-
-def _pack_str(out: io.BytesIO, text: str, width: str) -> None:
-    raw = text.encode("utf-8")
-    out.write(struct.pack(f"<{width}", len(raw)))
-    out.write(raw)
-
-
-def _pack_attr(out: io.BytesIO, attr: Attribute) -> None:
-    if not attr_value_matches_kind(attr.kind, attr.value):
-        raise ValueError(f"attribute {attr.name!r}: value does not match kind {attr.kind.name}")
-    _pack_str(out, attr.name, "H")
-    out.write(struct.pack("<B", _KIND_TAGS[attr.kind]))
-    _pack_str(out, attr.doc_string, "I")
-    kind, value = attr.kind, attr.value
-    if kind is AttributeKind.FLOAT:
-        out.write(struct.pack("<d", float(value)))
-    elif kind is AttributeKind.INT:
-        out.write(struct.pack("<q", value))
-    elif kind is AttributeKind.STRING:
-        _pack_str(out, value, "I")
-    elif kind is AttributeKind.FLOATS:
-        out.write(struct.pack("<I", len(value)))
-        out.write(struct.pack(f"<{len(value)}d", *[float(v) for v in value]))
-    elif kind is AttributeKind.INTS:
-        out.write(struct.pack("<I", len(value)))
-        out.write(struct.pack(f"<{len(value)}q", *value))
-    elif kind is AttributeKind.STRINGS:
-        out.write(struct.pack("<I", len(value)))
-        for item in value:
-            _pack_str(out, item, "I")
-
-
-def _pack_node(node: ETNode) -> bytes:
-    body = io.BytesIO()
-    body.write(struct.pack("<Q", node.id))
-    _pack_str(body, node.name, "H")
-    body.write(struct.pack("<B", _TYPE_TAGS[node.type]))
-    body.write(struct.pack("<I", len(node.parents)))
-    if node.parents:
-        body.write(struct.pack(f"<{len(node.parents)}Q", *node.parents))
-    body.write(struct.pack("<H", len(node.attributes)))
-    for attr in node.attributes:
-        _pack_attr(body, attr)
-    return body.getvalue()
-
-
-def trace_to_binary(trace: Trace) -> bytes:
-    major, minor = parse_schema_version(trace.schema_version)
-    out = io.BytesIO()
-    out.write(MAGIC)
-    out.write(struct.pack("<BB", major, minor))
-    out.write(struct.pack("<I", trace.npu_id))
-    nodes = sorted(trace.nodes, key=lambda n: n.id)
-    out.write(struct.pack("<I", len(nodes)))
-    for node in nodes:
-        record = _pack_node(node)
-        out.write(struct.pack("<I", len(record)))
-        out.write(record)
-    return out.getvalue()
-
-
+# The container's fixed-width fields, little-endian: encoder and decoder share them.
 _U8 = struct.Struct("<B")
 _U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
@@ -335,6 +269,63 @@ _SCALAR_VALUE = {  # kind tag -> the fixed-width field after the doc_string
     AttributeKind.STRING.value: _U32,  # length of the UTF-8 text
 }
 _STRING_TAG = AttributeKind.STRING.value
+_ARRAY_CODES = {AttributeKind.FLOATS: "d", AttributeKind.INTS: "q"}  # 8-byte items behind a u32 count
+
+_TYPE_TAGS = {t: t.value for t in NodeType}
+_TYPE_FROM_TAG = {t.value: t for t in NodeType}
+_KIND_FROM_TAG = {k.value: k for k in AttributeKind}
+
+
+def _pack_str(parts: "list[bytes]", text: str, width: struct.Struct) -> None:
+    raw = text.encode("utf-8")
+    parts.append(width.pack(len(raw)))
+    parts.append(raw)
+
+
+def _pack_attr(parts: "list[bytes]", attr: Attribute) -> None:
+    kind, value = attr.kind, attr.value
+    if not attr_value_matches_kind(kind, value):
+        raise ValueError(f"attribute {attr.name!r}: value does not match kind {kind.name}")
+    _pack_str(parts, attr.name, _U16)
+    doc = attr.doc_string.encode("utf-8")
+    parts.append(_KIND_DOC.pack(kind.value, len(doc)))
+    parts.append(doc)
+    if kind is AttributeKind.STRING:
+        _pack_str(parts, value, _U32)
+    elif kind is AttributeKind.FLOAT or kind is AttributeKind.INT:
+        parts.append(_SCALAR_VALUE[kind.value].pack(float(value) if kind is AttributeKind.FLOAT else value))
+    elif kind is AttributeKind.STRINGS:
+        parts.append(_U32.pack(len(value)))
+        for item in value:
+            _pack_str(parts, item, _U32)
+    else:
+        items = [float(v) for v in value] if kind is AttributeKind.FLOATS else value
+        parts.append(_U32.pack(len(items)))
+        parts.append(struct.pack(f"<{len(items)}{_ARRAY_CODES[kind]}", *items))
+
+
+def _pack_node(node: ETNode) -> bytes:
+    parts = [_U64.pack(node.id)]
+    _pack_str(parts, node.name, _U16)
+    parts.append(_U8.pack(_TYPE_TAGS[node.type]))
+    parts.append(_U32.pack(len(node.parents)))
+    parts.append(struct.pack(f"<{len(node.parents)}Q", *node.parents))
+    parts.append(_U16.pack(len(node.attributes)))
+    for attr in node.attributes:
+        _pack_attr(parts, attr)
+    return b"".join(parts)
+
+
+def trace_to_binary(trace: Trace) -> bytes:
+    out = [MAGIC, _VERSION.pack(*parse_schema_version(trace.schema_version)), _U32.pack(trace.npu_id)]
+    nodes = sorted(trace.nodes, key=lambda n: n.id)
+    out.append(_U32.pack(len(nodes)))
+    for node in nodes:
+        record = _pack_node(node)
+        out.append(_U32.pack(len(record)))
+        out.append(record)
+    return b"".join(out)
+
 
 # Binary decode reads every field at its offset in the one buffer. The reads
 # below check bounds first, so malformed input raises DecodeError naming the
@@ -415,7 +406,7 @@ def _unpack_attr(data: bytes, pos: int) -> "tuple[Attribute, int]":
                 items.append(item)
             value = tuple(items)
         else:
-            value = _unpack_array("d" if kind is AttributeKind.FLOATS else "q", count, data, pos, f"{kind.name} values")
+            value = _unpack_array(_ARRAY_CODES[kind], count, data, pos, f"{kind.name} values")
             pos += 8 * count
     return Attribute(name, kind, value, doc), pos
 

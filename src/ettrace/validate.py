@@ -17,6 +17,7 @@ from .schema import (
     ATTR_RUNTIME,
     ATTR_TENSOR_SIZE,
     COLLECTIVE_COMM_TYPES,
+    Attribute,
     CommType,
     ETNode,
     NodeType,
@@ -29,7 +30,6 @@ from .schema import (
     _STRINGS,
     _WELL_KNOWN_KINDS,
     attr_value_matches_kind,
-    get_str_attr,
     parse_schema_version,
 )
 
@@ -153,8 +153,9 @@ def _too_long(text: str) -> bool:
     return len(text.encode("utf-8")) > _U16_MAX
 
 
-def _check_attributes(node: ETNode, out: list[Violation]) -> None:
-    seen: set[str] = set()
+def _check_attributes(node: ETNode, out: list[Violation]) -> "dict[str, Attribute]":
+    """Report each attribute's violations; returns the first of each name, as ``ETNode.attribute`` finds it."""
+    first: dict[str, Attribute] = {}
     for attr in node.attributes:
         name = attr.name
         if not isinstance(name, str):
@@ -163,9 +164,9 @@ def _check_attributes(node: ETNode, out: list[Violation]) -> None:
         else:
             if not name:
                 out.append(Violation(EMPTY_ATTR_NAME, "attribute with empty name", node.id))
-            if name in seen:
+            if name in first:
                 out.append(Violation(DUPLICATE_ATTRIBUTE, f"attribute {name!r} appears twice", node.id))
-            seen.add(name)
+            first.setdefault(name, attr)
             if not name.isascii() and _not_utf8(name):
                 out.append(Violation(NOT_A_STRING, f"attribute name {name!r} is not UTF-8 text", node.id))
             elif len(name) > _LONG_TEXT and _too_long(name):
@@ -216,10 +217,11 @@ def _check_attributes(node: ETNode, out: list[Violation]) -> None:
         elif kind is _STRINGS:
             if not all(item.isascii() for item in value) and any(map(_not_utf8, value)):
                 out.append(Violation(NOT_A_STRING, f"attribute {attr.name!r}: an item is not UTF-8 text", node.id))
+    return first
 
 
-def _check_comm_contract(node: ETNode, out: list[Violation]) -> None:
-    """COMM nodes must carry the attributes the cost model needs."""
+def _check_comm_contract(node: ETNode, first: "dict[str, Attribute]", out: list[Violation]) -> None:
+    """COMM nodes must carry the attributes the cost model needs; ``first`` maps name to attribute."""
     if node.type is NodeType.COMM_COLL:
         required = (ATTR_COMM_TYPE, ATTR_COMM_SIZE, ATTR_COMM_GROUP)
     elif node.type in (NodeType.COMM_SEND, NodeType.COMM_RECV):
@@ -227,15 +229,12 @@ def _check_comm_contract(node: ETNode, out: list[Violation]) -> None:
     else:
         return
     for name in required:
-        if node.attribute(name) is None:
+        if name not in first:
             out.append(Violation(MISSING_REQUIRED_ATTR, f"{node.type.name} node lacks {name!r}", node.id))
-
-    try:
-        ct = get_str_attr(node, ATTR_COMM_TYPE)
-    except TypeError:
-        return  # _check_attributes reports the kind
-    if ct is None:
-        return
+    attr = first.get(ATTR_COMM_TYPE)
+    if attr is None or attr.kind is not _STRING or not isinstance(attr.value, str):
+        return  # _check_attributes reports a wrong kind or value
+    ct = attr.value
     if ct not in _COMM_TYPE_VALUES:
         out.append(Violation(BAD_COMM_TYPE, f"unknown comm_type {ct!r}", node.id))
     elif node.type is NodeType.COMM_COLL and ct not in _COLLECTIVE_VALUES:
@@ -334,8 +333,7 @@ def validate_trace(trace: Trace) -> ValidationReport:
             out.append(Violation(OUT_OF_RANGE, f"node name is over {_U16_MAX} UTF-8 bytes", node.id))
         if len(node.attributes) > _U16_MAX:
             out.append(Violation(OUT_OF_RANGE, f"more than {_U16_MAX} attributes", node.id))
-        _check_attributes(node, out)
-        _check_comm_contract(node, out)
+        _check_comm_contract(node, _check_attributes(node, out), out)
 
     for nid in sorted(_find_cycle_members(by_id)):
         out.append(Violation(CYCLE, "node participates in a dependency cycle", nid))
