@@ -15,7 +15,7 @@ import json
 import logging
 import sys
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,6 +23,7 @@ from . import simulator
 from .builder import TraceBuilder
 from .schema import (
     ATTR_COMM_GROUP,
+    ATTR_COMM_PEER,
     ATTR_COMM_SIZE,
     ATTR_COMM_TYPE,
     CommType,
@@ -59,7 +60,7 @@ class MasterOp:
     # Position of this op in the order each rank issues its collectives; this
     # is what makes reconstruction exact even when ranks interleave groups
     # differently.
-    positions: "dict[int, int]" = field(default_factory=dict)
+    positions: "dict[int, int]"
 
 
 @dataclass(frozen=True)
@@ -100,6 +101,14 @@ def build_master_trace(traces: "list[Trace]") -> MasterTrace:
     if not report.ok:
         raise InvalidTraceError(report, "refusing to merge invalid workload")
     ranks = frozenset(t.npu_id for t in traces)
+    for trace in traces:
+        for node in trace.nodes:
+            if node.type is NodeType.COMM_SEND or node.type is NodeType.COMM_RECV:
+                peer = get_int_attr(node, ATTR_COMM_PEER)
+                if peer not in ranks:
+                    raise ValueError(
+                        f"npu {trace.npu_id} node {node.id}: comm_peer {peer} is not the npu_id of any trace"
+                    )
     fabric = simulator._template_topology("switch2lvl", max(ranks, default=0) + 1, 62e9, 0.0)
     try:
         result = simulator.run_simulation(traces, simulator.SimConfig(fabric), validate=False, collect_timeline=False)
@@ -109,23 +118,26 @@ def build_master_trace(traces: "list[Trace]") -> MasterTrace:
     # An NPU holds one network node at a time, so its collectives launch in
     # the order it issues them: the n-th launch a rank joins is its op n.
     launched: dict[int, int] = {}  # rank -> number of collective launches it joined so far
-    keyed = []  # (earliest (position, rank), group, arrival number), op; seq_no is set once sorted
+    keyed = []  # (earliest (position, rank), group, arrival number), comm type, members, positions
     for (group, slot), comm_type, members in result.launches:
         positions = {}
         for npu, _, _, _ in members:
             positions[npu] = launched.get(npu, 0)
             launched[npu] = positions[npu] + 1
-        op = MasterOp(
-            seq_no=-1,
+        earliest = min((pos, rank) for rank, pos in positions.items())
+        keyed.append(((earliest, group, slot), comm_type, members, positions))
+    keyed.sort(key=lambda entry: entry[0])
+    ops = tuple(
+        MasterOp(
+            seq_no=seq_no,
             comm_type=CommType(comm_type),
             comm_group=group,
             participants=frozenset(positions),
             sizes={npu: amount for npu, _, amount, _ in members},
             positions=positions,
         )
-        keyed.append(((min((pos, rank) for rank, pos in positions.items()), group, slot), op))
-    keyed.sort(key=lambda entry: entry[0])
-    ops = tuple(replace(op, seq_no=seq_no) for seq_no, (_, op) in enumerate(keyed))
+        for seq_no, ((_, group, _), comm_type, members, positions) in enumerate(keyed)
+    )
     return MasterTrace(ops=ops, ranks=ranks)
 
 
@@ -154,7 +166,7 @@ def reconstruct_rank_traces(master: MasterTrace, npus: int) -> list[Trace]:
     traces = []
     for rank in range(npus):
         mine = [op for op in master.ops if rank in op.participants]
-        mine.sort(key=lambda op: op.positions.get(rank, op.seq_no))
+        mine.sort(key=lambda op: op.positions[rank])
         b = TraceBuilder(rank)
         prev = None
         for op in mine:
@@ -175,6 +187,9 @@ def reconstruct_rank_traces(master: MasterTrace, npus: int) -> list[Trace]:
 # --------------------------------------------------------------------------
 
 _VAR_FLOOR = 1e-6
+_EM_TOL = 1e-6  # EM stops once the mean log-likelihood moves less than this
+_EM_MAX_ITER = 200
+_KMEANS_ITERS = 50
 
 
 @dataclass(frozen=True)
@@ -217,13 +232,7 @@ def _kmeanspp_centers(points: np.ndarray, k: int, rng: np.random.Generator) -> n
     return centers
 
 
-def fit_gmm(
-    samples: "np.ndarray | list[float]",
-    k: int,
-    seed: int,
-    tol: float = 1e-6,
-    max_iter: int = 200,
-) -> Gmm1D:
+def fit_gmm(samples: "np.ndarray | list[float]", k: int, seed: int) -> Gmm1D:
     """EM fit of a k-component 1-D Gaussian mixture (seeded, deterministic).
 
     Fewer than k samples degrade to a single-component fit with a warning.
@@ -245,7 +254,7 @@ def fit_gmm(
     weights = np.full(k, 1.0 / k)
 
     prev_ll = -np.inf
-    for _ in range(max_iter):
+    for _ in range(_EM_MAX_ITER):
         log_resp = np.stack(
             [np.log(weights[j]) + _log_gaussian(x, means[j], variances[j]) for j in range(k)]
         )
@@ -257,7 +266,7 @@ def fit_gmm(
         weights = nk / x.size
         means = (resp @ x) / nk
         variances = np.maximum((resp @ x**2) / nk - means**2, _VAR_FLOOR)
-        if abs(ll - prev_ll) < tol:
+        if abs(ll - prev_ll) < _EM_TOL:
             break
         prev_ll = ll
 
@@ -311,7 +320,7 @@ def _composition_vector(master: MasterTrace) -> np.ndarray:
     return counts / total if total else counts
 
 
-def _kmeans(vectors: np.ndarray, k: int, rng: np.random.Generator, iters: int = 50) -> np.ndarray:
+def _kmeans(vectors: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     """K-means over composition vectors; returns the assignment.
 
     Centers are seeded distance-weighted (k-means++ style) — uniform seeding
@@ -321,7 +330,7 @@ def _kmeans(vectors: np.ndarray, k: int, rng: np.random.Generator, iters: int = 
     k = min(k, n)
     centers = _kmeanspp_centers(vectors, k, rng)
     assign = np.zeros(n, dtype=int)
-    for _ in range(iters):
+    for _ in range(_KMEANS_ITERS):
         dists = ((vectors[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         new_assign = dists.argmin(axis=1)
         if (new_assign == assign).all():

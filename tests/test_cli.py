@@ -43,6 +43,11 @@ def test_usage_errors_exit_1(capsys):
         ["sweep", "--preset", "mlp-dp", "--npus", "4", "--bw", "inf"],
         ["sweep", "--preset", "mlp-dp", "--npus", "4", "--bw=-5"],
         ["generate", "--preset", "mlp-dp", "--npus", "4", "--out", "x", "--dims"],
+        ["generate", "--parallelism", "dp_mp", "--npus", "4", "--out", "x", "--dims", "2xq"],
+        ["generate", "--parallelism", "dp_mp", "--npus", "4", "--out", "x", "--dims", "x"],
+        ["generate", "--parallelism", "dp_mp", "--npus", "4", "--out", "x", "--dims", "4"],
+        ["sweep", "--preset", "mlp-dp", "--npus", "", "--bw", "62e9"],
+        ["sweep", "--preset", "mlp-dp", "--npus", "four", "--bw", "62e9"],
     ):
         with pytest.raises(SystemExit) as exit_info:
             main(argv)
@@ -102,6 +107,42 @@ def test_validate_non_string_name_is_data_error(tmp_path, capsys):
     codec.write_trace(b.build(validate=False), path, validate=False)
     code, _, err = run(capsys, "validate", str(path))
     assert code == 2 and "name must be a string" in err and "Traceback" not in err, err
+
+
+def _json_trace(**fields):
+    attr = {"name": "runtime", "kind": "INT", "doc_string": "", "value": 1}
+    node = {"id": 1, "name": "n", "type": "COMP", "parents": [], "attributes": [dict(attr, **fields.pop("attr", {}))]}
+    node.update(fields.pop("node", {}))
+    return {"schema_version": "0.1", "npu_id": 0, "nodes": [node], **fields}
+
+
+# JSON documents of the wrong shape, and the DecodeError each one names.
+MALFORMED_JSON_TRACES = [
+    ([], "trace must be a JSON object"),
+    (_json_trace(schema_version=0.1), "schema_version must be a string"),
+    (_json_trace(npu_id="0"), "npu_id must be an integer"),
+    (_json_trace(npu_id=True), "npu_id must be an integer"),
+    (_json_trace(nodes={}), "nodes must be a list"),
+    (_json_trace(nodes=[5]), "node must be an object"),
+    (_json_trace(node={"id": "1"}), "node id must be an integer"),
+    (_json_trace(node={"id": True}), "node id must be an integer"),
+    (_json_trace(node={"parents": 1}), "node 1: parents must be a list of integers"),
+    (_json_trace(node={"parents": [1.5]}), "node 1: parents must be a list of integers"),
+    (_json_trace(node={"attributes": {}}), "node 1: attributes must be a list"),
+    (_json_trace(node={"attributes": [5]}), "node 1: attribute must be an object"),
+    (_json_trace(attr={"name": 5}), "node 1: attribute name must be a string"),
+    (_json_trace(attr={"doc_string": 5}), "node 1: doc_string must be a string"),
+]
+
+
+def test_validate_malformed_json_is_a_named_decode_error(tmp_path, capsys):
+    for i, (doc, message) in enumerate(MALFORMED_JSON_TRACES):
+        path = tmp_path / f"bad{i}.0.et"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(codec.DecodeError, match=message):
+            codec.read_trace(path)
+        code, _, err = run(capsys, "validate", str(path))
+        assert code == 2 and message in err and "Traceback" not in err, (doc, err)
 
 
 def test_validate_missing_path_is_data_error(capsys):

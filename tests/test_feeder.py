@@ -137,6 +137,10 @@ def test_remove_node_refuses_live_children():
     # leaf with no children can go
     f.remove_node(4)
     assert 4 not in f.node_ids()
+    # a queued node leaves the ready queue too
+    f = Feeder(Trace(0, (comp(1), comp(2))))
+    f.remove_node(1)
+    assert f.queued_ids == (2,) and f.node_ids() == (2,)
 
 
 def test_invalid_nodes_are_transparent():
@@ -201,6 +205,13 @@ def test_incremental_add_node():
     f.free_children_nodes(1)
     f.add_node(comp(3, [1]))
     assert set(f.queued_ids) == {2, 3}
+
+
+def test_add_node_onto_loaded_nodes():
+    f = Feeder(diamond())
+    f.add_node(comp(5, [1, 4]))
+    f.add_node(comp(6, [1]))
+    assert drain(f) == [1, 2, 3, 6, 4, 5]
 
 
 def test_incremental_invalid_auto_completes():

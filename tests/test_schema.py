@@ -117,18 +117,24 @@ def test_bool_is_not_an_int_attribute():
 
 
 def test_make_attributes_inference():
-    attrs = make_attributes({"runtime": 5, "scale": 1.5, "name": "x", "shape": (2, 3)})
+    attrs = make_attributes(
+        {"runtime": 5, "scale": 1.5, "name": "x", "shape": (2, 3), "ct": CommType.SEND, "tags": ["a", "b"]}
+    )
     by_name = {a.name: a for a in attrs}
     assert by_name["runtime"].kind is AttributeKind.INT
     assert by_name["scale"].kind is AttributeKind.FLOAT
     assert by_name["name"].kind is AttributeKind.STRING
     assert by_name["shape"].kind is AttributeKind.INTS
     assert by_name["shape"].value == (2, 3)
+    assert by_name["ct"] == Attribute("ct", AttributeKind.STRING, "SEND") and type(by_name["ct"].value) is str
+    assert by_name["tags"] == Attribute("tags", AttributeKind.STRINGS, ("a", "b"))
 
 
 def test_make_attributes_rejects_mixed_lists():
     with pytest.raises(TypeError):
         make_attributes({"bad": (1, "two")})
+    with pytest.raises(TypeError, match="cannot infer kind for dict"):
+        make_attributes({"bad": {1: 2}})
 
 
 def test_make_attributes_passthrough_and_none():

@@ -156,6 +156,15 @@ def test_merge_reraises_a_deadlock_without_an_open_collective():
     assert [key for key, _ in err.value.waiting] == [(1, 0, "seq", 0)]
 
 
+def test_merge_names_a_p2p_peer_with_no_trace():
+    # the fabric is sized by the npu ids, never by a peer: 2**63 - 1 fails as fast as 8
+    for peer in (8, 2**63 - 1):
+        b0 = TraceBuilder(0)
+        b0.recv("r", 8, comm_peer=peer)
+        with pytest.raises(ValueError, match=f"^npu 0 node 1: comm_peer {peer} is not the npu_id of any trace$"):
+            build_master_trace([b0.build(), TraceBuilder(1).build()])
+
+
 def test_merge_needs_the_timing_attributes_replay_needs():
     b = TraceBuilder(0)
     gate = b.add_node(NodeType.COMP, "no-runtime", {})
@@ -429,6 +438,11 @@ def test_synthesize_master_deterministic_per_seed():
     assert synthesize_master(iid_models(), cfg) == synthesize_master(iid_models(), cfg)
     other = SynthConfig(npus=2, seed=6, num_ops=50)
     assert synthesize_master(iid_models(), other) != synthesize_master(iid_models(), cfg)
+
+
+def test_synthesize_master_samples_its_length_without_num_ops():
+    models = FittedModels(CommTypeModel.memoryless({AR.value: 1.0}, lengths=(3, 7)), iid_models().size_model)
+    assert {len(synthesize_master(models, SynthConfig(npus=2, seed=seed))) for seed in range(20)} == {3, 7}
 
 
 def test_synthesize_type_mix_approaches_target():

@@ -129,6 +129,11 @@ def test_bad_comm_type_values():
         ),
     )
     assert v.BAD_COMM_TYPE in codes(Trace(0, (send,)))
+    recv = ETNode(
+        1, "r", NodeType.COMM_RECV,
+        attributes=make_attributes({"comm_size": 8, "comm_peer": 1, "comm_type": "SEND"}),
+    )
+    assert v.BAD_COMM_TYPE in codes(Trace(0, (recv,)))
 
 
 def test_negative_size():
