@@ -491,7 +491,6 @@ UNVALIDATED_TRACES = {
     "string-is-a-surrogate": _odd_attr(AttributeKind.STRING, "\ud800"),
     "floats-too-large": _odd_attr(AttributeKind.FLOATS, (1.0, 10**400)),
     "ints-above-i64": _odd_attr(AttributeKind.INTS, (1, 2**63)),
-    "ints-is-a-list": _odd_attr(AttributeKind.INTS, [1, 2]),
     "strings-hold-an-int": _odd_attr(AttributeKind.STRINGS, ("a", 1)),
     "strings-item-is-a-surrogate": _odd_attr(AttributeKind.STRINGS, ("a", "\ud800")),
 }
@@ -512,7 +511,6 @@ UNVALIDATED_OUTCOMES = {
     'int-above-i64': 'struct.error: argument out of range',
     'int-holds-a-str': "builtins.ValueError: attribute 'a': value does not match kind INT",
     'ints-above-i64': 'struct.error: argument out of range',
-    'ints-is-a-list': 'e9a62316514bb6c0eb6829d3bf16f18e6e4f1aaa9885cccffa3c8363d3a9030e',
     'kind-is-a-str': "builtins.AttributeError: 'str' object has no attribute 'name'",
     'minor-above-u8': 'struct.error: ubyte format requires 0 <= number <= 255',
     'mixed-id-types': "builtins.TypeError: '<' not supported between instances of 'str' and 'int'",
