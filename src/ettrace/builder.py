@@ -6,11 +6,11 @@ broken traces on purpose).
 """
 from __future__ import annotations
 
+from functools import partialmethod
+
 from .schema import (
     ATTR_COMM_GROUP,
-    ATTR_COMM_PEER,
     ATTR_COMM_SIZE,
-    ATTR_COMM_TAG,
     ATTR_COMM_TYPE,
     ATTR_RUNTIME,
     Attribute,
@@ -20,6 +20,7 @@ from .schema import (
     SCHEMA_VERSION,
     Trace,
     make_attributes,
+    p2p_attributes,
 )
 from .validate import InvalidTraceError, validate_trace
 
@@ -83,31 +84,20 @@ class TraceBuilder:
             attrs.update(extra)
         return self.add_node(NodeType.COMM_COLL, name, attrs, parents)
 
-    def send(
+    def _p2p(
         self,
+        type: NodeType,
         name: str,
         comm_size: int,
         comm_peer: int,
         parents: "list[int] | tuple[int, ...]" = (),
         tag: "int | None" = None,
     ) -> int:
-        attrs: dict[str, object] = {ATTR_COMM_SIZE: int(comm_size), ATTR_COMM_PEER: int(comm_peer)}
-        if tag is not None:
-            attrs[ATTR_COMM_TAG] = int(tag)
-        return self.add_node(NodeType.COMM_SEND, name, attrs, parents)
+        attrs = p2p_attributes(int(comm_size), int(comm_peer), None if tag is None else int(tag))
+        return self.add_node(type, name, attrs, parents)
 
-    def recv(
-        self,
-        name: str,
-        comm_size: int,
-        comm_peer: int,
-        parents: "list[int] | tuple[int, ...]" = (),
-        tag: "int | None" = None,
-    ) -> int:
-        attrs: dict[str, object] = {ATTR_COMM_SIZE: int(comm_size), ATTR_COMM_PEER: int(comm_peer)}
-        if tag is not None:
-            attrs[ATTR_COMM_TAG] = int(tag)
-        return self.add_node(NodeType.COMM_RECV, name, attrs, parents)
+    send = partialmethod(_p2p, NodeType.COMM_SEND)
+    recv = partialmethod(_p2p, NodeType.COMM_RECV)
 
     def set_attr(self, node_id: int, name: str, value: object) -> None:
         """Set or replace one attribute on an existing node."""

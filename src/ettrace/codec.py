@@ -18,6 +18,7 @@ from .schema import (
     NodeType,
     Trace,
     attr_value_matches_kind,
+    float_payload,
     parse_schema_version,
 )
 from .validate import InvalidTraceError, validate_trace
@@ -119,17 +120,12 @@ def _decode_attr_obj(obj: object) -> Attribute:
         raise DecodeError(f"unknown attribute kind {kind_name!r}") from None
     if isinstance(value, list):
         value = tuple(value)
-    if kind is AttributeKind.FLOAT and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
-    if kind is AttributeKind.FLOATS and isinstance(value, tuple):
-        if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value):
-            value = tuple(float(v) for v in value)
     if not attr_value_matches_kind(kind, value):
         raise DecodeError(f"attribute {name!r} value {value!r} does not match kind {kind.name}")
     doc = obj.get("doc_string", "")
     if not isinstance(doc, str):
         raise DecodeError("doc_string must be a string")
-    return Attribute(name, kind, value, doc)
+    return Attribute(name, kind, float_payload(kind, value), doc)
 
 
 def _node_from_obj(obj: object, interned: "dict[tuple, Attribute]") -> ETNode:

@@ -16,7 +16,6 @@ from typing import Iterable, Sequence
 
 from .schema import (
     ATTR_COMM_GROUP,
-    ATTR_COMM_PEER,
     ATTR_COMM_SIZE,
     ATTR_COMM_TAG,
     ATTR_COMM_TYPE,
@@ -28,6 +27,7 @@ from .schema import (
     NodeType,
     Trace,
     make_attributes,
+    p2p_attributes,
 )
 
 logger = logging.getLogger(__name__)
@@ -100,28 +100,12 @@ def split_per_npu(nodes: Sequence[GlobalNode]) -> list[Trace]:
                 next_id += 2
                 tag = next_tag
                 next_tag += 1
-                extra.setdefault(parent.npu, []).append(
-                    ETNode(
-                        send_id,
-                        f"xfer_send_{pid}_to_npu{node.npu}",
-                        NodeType.COMM_SEND,
-                        parents=(pid,),
-                        attributes=make_attributes(
-                            {ATTR_COMM_SIZE: size, ATTR_COMM_PEER: node.npu, ATTR_COMM_TAG: tag}
-                        ),
-                    )
-                )
-                extra.setdefault(node.npu, []).append(
-                    ETNode(
-                        recv_id,
-                        f"xfer_recv_{pid}_on_npu{node.npu}",
-                        NodeType.COMM_RECV,
-                        parents=(),
-                        attributes=make_attributes(
-                            {ATTR_COMM_SIZE: size, ATTR_COMM_PEER: parent.npu, ATTR_COMM_TAG: tag}
-                        ),
-                    )
-                )
+                for npu, half_id, name, half_type, half_parents, peer in (
+                    (parent.npu, send_id, f"xfer_send_{pid}_to_npu{node.npu}", NodeType.COMM_SEND, (pid,), node.npu),
+                    (node.npu, recv_id, f"xfer_recv_{pid}_on_npu{node.npu}", NodeType.COMM_RECV, (), parent.npu),
+                ):
+                    attrs = p2p_attributes(size, peer, tag)
+                    extra.setdefault(npu, []).append(ETNode(half_id, name, half_type, half_parents, attrs))
                 pair_for[key] = recv_id
             new_parents[node.id].append(pair_for[key])
 
@@ -317,25 +301,15 @@ def convert_flexflow(text: str) -> list[Trace]:
             next_id += 2
             tag = next_tag
             next_tag += 1
-            converted[dot_id] = GlobalNode(
-                send_id,
-                f"{dot_id}_send",
-                NodeType.COMM_SEND,
-                parents=(),
-                attributes=make_attributes({ATTR_COMM_SIZE: size, ATTR_COMM_PEER: dst, ATTR_COMM_TAG: tag}),
-                npu=src,
-            )
-            # The recv half lives outside `converted`; edges out of the xfer
-            # node are rewired onto it below.
+            # The recv half is stored under "<id>__recv"; edges out of the
+            # xfer node are rewired onto it below.
+            for key, half_id, half, half_type, npu, peer in (
+                (dot_id, send_id, "send", NodeType.COMM_SEND, src, dst),
+                (f"{dot_id}__recv", recv_id, "recv", NodeType.COMM_RECV, dst, src),
+            ):
+                half_attrs = p2p_attributes(size, peer, tag)
+                converted[key] = GlobalNode(half_id, f"{dot_id}_{half}", half_type, (), half_attrs, npu)
             xfer_ends[dot_id] = (send_id, recv_id)
-            converted[f"{dot_id}__recv"] = GlobalNode(
-                recv_id,
-                f"{dot_id}_recv",
-                NodeType.COMM_RECV,
-                parents=(),
-                attributes=make_attributes({ATTR_COMM_SIZE: size, ATTR_COMM_PEER: src, ATTR_COMM_TAG: tag}),
-                npu=dst,
-            )
             continue
         npu = _dot_int(attrs, "npu", dot_id, line_no, default=0)
         if label in _MEM_LABELS:

@@ -127,27 +127,35 @@ class Attribute:
             object.__setattr__(self, "value", tuple(self.value))
 
 
+def float_payload(kind: AttributeKind, value: AttrValue) -> AttrValue:
+    """``value``, a legal ``kind`` payload, with the ints of a FLOAT or FLOATS one as floats.
+
+    A payload holding an int that no float can hold is returned as it is, for
+    validation to report as non-finite.
+    """
+    try:
+        if kind is _FLOATS:
+            return tuple(map(float, value))  # type: ignore[arg-type]
+        if kind is _FLOAT and not isinstance(value, float):
+            return float(value)  # type: ignore[arg-type]
+    except OverflowError:
+        pass
+    return value
+
+
 def _infer_attr(name: str, value: object) -> Attribute:
     if isinstance(value, Attribute):
         return value
     if isinstance(value, bool):
         raise TypeError(f"attribute {name!r}: bool has no attribute kind")
     if isinstance(value, CommType):
-        return Attribute(name, AttributeKind.STRING, value.value)
-    if isinstance(value, int):
-        return Attribute(name, AttributeKind.INT, value)
-    if isinstance(value, float):
-        return Attribute(name, AttributeKind.FLOAT, value)
-    if isinstance(value, str):
-        return Attribute(name, AttributeKind.STRING, value)
-    if isinstance(value, (list, tuple)):
-        items = tuple(value)
-        if all(isinstance(v, int) and not isinstance(v, bool) for v in items):
-            return Attribute(name, AttributeKind.INTS, items)
-        if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in items):
-            return Attribute(name, AttributeKind.FLOATS, tuple(float(v) for v in items))
-        if all(isinstance(v, str) for v in items):
-            return Attribute(name, AttributeKind.STRINGS, items)
+        value = value.value
+    elif isinstance(value, (list, tuple)):
+        value = tuple(value)
+    for kind in (_INT, _FLOAT, _STRING, _INTS, _FLOATS, _STRINGS):  # the first kind the value matches
+        if attr_value_matches_kind(kind, value):
+            return Attribute(name, kind, float_payload(kind, value))  # type: ignore[arg-type]
+    if isinstance(value, tuple):
         raise TypeError(f"attribute {name!r}: mixed or unsupported list payload")
     raise TypeError(f"attribute {name!r}: cannot infer kind for {type(value).__name__}")
 
@@ -159,6 +167,14 @@ def make_attributes(attrs: "dict[str, object] | Iterable[Attribute] | None") -> 
     if isinstance(attrs, dict):
         return tuple(_infer_attr(name, value) for name, value in attrs.items())
     return tuple(attrs)
+
+
+def p2p_attributes(comm_size: object, comm_peer: object, comm_tag: object = None) -> tuple[Attribute, ...]:
+    """A COMM_SEND or COMM_RECV node's attributes: bytes, peer npu_id and an optional pairing tag."""
+    attrs = {ATTR_COMM_SIZE: comm_size, ATTR_COMM_PEER: comm_peer}
+    if comm_tag is not None:
+        attrs[ATTR_COMM_TAG] = comm_tag
+    return make_attributes(attrs)
 
 
 @dataclass(frozen=True)

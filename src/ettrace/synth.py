@@ -296,6 +296,9 @@ class ClusterModel:
         for prev, row in self.transitions.items():
             if abs(sum(row.values()) - 1.0) > 1e-9:
                 raise ValueError(f"transition row for {prev} must sum to 1")
+        for n in self.lengths:
+            if type(n) is not int or n < 0:
+                raise ValueError(f"sequence length {n!r} is not an int >= 0")
 
 
 @dataclass(frozen=True)
@@ -359,6 +362,8 @@ def fit_models(
     """Fit all synthesis models on a corpus of master traces."""
     if not corpus:
         raise ValueError("corpus must contain at least one master trace")
+    if n_clusters < 1:
+        raise ValueError("n_clusters must be >= 1")
     rng = np.random.default_rng(seed)
 
     vectors = np.array([_composition_vector(m) for m in corpus])
@@ -429,6 +434,8 @@ class SynthConfig:
             raise ValueError("npus must be >= 1")
         if not 0 <= self.split_jitter < 1:
             raise ValueError("split_jitter must be in [0, 1)")
+        if self.num_ops is not None and self.num_ops < 0:
+            raise ValueError("num_ops must be >= 0")
 
 
 def _round_up4(value: float) -> int:
@@ -569,6 +576,7 @@ def models_from_json(text: "str | bytes") -> FittedModels:
     if not clusters:
         raise ValueError("models document has no clusters")
     for cluster in clusters:
+        cluster.check()
         for t in {*cluster.type_probs, *(u for row in cluster.transitions.values() for u in row)}:
             if t not in cluster.transitions or t not in size_model or not size_model[t].components:
                 raise ValueError(f"models document: type {t!r} has no transition row or no size model")

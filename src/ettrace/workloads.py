@@ -96,6 +96,14 @@ def generate_workload(spec: WorkloadSpec) -> list[Trace]:
 # --------------------------------------------------------------------------
 
 
+# A backward layer's gradient sync per dp_style: (comm type, name stem) steps,
+# the first hanging off the layer's compute node and each later one off the last.
+_GRAD_SYNC = {
+    DP_STYLE_ALLREDUCE: ((CommType.ALL_REDUCE, "grad_allreduce"),),
+    DP_STYLE_ZERO2: ((CommType.REDUCE_SCATTER, "grad_reducescatter"), (CommType.ALL_GATHER, "param_allgather")),
+}
+
+
 def _gen_layered(spec: WorkloadSpec) -> list[Trace]:
     """A forward chain of layers, then a backward one, on every rank.
 
@@ -119,12 +127,12 @@ def _gen_layered(spec: WorkloadSpec) -> list[Trace]:
         # Weights are sharded across the MP partitions, so each rank syncs
         # 1/mp of every layer's gradient in its DP group.
         grad_bytes = max(1, spec.weight_bytes // mp)
-        zero2 = spec.dp_style == DP_STYLE_ZERO2
+        grad_steps = _GRAD_SYNC[spec.dp_style]
     else:
         # DP all-reduces whole gradients whatever dp_style says; MP has none.
         mp = 1 if spec.parallelism is Parallelism.DP else npus
         groups = [("mp", "dp")] * npus
-        grad_bytes, zero2 = spec.weight_bytes, False
+        grad_bytes, grad_steps = spec.weight_bytes, _GRAD_SYNC[DP_STYLE_ALLREDUCE]
 
     # (name infix, cycles, activation collective, its name, whether it runs,
     # whether the layer syncs gradients) per layer
@@ -151,29 +159,9 @@ def _gen_layered(spec: WorkloadSpec) -> list[Trace]:
                     parents=[node],
                 )
             if phase == "bwd" and grad_sync:
-                if zero2:
-                    rs = b.coll(
-                        f"grad_reducescatter_l{layer}",
-                        CommType.REDUCE_SCATTER,
-                        grad_bytes,
-                        dp_group,
-                        parents=[node],
-                    )
-                    b.coll(
-                        f"param_allgather_l{layer}",
-                        CommType.ALL_GATHER,
-                        grad_bytes,
-                        dp_group,
-                        parents=[rs],
-                    )
-                else:
-                    b.coll(
-                        f"grad_allreduce_l{layer}",
-                        CommType.ALL_REDUCE,
-                        grad_bytes,
-                        dp_group,
-                        parents=[node],
-                    )
+                step = node
+                for comm_type, stem in grad_steps:
+                    step = b.coll(f"{stem}_l{layer}", comm_type, grad_bytes, dp_group, parents=[step])
         traces.append(b.build())
     return traces
 

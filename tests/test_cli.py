@@ -7,7 +7,7 @@ import pytest
 from ettrace import codec, validate
 from ettrace.builder import TraceBuilder
 from ettrace.cli import main
-from ettrace.schema import CommType, ETNode, NodeType, Trace, make_attributes
+from ettrace.schema import Attribute, AttributeKind, CommType, ETNode, NodeType, Trace, make_attributes
 
 from conftest import invalid_chain_trace
 
@@ -91,12 +91,20 @@ def test_validate_ok_and_failure(tmp_path, capsys):
 
 
 def test_validate_reports_out_of_range_and_non_finite(tmp_path, capsys):
-    for code_name, value in (("out-of-range", 2**63), ("non-finite", float("nan"))):
+    for code_name, value in (
+        ("out-of-range", 2**63),
+        ("non-finite", float("nan")),
+        ("non-finite", Attribute("x", AttributeKind.FLOAT, 10**400)),
+        ("non-finite", [1.5, 10**400]),
+    ):
         b = TraceBuilder(0)
         b.add_node("COMP", "n", {"x": value})
         path = tmp_path / f"{code_name}.0.et"
         codec.write_trace(b.build(validate=False), path, validate=False)
         code, _, err = run(capsys, "validate", str(path))
+        assert code == 2 and code_name in err and "Traceback" not in err, err
+        code, _, err = run(capsys, "simulate", "--trace-dir", str(tmp_path), "--prefix", code_name,
+                           "--topology", "torus2d:1x1", "--bw", "62e9")
         assert code == 2 and code_name in err and "Traceback" not in err, err
 
 
@@ -325,6 +333,22 @@ def test_fit_refuses_an_invalid_corpus(tmp_path, capsys):
         codec.write_workload([Trace(0, (node,)), Trace(1, (node,))], work, validate=False)
         code, _, err = run(capsys, "fit", str(work), "--components", "1", "--clusters", "1")
         assert code == 2 and f"{work}: workload failed validation" in err and "Traceback" not in err, label
+
+
+def test_fit_and_synthesize_refuse_negative_counts(tmp_path, capsys):
+    w = gen(tmp_path, capsys)
+    models_file = tmp_path / "models.json"
+    for clusters in ("0", "-1"):
+        code, _, err = run(capsys, "fit", str(w), "--clusters", clusters, "--output", str(models_file))
+        assert code == 2 and "n_clusters must be >= 1" in err and not models_file.exists(), (clusters, err)
+    assert run(capsys, "fit", str(w), "--components", "1", "--output", str(models_file))[0] == 0
+    out = tmp_path / "synth"
+    code, _, err = run(capsys, "synthesize", "--models", str(models_file), "--npus", "2", "--num-ops", "-3",
+                       "--out", str(out))
+    assert code == 2 and "num_ops must be >= 0" in err and not out.exists(), err
+    code, _, err = run(capsys, "synthesize", "--models", str(models_file), "--npus", "2", "--num-ops", "0",
+                       "--out", str(out))
+    assert code == 0 and "wrote 2 trace(s)" in err
 
 
 def test_fit_matches_collectives_as_simulate_does(tmp_path, capsys):

@@ -538,3 +538,24 @@ def test_binary_encoding_of_unvalidated_traces_is_pinned(name):
     else:
         outcome = hashlib.sha256(data).hexdigest()
     assert outcome == UNVALIDATED_OUTCOMES[name]
+
+
+def test_validation_bounds_are_the_binary_field_widths():
+    """Each bound validation enforces is the largest value the codec struct storing it can pack."""
+    from ettrace import validate
+
+    for st, low, high in (
+        (codec._U8, 0, validate._U8_MAX),
+        (codec._U16, 0, validate._U16_MAX),
+        (codec._U32, 0, validate._U32_MAX),
+        (codec._U64, 0, validate._U64_MAX),
+        (codec._SCALAR_VALUE[AttributeKind.INT.value], validate._I64_MIN, validate._I64_MAX),
+    ):
+        assert st.unpack(st.pack(low)) == (low,) and st.unpack(st.pack(high)) == (high,)
+        for past in (low - 1, high + 1):
+            with pytest.raises(struct.error):
+                st.pack(past)
+    most = Trace(0, (ETNode(1, "n", NodeType.COMP, attributes=make_attributes(
+        {f"a{i}": i for i in range(validate._U16_MAX)})),))
+    assert validate_trace(most).ok
+    assert decode_trace(encode_trace(most, FORMAT_BINARY)) == most

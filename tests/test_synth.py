@@ -400,6 +400,30 @@ def test_models_json_roundtrip(rng):
         models_from_json(json.dumps(doc))
 
 
+def test_fit_models_requires_a_cluster(rng):
+    for n_clusters in (0, -1):
+        with pytest.raises(ValueError, match="n_clusters must be >= 1"):
+            fit_models(corpus_masters(rng), n_clusters=n_clusters)
+
+
+def test_models_json_holds_what_fit_models_could_write(rng):
+    import json
+    doc = json.loads(models_to_json(fit_models(corpus_masters(rng), k_components=1, n_clusters=1, seed=0)))
+    (cluster,) = doc["type_model"]["clusters"]
+    for field, value, message in (
+        ("type_probs", {AR.value: 0.3}, "type probabilities must sum to 1"),
+        ("transitions", {**cluster["transitions"], AR.value: {AR.value: 0.5}}, "transition row"),
+        ("lengths", [2.5], "sequence length 2.5 is not an int"),
+        ("lengths", [30, 1.0], "sequence length 1.0 is not an int"),
+    ):
+        changed = json.loads(json.dumps(doc))
+        changed["type_model"]["clusters"][0][field] = value
+        with pytest.raises(ValueError, match=message):
+            models_from_json(json.dumps(changed))
+    with pytest.raises(ValueError, match="sequence length 2.5"):
+        ClusterModel(1.0, {AR.value: 1.0}, {AR.value: {AR.value: 1.0}}, (2.5,)).check()
+
+
 def test_models_json_malformed_documents_are_value_errors():
     with pytest.raises(ValueError, match="JSON object"):
         models_from_json("[]")
@@ -480,3 +504,7 @@ def test_synth_config_validation():
         SynthConfig(npus=0, seed=0)
     with pytest.raises(ValueError, match="split_jitter"):
         SynthConfig(npus=2, seed=0, split_jitter=1.5)
+    for num_ops in (-1, -3):
+        with pytest.raises(ValueError, match="num_ops must be >= 0"):
+            SynthConfig(npus=2, seed=0, num_ops=num_ops)
+    assert SynthConfig(npus=2, seed=0, num_ops=0).num_ops == 0

@@ -179,10 +179,18 @@ def test_non_finite_floats():
     for value in (math.nan, math.inf, -math.inf, 10**400):
         node = ETNode(1, "n", NodeType.COMP, attributes=(Attribute("f", AttributeKind.FLOAT, value),))
         assert codes(Trace(0, (node,))) == {v.NON_FINITE}, value
+        decoded = decode_trace(encode_trace(Trace(0, (node,)), FORMAT_JSON, validate=False))
+        assert codes(decoded) == {v.NON_FINITE}, value
         node = ETNode(1, "n", NodeType.COMP, attributes=(Attribute("f", AttributeKind.FLOATS, (1.0, value)),))
         assert codes(Trace(0, (node,))) == {v.NON_FINITE}, value
+        decoded = decode_trace(encode_trace(Trace(0, (node,)), FORMAT_JSON, validate=False))
+        assert codes(decoded) == {v.NON_FINITE}, value
         with pytest.raises(v.InvalidTraceError, match="non-finite"):
             encode_trace(Trace(0, (node,)), FORMAT_JSON)
+        b = TraceBuilder(0)
+        b.add_node("COMP", "n", {"x": [1.5, value]})
+        with pytest.raises(v.InvalidTraceError, match="non-finite"):
+            b.build()
     finite = make_attributes({"f": -1.7976931348623157e308, "fs": [0.0, 5e-324, 1.7976931348623157e308]})
     assert v.validate_trace(Trace(0, (ETNode(1, "n", NodeType.COMP, attributes=finite),))).ok
 
