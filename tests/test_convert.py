@@ -402,3 +402,95 @@ def test_split_output_matches_pinned_digest():
     traces = split_per_npu(nodes)
     assert len(traces) == 6
     assert hashlib.sha256("".join(trace_to_json(t) for t in traces).encode()).hexdigest() == SPLIT_JSON_SHA256
+
+
+# Seeded random converter inputs. The PyTorch documents hold self-deps,
+# repeated deps, shared and badly sized nccl children, and children with lower
+# ids than their parent; the DOT documents hold XferP2P, memory and unlabeled
+# nodes, redeclarations, self edges and duplicate edges.
+_PT_NAMES = (
+    "record_param_comms", "record_param_comms", "nccl:all_reduce", "nccl:all_gather",
+    "nccl:reduce_scatter", "nccl:all_to_all", "nccl:broadcast", "aten::mm", "custom",
+)
+
+
+def random_pytorch_doc(rng):
+    """A PyTorch-subset document of 1-8 nodes and a ``cycles_per_us``."""
+    ids = rng.sample(range(1, 12), rng.randint(1, 8))
+    nodes = []
+    for node_id in ids:
+        node = {"id": node_id, "name": rng.choice(_PT_NAMES), "npu": rng.randrange(3)}
+        if rng.random() < 0.8:
+            node["ctrl_deps"] = rng.choices(ids + [99] * (rng.random() < 0.02), k=rng.randint(0, 3))
+        for key, values in (
+            ("dur", (0, 7, 7, 2.6, 2.6, -3, True, "5")),
+            ("size", (0, 64, 64, 4096, 4096, 4096, -1, "big", True, 1.5)),
+            ("pg", ("dp", 3)),
+        ):
+            if rng.random() < 0.6:
+                node[key] = rng.choice(values)
+        nodes.append(node)
+    return {"nodes": nodes}, rng.choice((1.0, 2.5, 0.4))
+
+
+def random_dot_doc(rng, ids=("a", "b", "c", "d", "e", "f", "g", "x", "y", "z")):
+    """A FlexFlow-style DOT document of 1-6 declarations with edges between them."""
+    lines, declared = ["digraph g {"], []
+    for _ in range(rng.randint(1, 6)):
+        dot_id = rng.choice(ids)
+        roll = rng.random()
+        if roll < 0.35:
+            attrs = ['label="XferP2P"', f"src={rng.randrange(3)}", f"dst={rng.randrange(3)}"]
+            attrs.append(rng.choice(("bytes=1024",) * 8 + ("bytes=0", "bytes=big", "")))
+        elif roll < 0.5:
+            attrs = [f'label="{rng.choice(("MemLoad", "MemStore"))}"', rng.choice(("bytes=64", ""))]
+        elif roll < 0.8:
+            attrs = [rng.choice(('label="Dense"', "")), rng.choice(("cycles=5",) * 8 + ("cycles=fast",))]
+        else:
+            attrs = [rng.choice(('label="Fused"', ""))]
+        attrs.append(rng.choice(("npu=0", "npu=1", "npu=2") * 6 + ("npu=x", "")))
+        lines.append(f"  {dot_id} [{', '.join(a for a in attrs if a)}];")
+        declared.append(dot_id)
+        for _ in range(rng.randint(0, 2)):
+            dst = rng.choice(declared) if rng.random() > 0.01 else "undeclared"
+            lines.append(f"  {rng.choice(declared)} -> {dst};")
+    return "\n".join(lines + ["}"]) + "\n"
+
+
+def convert_outcome(convert, *args):
+    """``trace_to_json`` of every trace and the warnings logged, or the error raised."""
+    messages = []
+    handler = logging.Handler(logging.WARNING)
+    handler.emit = lambda record: messages.append(record.getMessage())
+    logger = logging.getLogger("ettrace.convert")
+    logger.addHandler(handler)
+    try:
+        out = "".join(trace_to_json(t) for t in convert(*args))
+    except Exception as exc:  # the pin covers what each input raises
+        out = f"{type(exc).__name__}: {exc}"
+    finally:
+        logger.removeHandler(handler)
+    return "\n".join([out, *messages])
+
+
+# sha256 of every outcome of 2,000 seeded random documents per dialect,
+# recorded before each converter built its nodes in one pass.
+CONVERT_OUTCOMES_SHA256 = {
+    "pytorch": "b42c40aaa3bb9f45d28793ac9cdd2898e49a815a89fa919fe5d6079ee8e4fd67",
+    "flexflow": "829f8dc15891014a29be55bb5911e9d1a17237390336262b2554a9266b8f82aa",
+}
+
+
+def test_converter_outcomes_match_pinned_digests():
+    digests = {}
+    for dialect, seed in (("pytorch", 0xC0DE), ("flexflow", 0xD07)):
+        rng = random.Random(seed)
+        digest = hashlib.sha256()
+        for _ in range(2000):
+            if dialect == "pytorch":
+                outcome = convert_outcome(convert_pytorch, *random_pytorch_doc(rng))
+            else:
+                outcome = convert_outcome(convert_flexflow, random_dot_doc(rng))
+            digest.update(outcome.encode() + b"\0")
+        digests[dialect] = digest.hexdigest()
+    assert digests == CONVERT_OUTCOMES_SHA256
