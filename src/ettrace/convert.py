@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import re
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .schema import (
     ATTR_COMM_GROUP,
@@ -134,11 +135,11 @@ def _max_existing_tag(nodes: Sequence[GlobalNode]) -> int:
 # PyTorch execution-graph subset
 # --------------------------------------------------------------------------
 
-_NCCL_SUFFIX_TO_TYPE = {
-    "all_reduce": CommType.ALL_REDUCE,
-    "all_gather": CommType.ALL_GATHER,
-    "reduce_scatter": CommType.REDUCE_SCATTER,
-    "all_to_all": CommType.ALL_TO_ALL,
+_NCCL_TO_TYPE = {
+    "nccl:all_reduce": CommType.ALL_REDUCE,
+    "nccl:all_gather": CommType.ALL_GATHER,
+    "nccl:reduce_scatter": CommType.REDUCE_SCATTER,
+    "nccl:all_to_all": CommType.ALL_TO_ALL,
 }
 
 RECORD_PARAM_COMMS = "record_param_comms"
@@ -152,69 +153,69 @@ def convert_pytorch(doc: dict, cycles_per_us: float = 1.0) -> list[Trace]:
     COMM_COLL by reading their ``nccl:<op>`` child's ``size``/``pg`` fields
     (the child itself is kept as a dependency-transparent INVALID node);
     anything else becomes INVALID. The result is split per the ``npu`` field.
+    A non-finite runtime or ``cycles_per_us`` raises ``ConvertError``.
     """
+    if not 0 < cycles_per_us < math.inf:
+        raise ConvertError(f"cycles_per_us must be positive and finite, got {cycles_per_us}")
     raw_nodes = _pt_nodes(doc)
-    children: dict[int, list[dict]] = {}
+    nccl_child: dict[int, dict] = {}  # node id -> its lowest-id interpretable nccl child
     for raw in raw_nodes.values():
-        for dep in raw["ctrl_deps"]:
-            children.setdefault(dep, []).append(raw)
+        if raw["name"] in _NCCL_TO_TYPE:
+            for dep in raw["ctrl_deps"]:
+                nccl_child.setdefault(dep, raw)
 
-    consumed: set[int] = set()
+    comm_attrs: dict[int, dict[str, object]] = {}  # record_param_comms id -> COMM_COLL attributes, or {}
+    for node_id, raw in raw_nodes.items():
+        if raw["name"] != RECORD_PARAM_COMMS:
+            continue
+        child = nccl_child.get(node_id)
+        comm_attrs[node_id] = {}
+        if child is None:
+            logger.warning(
+                "record_param_comms node %d has no interpretable nccl child; kept as INVALID",
+                node_id,
+            )
+        elif not isinstance(size := child.get("size"), int) or isinstance(size, bool) or size < 0:
+            logger.warning(
+                "comm node %d: nccl child %d lacks a usable size; kept as INVALID",
+                node_id,
+                child["id"],
+            )
+        else:
+            group = child.get("pg", "0")
+            comm_attrs[node_id] = {
+                ATTR_COMM_TYPE: _NCCL_TO_TYPE[child["name"]].value,
+                ATTR_COMM_SIZE: size,
+                ATTR_COMM_GROUP: group if isinstance(group, str) else str(group),
+            }
+    # Children consumed into their comm parent stay as INVALID placeholders so
+    # downstream dependency paths through them remain intact.
+    consumed = {nccl_child[node_id]["id"] for node_id, attrs in comm_attrs.items() if attrs}
+
     converted: list[GlobalNode] = []
-    for node_id in sorted(raw_nodes):
-        raw = raw_nodes[node_id]
-        name = raw["name"]
-        attrs: dict[str, object] = {}
-        if name == RECORD_PARAM_COMMS:
-            child = _find_nccl_child(children.get(node_id, ()))
-            if child is None:
-                logger.warning(
-                    "record_param_comms node %d has no interpretable nccl child; kept as INVALID",
-                    node_id,
-                )
-                node_type = NodeType.INVALID
-            else:
-                suffix = child["name"].split(":", 1)[1]
-                size = child.get("size")
-                if not isinstance(size, int) or isinstance(size, bool) or size < 0:
-                    logger.warning(
-                        "comm node %d: nccl child %d lacks a usable size; kept as INVALID",
-                        node_id,
-                        child["id"],
-                    )
-                    node_type = NodeType.INVALID
-                else:
-                    node_type = NodeType.COMM_COLL
-                    group = child.get("pg", "0")
-                    attrs = {
-                        ATTR_COMM_TYPE: _NCCL_SUFFIX_TO_TYPE[suffix].value,
-                        ATTR_COMM_SIZE: size,
-                        ATTR_COMM_GROUP: group if isinstance(group, str) else str(group),
-                    }
-                    consumed.add(child["id"])
-        elif isinstance(raw.get("dur"), (int, float)) and not isinstance(raw.get("dur"), bool):
+    for node_id, raw in raw_nodes.items():
+        attrs, dur = comm_attrs.get(node_id, {}), raw.get("dur")
+        if node_id in comm_attrs or node_id in consumed:
+            node_type = NodeType.COMM_COLL if attrs else NodeType.INVALID
+        elif isinstance(dur, (int, float)) and not isinstance(dur, bool):
+            try:
+                attrs = {ATTR_RUNTIME: max(0, round(dur * cycles_per_us))}
+            except (OverflowError, ValueError):  # an infinite or NaN product
+                raise ConvertError(f"node {node_id}: dur * cycles_per_us is not finite") from None
             node_type = NodeType.COMP
-            attrs = {ATTR_RUNTIME: max(0, round(raw["dur"] * cycles_per_us))}
         else:
             node_type = NodeType.INVALID
         converted.append(
             GlobalNode(
                 id=node_id,
-                name=name,
+                name=raw["name"],
                 type=node_type,
                 parents=tuple(raw["ctrl_deps"]),
                 attributes=make_attributes(attrs),
                 npu=raw["npu"],
             )
         )
-
-    # Children consumed into their comm parent stay as INVALID placeholders so
-    # downstream dependency paths through them remain intact.
-    final = [
-        gn if gn.id not in consumed else GlobalNode(gn.id, gn.name, NodeType.INVALID, gn.parents, (), gn.npu)
-        for gn in converted
-    ]
-    return split_per_npu(final)
+    return split_per_npu(converted)
 
 
 def convert_pytorch_json(text: "str | bytes", cycles_per_us: float = 1.0) -> list[Trace]:
@@ -251,15 +252,7 @@ def _pt_nodes(doc: object) -> "dict[int, dict]":
         for dep in raw["ctrl_deps"]:
             if dep not in out:
                 raise ConvertError(f"node {node_id} references unknown ctrl_dep {dep}")
-    return out
-
-
-def _find_nccl_child(children: Iterable[dict]) -> "dict | None":
-    for child in sorted(children, key=lambda c: c["id"]):
-        name = child.get("name", "")
-        if name.startswith("nccl:") and name.split(":", 1)[1] in _NCCL_SUFFIX_TO_TYPE:
-            return child
-    return None
+    return dict(sorted(out.items()))
 
 
 # --------------------------------------------------------------------------
@@ -286,30 +279,21 @@ def convert_flexflow(text: str) -> list[Trace]:
     """
     parsed_nodes, parsed_edges = _parse_dot(text)
 
-    converted: dict[str, GlobalNode] = {}
-    xfer_ends: dict[str, tuple[int, int]] = {}  # dot id -> (send id, recv id)
-    next_id = 1
-    next_tag = 1
-    for dot_id in parsed_nodes:  # insertion = declaration order
-        attrs, line_no = parsed_nodes[dot_id]
+    # One (id, name, type, attributes, npu) record per node, ids in order.
+    records: list[tuple[int, str, NodeType, tuple[Attribute, ...], int]] = []
+    ends: dict[str, tuple[int, int]] = {}  # dot id -> (id its in-edges reach, id its out-edges leave)
+    tag = 1
+    for dot_id, (attrs, line_no) in parsed_nodes.items():  # insertion = declaration order
+        node_id = len(records) + 1
         label = attrs.get("label", "")
         if label == XFER_P2P:
             src = _dot_int(attrs, "src", dot_id, line_no)
             dst = _dot_int(attrs, "dst", dot_id, line_no)
             size = _dot_int(attrs, "bytes", dot_id, line_no)
-            send_id, recv_id = next_id, next_id + 1
-            next_id += 2
-            tag = next_tag
-            next_tag += 1
-            # The recv half is stored under "<id>__recv"; edges out of the
-            # xfer node are rewired onto it below.
-            for key, half_id, half, half_type, npu, peer in (
-                (dot_id, send_id, "send", NodeType.COMM_SEND, src, dst),
-                (f"{dot_id}__recv", recv_id, "recv", NodeType.COMM_RECV, dst, src),
-            ):
-                half_attrs = p2p_attributes(size, peer, tag)
-                converted[key] = GlobalNode(half_id, f"{dot_id}_{half}", half_type, (), half_attrs, npu)
-            xfer_ends[dot_id] = (send_id, recv_id)
+            records.append((node_id, f"{dot_id}_send", NodeType.COMM_SEND, p2p_attributes(size, dst, tag), src))
+            records.append((node_id + 1, f"{dot_id}_recv", NodeType.COMM_RECV, p2p_attributes(size, src, tag), dst))
+            ends[dot_id] = (node_id, node_id + 1)
+            tag += 1
             continue
         npu = _dot_int(attrs, "npu", dot_id, line_no, default=0)
         if label in _MEM_LABELS:
@@ -322,26 +306,17 @@ def convert_flexflow(text: str) -> list[Trace]:
         else:
             node_type = NodeType.INVALID
             node_attrs = {}
-        converted[dot_id] = GlobalNode(
-            next_id, label or dot_id, node_type, (), make_attributes(node_attrs), npu
-        )
-        next_id += 1
+        records.append((node_id, label or dot_id, node_type, make_attributes(node_attrs), npu))
+        ends[dot_id] = (node_id, node_id)
 
-    # Wire edges: into an xfer -> its send half; out of an xfer -> from its recv half.
-    parents: dict[int, list[int]] = {gn.id: [] for gn in converted.values()}
-    for (src_dot, dst_dot), line_no in parsed_edges:
-        src_gn = converted[src_dot]
-        src_id = xfer_ends[src_dot][1] if src_dot in xfer_ends else src_gn.id
-        dst_gn = converted[dst_dot]
-        dst_id = xfer_ends[dst_dot][0] if dst_dot in xfer_ends else dst_gn.id
+    parents: dict[int, list[int]] = {rec[0]: [] for rec in records}
+    for src_dot, dst_dot in parsed_edges:
+        src_id, dst_id = ends[src_dot][1], ends[dst_dot][0]
         if src_id not in (dst_id, *parents[dst_id]):
             parents[dst_id].append(src_id)
-
-    final = [
-        GlobalNode(gn.id, gn.name, gn.type, tuple(parents[gn.id]), gn.attributes, gn.npu)
-        for gn in converted.values()
-    ]
-    return split_per_npu(final)
+    return split_per_npu(
+        [GlobalNode(i, name, t, tuple(parents[i]), attrs, npu) for i, name, t, attrs, npu in records]
+    )
 
 
 def _dot_int(
@@ -357,9 +332,9 @@ def _dot_int(
         raise DotParseError(f"node {dot_id!r}: attribute {key!r} is not an integer", line_no) from None
 
 
-def _parse_dot(text: str) -> "tuple[dict[str, tuple[dict[str, str], int]], list[tuple[tuple[str, str], int]]]":
+def _parse_dot(text: str) -> "tuple[dict[str, tuple[dict[str, str], int]], list[tuple[str, str]]]":
     nodes: dict[str, tuple[dict[str, str], int]] = {}
-    edges: list[tuple[tuple[str, str], int]] = []
+    edges: list[tuple[str, str]] = []
     opened = closed = False
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("//", 1)[0].strip()
@@ -381,7 +356,7 @@ def _parse_dot(text: str) -> "tuple[dict[str, tuple[dict[str, str], int]], list[
             for end in (src, dst):
                 if end not in nodes:
                     raise DotParseError(f"edge references undeclared node {end!r}", line_no)
-            edges.append(((src, dst), line_no))
+            edges.append((src, dst))
             continue
         node = _DOT_NODE_RE.match(line)
         if node:

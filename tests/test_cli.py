@@ -441,6 +441,20 @@ def test_convert_bad_input_is_data_error(tmp_path, capsys):
     assert code == 2 and "not valid JSON" in err
 
 
+def test_convert_non_finite_runtime_is_data_error(tmp_path, capsys):
+    pt = tmp_path / "graph.json"
+    out = tmp_path / "out"
+    for dur, extra, message in (
+        ("1e999", (), "error: node 1: dur"),
+        ("NaN", (), "error: node 1: dur"),
+        ("1", ("--cycles-per-us", "-1"), "must be positive and finite, got -1.0"),
+        ("1", ("--cycles-per-us", "0"), "must be positive and finite, got 0.0"),
+    ):
+        pt.write_text('{"nodes": [{"id": 1, "name": "aten::mm", "dur": %s}]}' % dur)
+        code, _, err = run(capsys, "convert", str(pt), "--out", str(out), *extra)
+        assert code == 2 and message in err and "Traceback" not in err and not out.exists(), (dur, extra, err)
+
+
 def test_corrupted_trace_files_never_escape_the_exit_codes(tmp_path, capsys):
     rng = random.Random(5)
     for fmt in ("json", "binary"):

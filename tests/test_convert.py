@@ -129,7 +129,7 @@ def test_pytorch_unannotated_node_becomes_invalid():
 
 
 def test_pytorch_malformed_documents():
-    for doc, msg in [
+    for doc, msg, *cycles_per_us in [
         ([], "'nodes' array"),
         ({"nodes": 3}, "'nodes' array"),
         ({"nodes": ["x"]}, "not an object"),
@@ -139,9 +139,17 @@ def test_pytorch_malformed_documents():
         (pt_doc(pt_node(1, "a", deps=["x"])), "list of ids"),
         (pt_doc(pt_node(1, "a", deps=[9])), "unknown ctrl_dep 9"),
         (pt_doc(pt_node(1, "a", npu="gpu0")), "npu must be an integer"),
+        (pt_doc(pt_node(1, "a"), pt_node(2, "b", dur=float("inf"))), "node 2: dur"),
+        (pt_doc(pt_node(3, "a", dur=float("nan"))), "node 3: dur"),
+        (pt_doc(pt_node(4, "a", dur=10**400)), "node 4: dur"),
+        (pt_doc(pt_node(5, "a", dur=1e300)), "node 5: dur", 1e300),
+        (pt_doc(pt_node(1, "a", dur=1)), "cycles_per_us must be positive and finite, got -1", -1),
+        (pt_doc(pt_node(1, "a", dur=1)), "cycles_per_us must be positive and finite, got 0", 0),
+        (pt_doc(pt_node(1, "a", dur=1)), "cycles_per_us must be positive and finite, got inf", float("inf")),
+        (pt_doc(pt_node(1, "a", dur=1)), "cycles_per_us must be positive and finite, got nan", float("nan")),
     ]:
         with pytest.raises(ConvertError, match=msg.replace("[", r"\[").replace("]", r"\]").replace("'", "'")):
-            convert_pytorch(doc)
+            convert_pytorch(doc, *cycles_per_us)
 
 
 def test_pytorch_json_entry_point():
@@ -350,6 +358,34 @@ def test_flexflow_duplicate_edges_and_self_edges_dropped():
     (trace,) = convert_flexflow(text)
     assert by_name(trace)["b"].parents == (by_name(trace)["a"].id,)
     assert by_name(trace)["a"].parents == ()
+
+
+def test_flexflow_dot_ids_never_collide_with_transfer_halves():
+    after = (
+        "digraph g {\n"
+        '  x [label="XferP2P", src=0, dst=1, bytes=8];\n'
+        "  x__recv [cycles=3, npu=1];\n"
+        "  y [cycles=5, npu=1];\n"
+        "  x -> y;\n"
+        "}\n"
+    )
+    _, t1 = convert_flexflow(after)
+    named = by_name(t1)
+    assert named["y"].parents == (named["x_recv"].id,)
+    assert named["x__recv"].type is NodeType.COMP and named["x__recv"].parents == ()
+
+    before = (
+        "digraph g {\n"
+        "  x__recv [cycles=3, npu=1];\n"
+        '  x [label="XferP2P", src=0, dst=1, bytes=8];\n'
+        "  y [cycles=5, npu=1];\n"
+        "  x__recv -> y;\n"
+        "}\n"
+    )
+    _, t1 = convert_flexflow(before)
+    named = by_name(t1)
+    assert named["y"].parents == (named["x__recv"].id,)
+    assert {n.name for n in t1.nodes} == {"x__recv", "x_recv", "y"}
 
 
 def test_flexflow_parse_errors_carry_line_numbers():
