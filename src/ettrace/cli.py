@@ -184,15 +184,16 @@ def _cmd_sweep(args, parser: _Parser) -> int:
 
 
 def _cmd_fit(args, parser: _Parser) -> int:
-    corpus = []
-    for raw in args.trace_dirs:
-        traces = codec.read_workload(raw, prefix=args.prefix)
-        report = validate.validate_workload(traces)
-        if not report.ok:
-            raise validate.InvalidTraceError(report, f"{raw}: workload failed validation")
-        corpus.append(synth.build_master_trace(traces))
+    def corpus():  # read lazily: fit_models checks its counts first
+        for raw in args.trace_dirs:
+            traces = codec.read_workload(raw, prefix=args.prefix)
+            report = validate.validate_workload(traces)
+            if not report.ok:
+                raise validate.InvalidTraceError(report, f"{raw}: workload failed validation")
+            yield synth.build_master_trace(traces)
+
     models = synth.fit_models(
-        corpus, k_components=args.components, n_clusters=args.clusters, seed=args.seed
+        corpus(), k_components=args.components, n_clusters=args.clusters, seed=args.seed
     )
     _write_output(synth.models_to_json(models), args.output)
     return 0

@@ -86,23 +86,16 @@ def _attr_from_obj(obj: object, interned: "dict[tuple, Attribute]") -> Attribute
     The key holds ``type(value)`` so that 1 and 1.0 stay apart. A float zero
     is never interned: 0.0 == -0.0, so the two would share a key.
     """
-    key = None
-    if type(obj) is dict:
-        name, kind_name, doc, value = obj.get("name"), obj.get("kind"), obj.get("doc_string", ""), obj.get("value")
-        value_type = type(value)
-        if (
-            (value_type is int or value_type is str or (value_type is float and value != 0.0))
-            and type(name) is str
-            and type(kind_name) is str
-            and type(doc) is str
-        ):
-            key = (name, kind_name, doc, value_type, value)
-            attr = interned.get(key)
-            if attr is not None:
-                return attr
-    attr = _decode_attr_obj(obj)
-    if key is not None:
-        interned[key] = attr
+    try:
+        value = obj["value"]
+        key = (obj["name"], obj["kind"], obj.get("doc_string", ""), type(value), value)
+        attr = interned.get(key)
+    except (TypeError, KeyError, AttributeError):  # no key: not an object, a field missing, a list value
+        return _decode_attr_obj(obj)
+    if attr is None:
+        attr = _decode_attr_obj(obj)
+        if type(value) is int or type(value) is str or (type(value) is float and value != 0.0):
+            interned[key] = attr
     return attr
 
 

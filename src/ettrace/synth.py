@@ -16,6 +16,7 @@ import logging
 import sys
 from collections import Counter
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -291,7 +292,9 @@ class ClusterModel:
     lengths: tuple[int, ...]  # empirical sequence lengths seen in this cluster
 
     def check(self) -> None:
-        if abs(sum(self.type_probs.values()) - 1.0) > 1e-9:
+        # Only a cluster of collective-free masters (every length 0) holds no types.
+        has_types = self.type_probs or self.transitions or any(self.lengths)
+        if has_types and abs(sum(self.type_probs.values()) - 1.0) > 1e-9:
             raise ValueError("type probabilities must sum to 1")
         for prev, row in self.transitions.items():
             if abs(sum(row.values()) - 1.0) > 1e-9:
@@ -354,16 +357,22 @@ class FittedModels:
 
 
 def fit_models(
-    corpus: "list[MasterTrace]",
+    corpus: "Iterable[MasterTrace]",
     k_components: int = 3,
     n_clusters: int = 2,
     seed: int = 0,
 ) -> FittedModels:
-    """Fit all synthesis models on a corpus of master traces."""
-    if not corpus:
-        raise ValueError("corpus must contain at least one master trace")
+    """Fit all synthesis models on a corpus of master traces.
+
+    Both counts are checked before the corpus is read.
+    """
     if n_clusters < 1:
         raise ValueError("n_clusters must be >= 1")
+    if k_components < 1:
+        raise ValueError("k must be >= 1")
+    corpus = list(corpus)
+    if not corpus:
+        raise ValueError("corpus must contain at least one master trace")
     rng = np.random.default_rng(seed)
 
     vectors = np.array([_composition_vector(m) for m in corpus])
@@ -451,6 +460,10 @@ def synthesize_master(models: FittedModels, cfg: SynthConfig) -> MasterTrace:
     """Sample one master trace: cluster -> length -> type chain -> sizes -> split."""
     rng = np.random.default_rng(cfg.seed)
     clusters = models.type_model.clusters
+    if cfg.num_ops:  # a positive op count draws only among clusters that hold collectives
+        clusters = tuple(c for c in clusters if c.type_probs)
+        if not clusters:
+            raise ValueError(f"models hold no collectives to draw {cfg.num_ops} ops from")
     weights = np.array([c.weight for c in clusters])
     cluster = clusters[int(rng.choice(len(clusters), p=weights / weights.sum()))]
 

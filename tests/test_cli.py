@@ -4,7 +4,7 @@ import shutil
 
 import pytest
 
-from ettrace import codec, validate
+from ettrace import codec, synth, validate
 from ettrace.builder import TraceBuilder
 from ettrace.cli import main
 from ettrace.schema import Attribute, AttributeKind, CommType, ETNode, NodeType, Trace, make_attributes
@@ -349,6 +349,33 @@ def test_fit_and_synthesize_refuse_negative_counts(tmp_path, capsys):
     code, _, err = run(capsys, "synthesize", "--models", str(models_file), "--npus", "2", "--num-ops", "0",
                        "--out", str(out))
     assert code == 0 and "wrote 2 trace(s)" in err
+
+
+def test_fit_checks_its_counts_before_any_replay(tmp_path, capsys, monkeypatch):
+    w = gen(tmp_path, capsys)
+    calls = []
+    real = synth.build_master_trace
+    monkeypatch.setattr(synth, "build_master_trace", lambda traces: calls.append(1) or real(traces))
+    for flag, message in (("--clusters", "n_clusters must be >= 1"), ("--components", "k must be >= 1")):
+        code, _, err = run(capsys, "fit", str(w), str(w), flag, "0")
+        assert code == 2 and message in err and "Traceback" not in err, (flag, err)
+    assert calls == []
+
+
+def test_fit_accepts_collective_free_workloads(tmp_path, capsys):
+    dp, pp = gen(tmp_path, capsys), tmp_path / "pp"
+    assert run(capsys, "generate", "--parallelism", "pipeline", "--npus", "4", "--out", str(pp))[0] == 0
+    models_file = tmp_path / "models.json"
+    for clusters, lengths in (("2", [[0], [6]]), ("1", [[0, 6]])):
+        code, _, err = run(capsys, "fit", str(dp), str(pp), "--clusters", clusters, "--output", str(models_file))
+        assert code == 0, err
+        doc = json.loads(models_file.read_text())
+        assert sorted(c["lengths"] for c in doc["type_model"]["clusters"]) == lengths
+    out = tmp_path / "synth"
+    code, _, err = run(capsys, "synthesize", "--models", str(models_file), "--npus", "4", "--num-ops", "6",
+                       "--out", str(out))
+    assert code == 0, err
+    assert [sum(n.type is NodeType.COMM_COLL for n in t.nodes) for t in codec.read_workload(out)] == [6] * 4
 
 
 def test_fit_matches_collectives_as_simulate_does(tmp_path, capsys):

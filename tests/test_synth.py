@@ -12,6 +12,7 @@ from ettrace.synth import (
     FittedModels,
     Gmm1D,
     GmmComponent,
+    MasterTrace,
     MergeConflictError,
     SynthConfig,
     build_master_trace,
@@ -351,6 +352,8 @@ def test_cluster_model_check_rejects_bad_sums():
         ClusterModel(1.0, {AR.value: 0.5}, {}, (1,)).check()
     with pytest.raises(ValueError, match="transition row"):
         ClusterModel(1.0, {AR.value: 1.0}, {AR.value: {AR.value: 0.7}}, (1,)).check()
+    with pytest.raises(ValueError, match="sum to 1"):
+        ClusterModel(1.0, {}, {}, (1,)).check()
 
 
 def corpus_masters(rng):
@@ -404,6 +407,22 @@ def test_fit_models_requires_a_cluster(rng):
     for n_clusters in (0, -1):
         with pytest.raises(ValueError, match="n_clusters must be >= 1"):
             fit_models(corpus_masters(rng), n_clusters=n_clusters)
+
+
+def test_collective_free_masters_fit_into_a_cluster_that_draws_no_ops(rng):
+    empty = MasterTrace(ops=(), ranks=frozenset({0, 1}))
+    models = fit_models([corpus_masters(rng)[0], empty], k_components=1, n_clusters=2, seed=0)
+    assert sorted(c.lengths for c in models.type_model.clusters) == [(0,), (30,)]
+    assert models_from_json(models_to_json(models)) == models
+    for seed in range(8):  # a positive op count never draws the collective-free cluster
+        assert len(synthesize_master(models, SynthConfig(npus=2, seed=seed, num_ops=5)).ops) == 5
+
+    only_empty = fit_models([empty, empty], k_components=1, n_clusters=2, seed=0)
+    (cluster,) = only_empty.type_model.clusters
+    assert (cluster.type_probs, cluster.transitions, cluster.lengths) == ({}, {}, (0, 0))
+    assert synthesize_master(only_empty, SynthConfig(npus=2, seed=0)).ops == ()
+    with pytest.raises(ValueError, match="no collectives to draw 3 ops"):
+        synthesize_master(only_empty, SynthConfig(npus=2, seed=0, num_ops=3))
 
 
 def test_models_json_holds_what_fit_models_could_write(rng):
