@@ -5,7 +5,12 @@ nodes. The package covers the full loop: capture-format conversion, canonical
 JSON/binary encodings, dependency-resolved feeding, discrete-event replay
 against analytic network cost models, workload generation, visualization, and
 statistical synthesis of new workloads from fitted models.
+
+``synth`` (which needs numpy) and ``convert`` load on first access, so a
+process that only replays traces never imports them.
 """
+import importlib as _importlib
+
 from .builder import DependencyCycleError, TraceBuilder
 from .codec import (
     DecodeError,
@@ -22,7 +27,6 @@ from .codec import (
     write_trace,
     write_workload,
 )
-from .convert import ConvertError, DotParseError, convert_flexflow, convert_pytorch_json
 from .costmodel import (
     Topology,
     TopologyKind,
@@ -56,19 +60,6 @@ from .simulator import (
     sweep_bandwidth,
     sweep_npus,
     sweep_rows_to_csv,
-)
-from .synth import (
-    FittedModels,
-    MasterTrace,
-    MergeConflictError,
-    SynthConfig,
-    build_master_trace,
-    fit_gmm,
-    fit_models,
-    models_from_json,
-    models_to_json,
-    reconstruct_rank_traces,
-    synthesize,
 )
 from .validate import InvalidTraceError, ValidationReport, validate_trace, validate_workload
 from .viz import emit_dot, emit_timeline_csv, parse_timeline_csv, timeline_to_chrome_trace
@@ -149,3 +140,44 @@ __all__ = [
     "write_trace",
     "write_workload",
 ]
+
+# Lazy name -> the submodule that defines it. A submodule loads on the first
+# access of itself or of any name it re-exports here.
+_LAZY = {
+    name: module
+    for module, names in {
+        "convert": ("ConvertError", "DotParseError", "convert_flexflow", "convert_pytorch_json"),
+        "synth": (
+            "FittedModels",
+            "MasterTrace",
+            "MergeConflictError",
+            "SynthConfig",
+            "build_master_trace",
+            "fit_gmm",
+            "fit_models",
+            "models_from_json",
+            "models_to_json",
+            "reconstruct_rank_traces",
+            "synthesize",
+        ),
+    }.items()
+    for name in (module, *names)
+}
+
+
+def __getattr__(name: str):
+    try:
+        module = _LAZY[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    # import_module, not ``from . import``: the latter looks the name up on this
+    # package first, which calls back into this function.
+    value = _importlib.import_module(f"{__name__}.{module}")
+    if name != module:
+        value = getattr(value, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> "list[str]":
+    return sorted(set(globals()) | set(_LAZY))

@@ -9,7 +9,9 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import codec, convert, simulator, synth, validate, viz, workloads
+# convert and synth (numpy) load inside the commands that use them, so the
+# other commands never pay for their import.
+from . import codec, simulator, validate, viz, workloads
 from .costmodel import Topology, TopologyKind, dim_pair, parse_topology
 from .schema import Trace
 from .workloads import Parallelism, WorkloadSpec
@@ -53,6 +55,8 @@ def _load_workload(args) -> list[Trace]:
 
 
 def _cmd_convert(args, parser: _Parser) -> int:
+    from . import convert
+
     path = Path(args.input)
     fmt = args.format
     if fmt is None:
@@ -184,6 +188,8 @@ def _cmd_sweep(args, parser: _Parser) -> int:
 
 
 def _cmd_fit(args, parser: _Parser) -> int:
+    from . import synth
+
     def corpus():  # read lazily: fit_models checks its counts first
         for raw in args.trace_dirs:
             traces = codec.read_workload(raw, prefix=args.prefix)
@@ -200,6 +206,8 @@ def _cmd_fit(args, parser: _Parser) -> int:
 
 
 def _cmd_synthesize(args, parser: _Parser) -> int:
+    from . import synth
+
     models = synth.models_from_json(Path(args.models).read_text())
     cfg = synth.SynthConfig(
         npus=args.npus,

@@ -299,6 +299,8 @@ class ClusterModel:
         for prev, row in self.transitions.items():
             if abs(sum(row.values()) - 1.0) > 1e-9:
                 raise ValueError(f"transition row for {prev} must sum to 1")
+        if not self.lengths:  # synthesis without --num-ops draws one of them
+            raise ValueError("cluster lengths must hold at least one sequence length")
         for n in self.lengths:
             if type(n) is not int or n < 0:
                 raise ValueError(f"sequence length {n!r} is not an int >= 0")

@@ -378,6 +378,16 @@ def test_fit_accepts_collective_free_workloads(tmp_path, capsys):
     assert [sum(n.type is NodeType.COMM_COLL for n in t.nodes) for t in codec.read_workload(out)] == [6] * 4
 
 
+def test_synthesize_refuses_a_cluster_with_no_lengths(tmp_path, capsys):
+    models_file = tmp_path / "models.json"
+    assert run(capsys, "fit", str(gen(tmp_path, capsys)), "--clusters", "1", "--output", str(models_file))[0] == 0
+    doc = json.loads(models_file.read_text())
+    doc["type_model"]["clusters"][0]["lengths"] = []
+    models_file.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "synthesize", "--models", str(models_file), "--npus", "4", "--out", str(tmp_path / "s"))
+    assert code == 2 and "cluster lengths" in err and "high <= 0" not in err, err
+
+
 def test_fit_matches_collectives_as_simulate_does(tmp_path, capsys):
     def coll(node_id, ctype, group, parents=()):
         attrs = {"comm_type": ctype, "comm_size": 64, "comm_group": group}
