@@ -3,18 +3,31 @@
 Usage, from the root of a checkout:
 
     python3 bench/replay_ladder.py                 # writes BENCH_replay.json
-    python3 bench/replay_ladder.py --repeats 5 --out /tmp/ladder.json
+    python3 bench/replay_ladder.py --repeats 9 --out /tmp/ladder.json
+    python3 bench/replay_ladder.py --before-src ../other/src   # also time another checkout
 
 Each rung generates a pipeline workload (``npus`` x ``microbatches``), then
-replays it ``--repeats`` times with validation and the timeline on, as
-``ettrace simulate`` does, on a near-square torus at 62 GB/s and 1 us per
-link. A replay starts after ``gc.collect()``, so every repeat starts from the
-same collector state. Per rung the JSON holds the node count, each repeat's
-wall seconds, the median, nodes/s at the median, and the full (generation 2)
-collections that ran inside each replay, counted through ``gc.callbacks`` in
-this process. Over the rungs it fits seconds against nodes by least squares
-(``slope_us_per_node``) and on log-log axes (``loglog_exponent``, 1.0 for
-linear time). It imports ``ettrace`` from this checkout's ``src/``.
+replays it with validation and the timeline on, as ``ettrace simulate``
+does, on a near-square torus at 62 GB/s and 1 us per link. One round is a
+fresh interpreter that takes every rung once, in ladder order, so the rungs
+interleave across the ``--repeats`` rounds; within a round a rung replays
+until its replays add up to ``ROUND_S`` process seconds, and the round's
+sample is their mean. With ``--before-src``, another checkout's ``src/``
+runs the same rounds as "before", and the two sides alternate which goes
+first. A replay starts after ``gc.collect()``, so every replay starts from
+the same collector state. It is timed by ``time.process_time`` (CPU seconds
+of the process, which other load on the machine disturbs less) and by
+``time.perf_counter`` (wall seconds).
+
+Per side ("after" is this checkout) and rung the JSON holds the node count,
+each round's process and wall seconds per replay, their minimum and
+interquartile range (IQR), nodes/s at the minimum process time, and the
+full (generation 2) collections inside each round's replays, counted through
+``gc.callbacks``. Over the rungs it fits minimum process seconds against
+nodes by least squares (``slope_us_per_node``) and on log-log axes
+(``loglog_exponent``, 1.0 for linear time). A change in nodes/s at a rung is
+resolved when it exceeds that rung's ``iqr_share``, the IQR of process
+seconds over their median.
 """
 from __future__ import annotations
 
@@ -25,20 +38,18 @@ import math
 import os
 import platform
 import statistics
+import subprocess
 import sys
 import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "src"))
-
-from ettrace import costmodel, simulator, workloads  # noqa: E402
-
 RUNGS = ((16, 16), (64, 32), (128, 64), (256, 64))  # (npus, microbatches)
+ROUND_S = 0.5  # process seconds of replay per rung and round, at least
 
 
-def _timed_replay(traces, cfg) -> "tuple[float, int]":
-    """Wall seconds of one replay and the full collections inside it."""
+def _timed_replay(simulator, traces, cfg) -> "tuple[float, float, int]":
+    """Process and wall seconds of one replay, and the full collections inside it."""
     full = 0
 
     def count(phase: str, info: dict) -> None:
@@ -48,43 +59,89 @@ def _timed_replay(traces, cfg) -> "tuple[float, int]":
     gc.collect()
     gc.callbacks.append(count)
     try:
-        start = time.perf_counter()
+        cpu, wall = time.process_time(), time.perf_counter()
         simulator.run_simulation(traces, cfg)
-        seconds = time.perf_counter() - start
+        cpu, wall = time.process_time() - cpu, time.perf_counter() - wall
     finally:
         gc.callbacks.remove(count)
-    return seconds, full
+    return cpu, wall, full
 
 
-def run_rung(npus: int, microbatches: int, repeats: int) -> dict:
-    spec = workloads.WorkloadSpec(npus=npus, parallelism=workloads.Parallelism.PIPELINE, microbatches=microbatches)
-    traces = workloads.generate_workload(spec)
-    d1, d2 = costmodel.near_square_dims(npus)
-    cfg = simulator.SimConfig(topology=costmodel.parse_topology(f"torus2d:{d1}x{d2}", 62e9, 1e-6))
-    runs = [_timed_replay(traces, cfg) for _ in range(repeats)]
-    seconds = statistics.median(s for s, _ in runs)
-    nodes = sum(len(t.nodes) for t in traces)
-    return {
-        "rung": f"pipeline-{npus}x{microbatches}",
-        "npus": npus,
-        "microbatches": microbatches,
-        "nodes": nodes,
-        "replay_s": [round(s, 4) for s, _ in runs],
-        "median_replay_s": round(seconds, 4),
-        "nodes_per_s": round(nodes / seconds),
-        "full_gc": [full for _, full in runs],
-    }
+def one_round(src: str) -> "list[dict]":
+    """Replay every rung once with ``ettrace`` imported from ``src``."""
+    sys.path.insert(0, src)
+    from ettrace import costmodel, simulator, workloads
+
+    out = []
+    for npus, microbatches in RUNGS:
+        spec = workloads.WorkloadSpec(npus=npus, parallelism=workloads.Parallelism.PIPELINE, microbatches=microbatches)
+        traces = workloads.generate_workload(spec)
+        d1, d2 = costmodel.near_square_dims(npus)
+        cfg = simulator.SimConfig(topology=costmodel.parse_topology(f"torus2d:{d1}x{d2}", 62e9, 1e-6))
+        replays = []
+        while sum(cpu for cpu, _, _ in replays) < ROUND_S:
+            replays.append(_timed_replay(simulator, traces, cfg))
+        out.append({
+            "nodes": sum(len(t.nodes) for t in traces),
+            "replays": len(replays),
+            "process_s": statistics.fmean(cpu for cpu, _, _ in replays),
+            "wall_s": statistics.fmean(wall for _, wall, _ in replays),
+            "full_gc": sum(full for _, _, full in replays),
+        })
+        del traces
+    return out
+
+
+def _round_in_child(src: Path) -> "list[dict]":
+    argv = [sys.executable, str(Path(__file__).resolve()), "--round", str(src)]
+    return json.loads(subprocess.run(argv, check=True, capture_output=True, text=True).stdout)
+
+
+def _spread(values: "list[float]") -> "tuple[float, float]":
+    """(minimum, interquartile range) of ``values``."""
+    if len(values) < 2:
+        return min(values), 0.0
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return min(values), q3 - q1
+
+
+def summarize(rounds: "list[list[dict]]") -> dict:
+    """Per-rung minimum and spread over ``rounds``, and the fits over the rungs."""
+    rungs = []
+    for (npus, microbatches), samples in zip(RUNGS, zip(*rounds)):
+        cpu = [s["process_s"] for s in samples]
+        wall = [s["wall_s"] for s in samples]
+        min_cpu, iqr_cpu = _spread(cpu)
+        min_wall, iqr_wall = _spread(wall)
+        nodes = samples[0]["nodes"]
+        rungs.append({
+            "rung": f"pipeline-{npus}x{microbatches}",
+            "npus": npus,
+            "microbatches": microbatches,
+            "nodes": nodes,
+            "replays": [s["replays"] for s in samples],
+            "process_s": [round(s, 4) for s in cpu],
+            "wall_s": [round(s, 4) for s in wall],
+            "min_process_s": round(min_cpu, 4),
+            "iqr_process_s": round(iqr_cpu, 4),
+            "iqr_share": round(iqr_cpu / statistics.median(cpu), 3),
+            "min_wall_s": round(min_wall, 4),
+            "iqr_wall_s": round(iqr_wall, 4),
+            "nodes_per_s": round(nodes / min_cpu),
+            "full_gc": [s["full_gc"] for s in samples],
+        })
+    return {"rungs": rungs, "fit": fit(rungs)}
 
 
 def fit(rungs: "list[dict]") -> dict:
-    """Least-squares slope of seconds on nodes, linear and log-log."""
+    """Least-squares slope of minimum process seconds on nodes, linear and log-log."""
 
     def slope(xs: "list[float]", ys: "list[float]") -> float:
         mx, my = statistics.fmean(xs), statistics.fmean(ys)
         return sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sum((x - mx) ** 2 for x in xs)
 
     nodes = [r["nodes"] for r in rungs]
-    seconds = [r["median_replay_s"] for r in rungs]
+    seconds = [r["min_process_s"] for r in rungs]
     return {
         "slope_us_per_node": round(slope(nodes, seconds) * 1e6, 3),
         "loglog_exponent": round(slope([math.log(n) for n in nodes], [math.log(s) for s in seconds]), 3),
@@ -93,28 +150,43 @@ def fit(rungs: "list[dict]") -> dict:
 
 def main(argv: "list[str] | None" = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--repeats", type=int, default=3, help="replays per rung (default 3)")
+    parser.add_argument("--repeats", type=int, default=5, help="rounds per side (default 5)")
     parser.add_argument("--out", default=str(ROOT / "BENCH_replay.json"), help="output JSON path")
+    parser.add_argument("--before-src", type=Path, help="another checkout's src/, timed alongside as 'before'")
+    parser.add_argument("--round", help=argparse.SUPPRESS)  # one round in this process, as JSON on stdout
     args = parser.parse_args(argv)
+    if args.round:
+        print(json.dumps(one_round(args.round)))
+        return 0
     if args.repeats < 1:
         parser.error("--repeats must be >= 1")
-    rungs = []
-    for npus, microbatches in RUNGS:
-        rungs.append(run_rung(npus, microbatches, args.repeats))
-        r = rungs[-1]
-        print(f"{r['rung']:>16}  {r['nodes']:>7} nodes  {r['median_replay_s']:8.3f} s  "
-              f"{r['nodes_per_s']:>7} nodes/s  full gc {r['full_gc']}", file=sys.stderr)
+    sides = {"after": ROOT / "src"}
+    if args.before_src:
+        if not (args.before_src / "ettrace" / "__init__.py").is_file():
+            parser.error(f"--before-src {args.before_src} holds no ettrace package")
+        sides = {"before": args.before_src.resolve(), **sides}
+    rounds: dict[str, list] = {label: [] for label in sides}
+    for i in range(args.repeats):
+        order = list(sides) if i % 2 == 0 else list(reversed(sides))
+        for label in order:
+            rounds[label].append(_round_in_child(sides[label]))
+        print(f"round {i + 1}/{args.repeats} done", file=sys.stderr)
+    results = {label: summarize(rounds[label]) for label in sides}
+    for label, result in results.items():
+        for r in result["rungs"]:
+            print(f"{label:>6} {r['rung']:>16}  {r['nodes']:>7} nodes  min {r['min_process_s']:7.3f} s  "
+                  f"IQR {r['iqr_share']:6.1%}  {r['nodes_per_s']:>7} nodes/s  full gc {r['full_gc']}",
+                  file=sys.stderr)
     doc = {
         "benchmark": "replay_ladder",
         "python": platform.python_version(),
         "machine": platform.machine(),
         "cpus": os.cpu_count(),
         "repeats": args.repeats,
-        "rungs": rungs,
-        "fit": fit(rungs),
+        **results,
     }
     Path(args.out).write_text(json.dumps(doc, indent=2) + "\n")
-    print(json.dumps(doc["fit"]))
+    print(json.dumps({label: result["fit"] for label, result in results.items()}))
     return 0
 
 

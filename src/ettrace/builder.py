@@ -1,8 +1,8 @@
 """Programmatic trace construction.
 
 The builder hands out fresh node ids, keeps the growing graph acyclic, and
-refuses to emit a trace that fails validation (opt-out for tests that need
-broken traces on purpose).
+refuses to emit a trace that fails validation. A broken trace on purpose is
+a ``Trace`` literal.
 """
 from __future__ import annotations
 
@@ -145,7 +145,7 @@ class TraceBuilder:
         self._parents[child_id].append(parent_id)
         self._has_children.add(parent_id)
 
-    def build(self, *, validate: bool = True) -> Trace:
+    def build(self) -> Trace:
         nodes = tuple(
             ETNode(
                 id=nid,
@@ -157,8 +157,7 @@ class TraceBuilder:
             for nid in sorted(self._names)
         )
         trace = Trace(npu_id=self.npu_id, nodes=nodes, schema_version=self.schema_version)
-        if validate:
-            report = validate_trace(trace)
-            if not report.ok:
-                raise InvalidTraceError(report, "built trace failed validation")
+        report = validate_trace(trace)
+        if not report.ok:
+            raise InvalidTraceError(report, "built trace failed validation")
         return trace

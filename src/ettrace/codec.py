@@ -465,11 +465,11 @@ def trace_from_binary(data: bytes) -> Trace:
 # --------------------------------------------------------------------------
 
 
-def encode_trace(trace: Trace, fmt: str = FORMAT_JSON, *, validate: bool = True) -> bytes:
-    if validate:
-        report = validate_trace(trace)
-        if not report.ok:
-            raise InvalidTraceError(report, "refusing to encode invalid trace")
+def encode_trace(trace: Trace, fmt: str = FORMAT_JSON) -> bytes:
+    """``trace`` as ``fmt`` bytes, once it validates; ``trace_to_json``/``trace_to_binary`` do not check."""
+    report = validate_trace(trace)
+    if not report.ok:
+        raise InvalidTraceError(report, "refusing to encode invalid trace")
     if fmt == FORMAT_JSON:
         return trace_to_json(trace).encode("utf-8")
     if fmt == FORMAT_BINARY:
@@ -492,9 +492,9 @@ def trace_filename(prefix: str, npu_id: int) -> str:
     return f"{prefix}.{npu_id}{TRACE_FILE_SUFFIX}"
 
 
-def write_trace(trace: Trace, path: "str | Path", fmt: str = FORMAT_JSON, *, validate: bool = True) -> Path:
+def write_trace(trace: Trace, path: "str | Path", fmt: str = FORMAT_JSON) -> Path:
     path = Path(path)
-    path.write_bytes(encode_trace(trace, fmt, validate=validate))
+    path.write_bytes(encode_trace(trace, fmt))
     return path
 
 
@@ -511,15 +511,13 @@ def write_workload(
     directory: "str | Path",
     prefix: str = "trace",
     fmt: str = FORMAT_JSON,
-    *,
-    validate: bool = True,
 ) -> list[Path]:
     """Write one ``<prefix>.<npu_id>.et`` file per trace; returns the paths."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     paths = []
     for trace in sorted(traces, key=lambda t: t.npu_id):
-        paths.append(write_trace(trace, directory / trace_filename(prefix, trace.npu_id), fmt, validate=validate))
+        paths.append(write_trace(trace, directory / trace_filename(prefix, trace.npu_id), fmt))
     return paths
 
 

@@ -3,9 +3,10 @@
 Hands out nodes whose parents have all completed, in FIFO order (seeded by
 ascending node id), and unlocks children as completions are reported back.
 INVALID nodes are transparent: they complete on their own the moment their
-parents finish, so consumers never see them. ``load`` stores child lists as
-tuples, which the cyclic garbage collector stops tracking once they hold only
-ids; ``add_node`` grows lists.
+parents finish, so consumers never see them. ``load`` takes only traces
+that pass validation, so every parent it reads exists and is listed once. It
+stores child lists as tuples, which the cyclic garbage collector stops
+tracking once they hold only ids; ``add_node`` grows lists.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ class FeederError(RuntimeError):
 
 
 class Feeder:
-    def __init__(self, trace: "Trace | None" = None, *, validate: bool = True):
+    def __init__(self, trace: "Trace | None" = None):
         self._nodes: dict[int, ETNode] = {}
         self._children: dict[int, "tuple[int, ...] | list[int]"] = {}  # tuples from load
         self._unmet: dict[int, int] = {}
@@ -28,24 +29,24 @@ class Feeder:
         self._issued: set[int] = set()
         self._completed: set[int] = set()
         if trace is not None:
-            self.load(trace, validate=validate)
+            self.load(trace)
 
     # ------------------------------------------------------------------
     # Loading and incremental growth
     # ------------------------------------------------------------------
 
-    def load(self, trace: Trace, *, validate: bool = True) -> None:
+    def load(self, trace: Trace) -> None:
         """Load all nodes of a trace (replacing any previous contents).
 
-        Unlike add_node, load accepts nodes in any id/parent order. The ready
+        Raises InvalidTraceError when the trace fails validation. Unlike
+        add_node, load accepts nodes in any id/parent order. The ready
         queue starts as all effectively zero-in-degree non-INVALID nodes in
         ascending id order, where "effectively" accounts for INVALID nodes
         (and chains of them) completing on the spot.
         """
-        if validate:
-            report = validate_trace(trace)
-            if not report.ok:
-                raise InvalidTraceError(report, "feeder refuses invalid trace")
+        report = validate_trace(trace)
+        if not report.ok:
+            raise InvalidTraceError(report, "feeder refuses invalid trace")
         self.__init__()
         children: dict[int, list[int]] = {}
         for node in trace.nodes:
@@ -53,12 +54,8 @@ class Feeder:
             children[node.id] = []
         ordered = sorted(trace.nodes, key=lambda n: n.id)
         for node in ordered:
-            parents = set(node.parents)
-            self._unmet[node.id] = len(parents)
-            for pid in sorted(parents):
-                if pid not in self._nodes:
-                    # structurally impossible even with validation off
-                    raise FeederError(f"node {node.id}: unknown parents [{pid}]")
+            self._unmet[node.id] = len(node.parents)
+            for pid in node.parents:
                 children[pid].append(node.id)
         self._children = {nid: tuple(kids) for nid, kids in children.items()}
         # Collapse source-side INVALID chains before queueing anything, so the

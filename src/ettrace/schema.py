@@ -223,16 +223,12 @@ def get_attr(node: ETNode, name: str, default: object = None) -> object:
 
 
 def _typed_attr(node: ETNode, name: str, kind: AttributeKind, default: object) -> object:
+    """The value of ``node``'s ``name`` attribute, or ``default``; TypeError naming ``node`` unless it is a ``kind``."""
     attr = node.attribute(name)
-    return default if attr is None else checked_value(node, attr, kind)
-
-
-def checked_value(node: ETNode, attr: "Attribute | None", kind: AttributeKind) -> object:
-    """``attr``'s value (None without ``attr``); TypeError naming ``node`` unless it is a ``kind``."""
     if attr is None:
-        return None
+        return default
     if attr.kind is not kind or not attr_value_matches_kind(kind, attr.value):
-        raise TypeError(f"node {node.id}: attribute {attr.name!r} is not {'an' if kind is _INT else 'a'} {kind.name}")
+        raise TypeError(f"node {node.id}: attribute {name!r} is not {'an' if kind is _INT else 'a'} {kind.name}")
     return attr.value
 
 

@@ -37,11 +37,9 @@ from .schema import (
     ATTR_NUM_OPS,
     ATTR_RUNTIME,
     ATTR_TENSOR_SIZE,
-    AttributeKind,
     ETNode,
     NodeType,
     Trace,
-    checked_value,
 )
 from .validate import InvalidTraceError, validate_workload
 from .viz import CALLBACK, ISSUE, TimelineRow, emit_timeline_csv
@@ -59,7 +57,6 @@ _MEMORY, _COMPUTE, _NETWORK = range(3)
 # Python-level Enum code, once per node in ``_lower``.
 _INVALID, _COMP, _MEM_LOAD, _MEM_STORE = NodeType.INVALID, NodeType.COMP, NodeType.MEM_LOAD, NodeType.MEM_STORE
 _SEND, _COLL = NodeType.COMM_SEND, NodeType.COMM_COLL
-_INT, _STRING = AttributeKind.INT, AttributeKind.STRING
 
 
 @dataclass(frozen=True)
@@ -165,7 +162,7 @@ class _Npu:
     intervals: "list[list[tuple[int, int]]]" = field(default_factory=lambda: [[], [], []])
 
 
-def _need(value: "int | str | None", npu_id: int, node: ETNode, what: str) -> "int | str":
+def _need(value: "int | None", npu_id: int, node: ETNode, what: str) -> int:
     if value is None:
         raise ValueError(f"npu {npu_id} node {node.id}: {what}")
     return value
@@ -184,12 +181,13 @@ def _lower(traces: Sequence[Trace], cfg: SimConfig) -> "dict[int, dict[int, tupl
     ``len(ranks)`` members have arrived. ``ranks`` is every rank that uses a
     collective's group, or ``(src, dst)``; ``comm_type`` is None for SEND/RECV.
 
-    A node that lacks its timing input raises ValueError naming it. So does,
-    under MODEL comm timing, a communication node whose own rank or peer is
-    not on the topology. Each node's attributes are scanned once, and of each
-    name the first counts, as in ``ETNode.attribute``. An attribute the
-    node's kind reads must have its well-known kind, or TypeError names the
-    node. Untagged SEND/RECV share one ``sync`` per ``(src, dst, side)``.
+    ``traces`` have passed validation, so each node's attribute names are
+    unique, every well-known attribute has its kind, and communication nodes
+    carry the attributes their kind requires. What the config decides is
+    checked here: a node that lacks its timing input raises ValueError naming
+    it, and so does, under MODEL comm timing, a communication node whose own
+    rank or peer is not on the topology. Untagged SEND/RECV share one
+    ``sync`` per ``(src, dst, side)``.
     """
     groups: dict[str, set[int]] = {}
     p2p_syncs: dict[tuple, tuple] = {}  # untagged (src, dst, side) -> sync
@@ -205,17 +203,12 @@ def _lower(traces: Sequence[Trace], cfg: SimConfig) -> "dict[int, dict[int, tupl
             kind = node.type
             if kind is _INVALID:
                 continue
-            if not isinstance(kind, NodeType):
-                raise ValueError(f"npu {npu} node {node.id}: node type {kind!r} is not a NodeType")
-            attrs = {}
-            for attr in node.attributes:
-                if attr.name not in attrs:
-                    attrs[attr.name] = attr
-            runtime = checked_value(node, attrs.get(ATTR_RUNTIME), _INT)
+            attrs = {attr.name: attr.value for attr in node.attributes}
+            runtime = attrs.get(ATTR_RUNTIME)
             sync = None
             if kind is _COMP:
                 cls = _COMPUTE
-                num_ops = None if trace_compute else checked_value(node, attrs.get(ATTR_NUM_OPS), _INT)
+                num_ops = None if trace_compute else attrs.get(ATTR_NUM_OPS)
                 if num_ops is not None and cfg.compute_rate is not None:
                     amount = cfg.seconds_to_cycles(num_ops / cfg.compute_rate)
                 elif trace_compute:
@@ -226,7 +219,7 @@ def _lower(traces: Sequence[Trace], cfg: SimConfig) -> "dict[int, dict[int, tupl
                     amount = _need(runtime, npu, node, what)
             elif kind is _MEM_LOAD or kind is _MEM_STORE:
                 cls = _MEMORY
-                size = checked_value(node, attrs.get(ATTR_TENSOR_SIZE), _INT)
+                size = attrs.get(ATTR_TENSOR_SIZE)
                 if size is not None:
                     amount = cfg.seconds_to_cycles(size / cfg.mem_bandwidth)
                 else:
@@ -236,19 +229,16 @@ def _lower(traces: Sequence[Trace], cfg: SimConfig) -> "dict[int, dict[int, tupl
                 if trace_comm:
                     amount = _need(runtime, npu, node, "FROM_TRACE comm timing requires 'runtime'")
                 else:
-                    size = checked_value(node, attrs.get(ATTR_COMM_SIZE), _INT)
-                    amount = _need(size, npu, node, "MODEL comm timing requires 'comm_size'")
+                    amount = attrs[ATTR_COMM_SIZE]
                 if kind is _COLL:
-                    group = checked_value(node, attrs.get(ATTR_COMM_GROUP), _STRING)
+                    group = attrs[ATTR_COMM_GROUP]
                     ranks = groups.setdefault(group, set())
                     ranks.add(npu)
-                    comm_type = checked_value(node, attrs.get(ATTR_COMM_TYPE), _STRING)
-                    _need(comm_type, npu, node, "collective lacks 'comm_type'")
-                    sync = ((npu, group), (group,), ranks, comm_type)
+                    sync = ((npu, group), (group,), ranks, attrs[ATTR_COMM_TYPE])
                 else:
-                    peer = checked_value(node, attrs.get(ATTR_COMM_PEER), _INT)
+                    peer = attrs[ATTR_COMM_PEER]
                     ranks = (npu, peer) if kind is _SEND else (peer, npu)
-                    tag = checked_value(node, attrs.get(ATTR_COMM_TAG), _INT)
+                    tag = attrs.get(ATTR_COMM_TAG)
                     if tag is None:
                         counter = (*ranks, "send" if kind is _SEND else "recv")
                         if counter not in p2p_syncs:
@@ -259,7 +249,7 @@ def _lower(traces: Sequence[Trace], cfg: SimConfig) -> "dict[int, dict[int, tupl
                 if model_comm:
                     # The cost model places every rank it prices on the fabric.
                     for rank in (npu,) if kind is _COLL else ranks:
-                        if not (isinstance(rank, int) and 0 <= rank < fabric):
+                        if not 0 <= rank < fabric:
                             raise ValueError(
                                 f"npu {npu} node {node.id}: rank {rank} outside topology of {fabric} NPUs"
                             )
@@ -271,23 +261,22 @@ def run_simulation(
     traces: Sequence[Trace],
     cfg: SimConfig,
     *,
-    validate: bool = True,
     collect_timeline: bool = True,
 ) -> SimResult:
     """Replay ``traces`` on the modeled machine described by ``cfg``.
 
-    Raises DeadlockError when unfinished nodes remain but nothing can move
-    (e.g. collective order disagreement across ranks, or an unmatched p2p).
+    Raises InvalidTraceError when the workload fails validation, and
+    DeadlockError when unfinished nodes remain but nothing can move (e.g.
+    collective order disagreement across ranks, or an unmatched p2p).
     """
     traces = list(traces)
-    if validate:  # before sorting, which needs every npu_id to be an int
-        report = validate_workload(traces)
-        if not report.ok:
-            raise InvalidTraceError(report, "refusing to simulate invalid workload")
+    report = validate_workload(traces)  # before sorting, which needs every npu_id to be an int
+    if not report.ok:
+        raise InvalidTraceError(report, "refusing to simulate invalid workload")
     traces.sort(key=lambda t: t.npu_id)
     lowered = _lower(traces, cfg)
 
-    npus = {t.npu_id: _Npu(t.npu_id, Feeder(t, validate=False), lowered[t.npu_id]) for t in traces}
+    npus = {t.npu_id: _Npu(t.npu_id, Feeder(t), lowered[t.npu_id]) for t in traces}
     counters: dict[tuple, int] = {}  # sync counter -> number of the last arrival
     waiting: dict[tuple, list[tuple]] = {}  # rendezvous key -> members arrived so far
     prices: dict[tuple, float] = {}  # (comm_type, payload, group) -> seconds of that collective
@@ -393,7 +382,7 @@ def _collect_stuck(npus: "dict[int, _Npu]") -> list[StuckNode]:
             continue
         done = npu.feeder.completed_ids
         in_flight = {nid for nid in npu.busy if nid is not None}
-        queued = {nid for q in npu.queues for nid in q} | set(npu.feeder.queued_ids)
+        queued = {nid for q in npu.queues for nid in q}
         for nid in sorted(in_flight):
             stuck.append(StuckNode(npu_id, nid, npu.feeder.lookup_node(nid).name, "in-flight"))
         for nid in sorted(queued):
@@ -500,8 +489,9 @@ def _template_topology(
     latency: "float | str | tuple[float, float]",
 ) -> Topology:
     """A near-square ``kind`` fabric of ``npus`` NPUs."""
+    kind = costmodel.TopologyKind(kind)
     d1, d2 = costmodel.near_square_dims(npus)
-    return costmodel.parse_topology(f"{costmodel.TopologyKind(kind).value}:{d1}x{d2}", bandwidth, latency)
+    return Topology(kind, d1, d2, *costmodel.dim_pair(bandwidth, "bandwidth"), *costmodel.dim_pair(latency, "latency"))
 
 
 def _exposed_share(result: SimResult) -> float:

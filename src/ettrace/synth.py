@@ -112,7 +112,7 @@ def build_master_trace(traces: "list[Trace]") -> MasterTrace:
                     )
     fabric = simulator._template_topology("switch2lvl", max(ranks, default=0) + 1, 62e9, 0.0)
     try:
-        result = simulator.run_simulation(traces, simulator.SimConfig(fabric), validate=False, collect_timeline=False)
+        result = simulator.run_simulation(traces, simulator.SimConfig(fabric), collect_timeline=False)
     except simulator.DeadlockError as exc:
         raise _merge_conflict(traces, exc) from None
 

@@ -18,6 +18,11 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def write_unchecked(trace, path):
+    """Write ``trace`` as JSON without validating it, as ``codec.write_trace`` would if it passed."""
+    path.write_bytes(codec.trace_to_json(trace).encode("utf-8"))
+
+
 def gen(tmp_path, capsys, name="w", *extra):
     out = tmp_path / name
     code, _, err = run(capsys, "generate", "--preset", "mlp-dp", "--npus", "4",
@@ -97,10 +102,8 @@ def test_validate_reports_out_of_range_and_non_finite(tmp_path, capsys):
         ("non-finite", Attribute("x", AttributeKind.FLOAT, 10**400)),
         ("non-finite", [1.5, 10**400]),
     ):
-        b = TraceBuilder(0)
-        b.add_node("COMP", "n", {"x": value})
         path = tmp_path / f"{code_name}.0.et"
-        codec.write_trace(b.build(validate=False), path, validate=False)
+        write_unchecked(Trace(0, (ETNode(1, "n", NodeType.COMP, attributes=make_attributes({"x": value})),)), path)
         code, _, err = run(capsys, "validate", str(path))
         assert code == 2 and code_name in err and "Traceback" not in err, err
         code, _, err = run(capsys, "simulate", "--trace-dir", str(tmp_path), "--prefix", code_name,
@@ -109,10 +112,8 @@ def test_validate_reports_out_of_range_and_non_finite(tmp_path, capsys):
 
 
 def test_validate_non_string_name_is_data_error(tmp_path, capsys):
-    b = TraceBuilder(0)
-    b.add_node("COMP", 5, {"runtime": 1})
     path = tmp_path / "named-five.0.et"
-    codec.write_trace(b.build(validate=False), path, validate=False)
+    write_unchecked(Trace(0, (ETNode(1, 5, NodeType.COMP, attributes=make_attributes({"runtime": 1})),)), path)
     code, _, err = run(capsys, "validate", str(path))
     assert code == 2 and "name must be a string" in err and "Traceback" not in err, err
 
@@ -330,7 +331,9 @@ def test_fit_refuses_an_invalid_corpus(tmp_path, capsys):
         ("negative comm_size", coll(**{**good, "comm_size": -64})),
     ):
         work = tmp_path / label.replace(" ", "-")
-        codec.write_workload([Trace(0, (node,)), Trace(1, (node,))], work, validate=False)
+        work.mkdir()
+        for npu in (0, 1):
+            write_unchecked(Trace(npu, (node,)), work / codec.trace_filename("trace", npu))
         code, _, err = run(capsys, "fit", str(work), "--components", "1", "--clusters", "1")
         assert code == 2 and f"{work}: workload failed validation" in err and "Traceback" not in err, label
 

@@ -88,7 +88,7 @@ _typed_values = {
     AttributeKind.FLOATS: st.lists(st.floats() | _ints, max_size=4).map(tuple),
     AttributeKind.STRINGS: st.lists(_text, max_size=4).map(tuple),
 }
-# What validate=False lets through: bools, None, nested lists, objects.
+# What the unchecked encoders are handed: bools, None, nested lists, objects.
 _odd_values = st.recursive(
     st.none() | st.booleans() | st.floats() | _ints | _text,
     lambda inner: st.lists(inner, max_size=3)
@@ -233,12 +233,19 @@ def test_roundtrip_random_traces_both_formats(rng):
         assert trace_from_binary(trace_to_binary(trace)) == trace
 
 
-def test_encode_refuses_invalid_trace():
+def test_encode_refuses_invalid_trace(tmp_path):
     bad = Trace(0, (ETNode(1, "n", NodeType.COMP, parents=(9,)),))
+    for fmt in (FORMAT_JSON, FORMAT_BINARY):
+        with pytest.raises(InvalidTraceError):
+            encode_trace(bad, fmt)
+        with pytest.raises(InvalidTraceError):
+            write_trace(bad, tmp_path / f"bad.{fmt}")
     with pytest.raises(InvalidTraceError):
-        encode_trace(bad, FORMAT_JSON)
-    # but an explicit opt-out allows it (e.g. for bug-report dumps)
-    assert decode_trace(encode_trace(bad, FORMAT_JSON, validate=False)) == bad
+        write_workload([Trace(1), bad], tmp_path / "w")
+    assert not [p for p in tmp_path.rglob("*") if p.is_file()]  # refused before any byte is written
+    # the raw encoders write it (e.g. for bug-report dumps)
+    assert decode_trace(trace_to_json(bad).encode("utf-8")) == bad
+    assert decode_trace(trace_to_binary(bad)) == bad
 
 
 def test_decode_sniffs_format():
@@ -459,7 +466,7 @@ def _odd_attr(kind, value, name="a", doc="") -> Trace:
     return _odd(attributes=(Attribute(name, kind, value, doc),))
 
 
-# Traces validation refuses, given to the binary encoder with validate=False:
+# Traces validation refuses, given to the unchecked binary encoder, trace_to_binary:
 # what it raises (module, type and text), or the sha256 of what it writes.
 UNVALIDATED_TRACES = {
     "type-is-a-str": _odd(type="COMP"),
@@ -532,7 +539,7 @@ UNVALIDATED_OUTCOMES = {
 @pytest.mark.parametrize("name", sorted(UNVALIDATED_TRACES))
 def test_binary_encoding_of_unvalidated_traces_is_pinned(name):
     try:
-        data = encode_trace(UNVALIDATED_TRACES[name], FORMAT_BINARY, validate=False)
+        data = trace_to_binary(UNVALIDATED_TRACES[name])
     except Exception as exc:
         outcome = f"{type(exc).__module__}.{type(exc).__name__}: {exc}"
     else:

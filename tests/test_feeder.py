@@ -180,15 +180,9 @@ def test_load_validates_by_default():
     bad = Trace(0, (comp(1, [9]),))
     with pytest.raises(InvalidTraceError):
         Feeder(bad)
-    # dangling parents are refused even with validation off...
-    with pytest.raises(FeederError, match="unknown parents"):
-        Feeder(bad, validate=False)
-    # ...but attribute-contract problems slip through as requested
     naked_coll = Trace(0, (ETNode(1, "c", NodeType.COMM_COLL),))
     with pytest.raises(InvalidTraceError):
         Feeder(naked_coll)
-    f = Feeder(naked_coll, validate=False)
-    assert f.pending_count() == 1
 
 
 def test_incremental_add_node():

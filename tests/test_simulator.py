@@ -22,6 +22,7 @@ from ettrace.simulator import (
     sweep_npus,
     sweep_rows_to_csv,
 )
+from ettrace import validate as v
 from ettrace.validate import InvalidTraceError, validate_workload
 from ettrace.viz import parse_timeline_csv
 from ettrace.workloads import Parallelism, WorkloadSpec, generate_workload, preset_spec
@@ -278,14 +279,18 @@ def test_memory_nodes_use_mem_bandwidth():
 
 def test_prescan_names_offending_node():
     bad = Trace(0, (ETNode(3, "naked", NodeType.COMP),))
-    with pytest.raises(ValueError, match="npu 0 node 3"):
-        run_simulation([bad], cfg(), validate=False)
+    with pytest.raises(ValueError, match="npu 0 node 3") as info:
+        run_simulation([bad], cfg())
+    assert not isinstance(info.value, InvalidTraceError)  # valid, but untimed under this config
+    # what validation refuses never reaches the prescan
     sizeless = ETNode(4, "ar", NodeType.COMM_COLL, attributes=make_attributes(
         {"comm_type": "ALL_REDUCE", "comm_group": "g"}))
-    with pytest.raises(ValueError, match="npu 0 node 4: MODEL comm timing requires 'comm_size'"):
-        run_simulation([Trace(0, (sizeless,))], cfg(), validate=False)
-    with pytest.raises(ValueError, match="npu 0 node 5: node type 'COMP' is not a NodeType"):
-        run_simulation([Trace(0, (ETNode(5, "raw", "COMP"),))], cfg(), validate=False)
+    with pytest.raises(InvalidTraceError) as info:
+        run_simulation([Trace(0, (sizeless,))], cfg())
+    assert info.value.report.codes() == {v.MISSING_REQUIRED_ATTR}
+    with pytest.raises(InvalidTraceError) as info:
+        run_simulation([Trace(0, (ETNode(5, "raw", "COMP"),))], cfg())
+    assert info.value.report.codes() == {v.BAD_NODE_TYPE}
 
 
 def test_model_compute_without_rate_or_runtime_names_node():
@@ -305,7 +310,7 @@ def test_ranks_outside_the_topology_are_named():
     b0 = TraceBuilder(0)
     b0.send("s", 64, 2)
     with pytest.raises(ValueError, match="npu 0 node 1: rank 2 outside topology of 2 NPUs"):
-        run_simulation([b0.build()], cfg(PAIR), validate=False)
+        run_simulation([b0.build()], cfg(PAIR))
     b2 = TraceBuilder(2)
     b2.coll("ar", CommType.ALL_REDUCE, 64, "g")
     with pytest.raises(ValueError, match="npu 2 node 1: rank 2 outside topology of 2 NPUs"):
@@ -347,6 +352,23 @@ def test_ids_are_validated_before_traces_are_sorted():
     # sorting by npu_id first would compare "1" with 0 and raise TypeError
     with pytest.raises(InvalidTraceError, match="not-an-int"):
         run_simulation([Trace(0), Trace("1")], cfg(PAIR))
+
+
+def test_replay_checks_no_trace_that_already_passed(monkeypatch):
+    from ettrace import codec, synth
+
+    checks = []
+    real = v._find_cycle_members  # runs once per real check, never on a repeat
+    monkeypatch.setattr(v, "_find_cycle_members", lambda nodes: checks.append(1) or real(nodes))
+    traces = generate_workload(preset_spec("mlp-hybrid", 8))
+    assert len(checks) == len(traces)  # once each, at build
+    eight = cfg(parse_topology("torus2d:4x2", 62e9))
+    checks.clear()
+    run_simulation(traces, eight)  # the workload gate and every Feeder return on the mark
+    synth.build_master_trace(traces)  # fit's replay
+    assert checks == []
+    run_simulation([codec.decode_trace(codec.encode_trace(t)) for t in traces], eight)
+    assert len(checks) == len(traces)  # fresh objects: one real check each, not one per layer
 
 
 def test_memory_compute_network_run_in_parallel():
@@ -650,77 +672,73 @@ def _attrs_node(node_id, node_type, *attrs, parents=()):
 _I, _S, _F = AttributeKind.INT, AttributeKind.STRING, AttributeKind.FLOAT
 _COLL_ATTRS = (("comm_type", _S, "ALL_REDUCE"), ("comm_size", _I, 64), ("comm_group", _S, "g"))
 
-# (case, nodes on npu 0, config, makespan or the exact error), all replayed
-# with validate=False, so replay itself sees every wrong-kind attribute.
+_WRONG = {v.WRONG_ATTR_KIND}
+
+# (case, nodes on npu 0, config, the codes validation reports): attributes of a
+# wrong kind, repeated or missing, which run_simulation refuses before lowering
+# reads any of them, whatever the config.
 LOWER_CASES = [
-    ("runtime-string", [_attrs_node(1, NodeType.COMP, ("runtime", _S, "5"))], cfg(),
-     "TypeError: node 1: attribute 'runtime' is not an INT"),
-    ("runtime-float", [_attrs_node(1, NodeType.COMP, ("runtime", _F, 5.0))], cfg(),
-     "TypeError: node 1: attribute 'runtime' is not an INT"),
+    ("runtime-string", [_attrs_node(1, NodeType.COMP, ("runtime", _S, "5"))], cfg(), _WRONG),
+    ("runtime-float", [_attrs_node(1, NodeType.COMP, ("runtime", _F, 5.0))], cfg(), _WRONG),
     ("runtime-kind-int-value-str", [_attrs_node(1, NodeType.COMP, ("runtime", _I, "5"))], cfg(),
-     "TypeError: node 1: attribute 'runtime' is not an INT"),
-    ("runtime-bool", [_attrs_node(1, NodeType.COMP, ("runtime", _I, True))], cfg(),
-     "TypeError: node 1: attribute 'runtime' is not an INT"),
-    # runtime is read first on every timed node, even when num_ops times it
+     {v.KIND_VALUE_MISMATCH}),
+    ("runtime-bool", [_attrs_node(1, NodeType.COMP, ("runtime", _I, True))], cfg(), {v.KIND_VALUE_MISMATCH}),
     ("runtime-string-with-num-ops",
      [_attrs_node(1, NodeType.COMP, ("num_ops", _I, 10), ("runtime", _S, "5"))],
-     cfg(compute_timing=TimingMode.MODEL, compute_rate=1e9),
-     "TypeError: node 1: attribute 'runtime' is not an INT"),
+     cfg(compute_timing=TimingMode.MODEL, compute_rate=1e9), _WRONG),
     ("runtime-string-on-collective", [_attrs_node(1, NodeType.COMM_COLL, *_COLL_ATTRS, ("runtime", _S, "x"))],
-     cfg(), "TypeError: node 1: attribute 'runtime' is not an INT"),
-    ("first-runtime-wins", [_attrs_node(1, NodeType.COMP, ("runtime", _I, 5), ("runtime", _S, "x"))], cfg(), 5),
+     cfg(), _WRONG),
+    ("first-runtime-wins", [_attrs_node(1, NodeType.COMP, ("runtime", _I, 5), ("runtime", _S, "x"))], cfg(),
+     {v.DUPLICATE_ATTRIBUTE, v.WRONG_ATTR_KIND}),
     ("first-runtime-wins-wrong", [_attrs_node(1, NodeType.COMP, ("runtime", _S, "x"), ("runtime", _I, 5))], cfg(),
-     "TypeError: node 1: attribute 'runtime' is not an INT"),
+     {v.DUPLICATE_ATTRIBUTE, v.WRONG_ATTR_KIND}),
     ("num-ops-string-model", [_attrs_node(1, NodeType.COMP, ("runtime", _I, 5), ("num_ops", _S, "9"))],
-     cfg(compute_timing=TimingMode.MODEL, compute_rate=1e9),
-     "TypeError: node 1: attribute 'num_ops' is not an INT"),
+     cfg(compute_timing=TimingMode.MODEL, compute_rate=1e9), _WRONG),
     ("num-ops-string-from-trace", [_attrs_node(1, NodeType.COMP, ("runtime", _I, 5), ("num_ops", _S, "9"))],
-     cfg(), 5),
-    ("comp-string-peer", [_attrs_node(1, NodeType.COMP, ("comm_peer", _S, "one"), ("runtime", _I, 7))], cfg(), 7),
+     cfg(), _WRONG),
+    ("comp-string-peer", [_attrs_node(1, NodeType.COMP, ("comm_peer", _S, "one"), ("runtime", _I, 7))], cfg(),
+     _WRONG),
     ("comp-string-size-and-type",
-     [_attrs_node(1, NodeType.COMP, ("runtime", _I, 3), ("comm_size", _S, "1"), ("comm_type", _I, 4))], cfg(), 3),
+     [_attrs_node(1, NodeType.COMP, ("runtime", _I, 3), ("comm_size", _S, "1"), ("comm_type", _I, 4))], cfg(),
+     _WRONG),
     ("tensor-size-string", [_attrs_node(1, NodeType.MEM_LOAD, ("tensor_size", _S, "4"), ("runtime", _I, 2))], cfg(),
-     "TypeError: node 1: attribute 'tensor_size' is not an INT"),
+     _WRONG),
     ("comm-size-string", [_attrs_node(1, NodeType.COMM_COLL, ("comm_type", _S, "ALL_REDUCE"), ("comm_size", _S, "64"),
-                                      ("comm_group", _S, "g"))], cfg(),
-     "TypeError: node 1: attribute 'comm_size' is not an INT"),
+                                      ("comm_group", _S, "g"))], cfg(), _WRONG),
     ("comm-size-string-from-trace",
      [_attrs_node(1, NodeType.COMM_COLL, ("comm_type", _S, "ALL_REDUCE"), ("comm_size", _S, "64"),
                   ("comm_group", _S, "g"), ("runtime", _I, 4))],
-     cfg(comm_timing=TimingMode.FROM_TRACE), 4),
+     cfg(comm_timing=TimingMode.FROM_TRACE), _WRONG),
     ("comm-size-missing-before-group-kind",
      [_attrs_node(1, NodeType.COMM_COLL, ("comm_type", _S, "ALL_REDUCE"), ("comm_group", _I, 1))], cfg(),
-     "ValueError: npu 0 node 1: MODEL comm timing requires 'comm_size'"),
+     {v.MISSING_REQUIRED_ATTR, v.WRONG_ATTR_KIND}),
     ("comm-group-int", [_attrs_node(1, NodeType.COMM_COLL, ("comm_type", _S, "ALL_REDUCE"), ("comm_size", _I, 64),
-                                    ("comm_group", _I, 1))], cfg(),
-     "TypeError: node 1: attribute 'comm_group' is not a STRING"),
+                                    ("comm_group", _I, 1))], cfg(), _WRONG),
     ("comm-type-int", [_attrs_node(1, NodeType.COMM_COLL, ("comm_type", _I, 3), ("comm_size", _I, 64),
-                                   ("comm_group", _S, "g"))], cfg(),
-     "TypeError: node 1: attribute 'comm_type' is not a STRING"),
+                                   ("comm_group", _S, "g"))], cfg(), _WRONG),
     ("group-checked-before-type",
      [_attrs_node(1, NodeType.COMM_COLL, ("comm_type", _I, 3), ("comm_size", _I, 64), ("comm_group", _I, 1))], cfg(),
-     "TypeError: node 1: attribute 'comm_group' is not a STRING"),
+     _WRONG),
     ("comm-type-missing", [_attrs_node(1, NodeType.COMM_COLL, ("comm_size", _I, 64), ("comm_group", _S, "g"))], cfg(),
-     "ValueError: npu 0 node 1: collective lacks 'comm_type'"),
+     {v.MISSING_REQUIRED_ATTR}),
     ("send-peer-string", [_attrs_node(1, NodeType.COMM_SEND, ("comm_size", _I, 64), ("comm_peer", _S, "0"))], cfg(),
-     "TypeError: node 1: attribute 'comm_peer' is not an INT"),
+     _WRONG),
     ("send-tag-string", [_attrs_node(1, NodeType.COMM_SEND, ("comm_size", _I, 64), ("comm_peer", _I, 0),
-                                     ("comm_tag", _S, "t"))], cfg(),
-     "TypeError: node 1: attribute 'comm_tag' is not an INT"),
+                                     ("comm_tag", _S, "t"))], cfg(), _WRONG),
     ("send-comm-type-int-unread",
      [Trace(0, (_attrs_node(1, NodeType.COMM_SEND, ("comm_size", _I, 64), ("comm_peer", _I, 1),
                             ("comm_type", _I, 1)),)),
       Trace(1, (_attrs_node(1, NodeType.COMM_RECV, ("comm_size", _I, 64), ("comm_peer", _I, 0)),))],
-     cfg(PAIR), 64),
+     cfg(PAIR), _WRONG),
 ]
 
 
 @pytest.mark.parametrize("case", [c[0] for c in LOWER_CASES])
 def test_lowering_reads_and_checks_attributes_as_pinned(case):
+    """Lowering reads only validated attributes: the gate refuses each of these first."""
     _, nodes, config, want = next(c for c in LOWER_CASES if c[0] == case)
     traces = nodes if isinstance(nodes[0], Trace) else [Trace(0, tuple(nodes))]
-    try:
-        got = run_simulation(traces, config, validate=False).makespan
-    except (TypeError, ValueError) as exc:
-        got = f"{type(exc).__name__}: {exc}"
-    assert got == want
+    with pytest.raises(InvalidTraceError, match="refusing to simulate invalid workload") as info:
+        run_simulation(traces, config)
+    assert info.value.report.codes() == want
+    assert info.value.report == validate_workload(traces)

@@ -3,12 +3,13 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ettrace.codec import FORMAT_BINARY, FORMAT_JSON, decode_trace, encode_trace, trace_to_json
+from ettrace.codec import FORMAT_BINARY, FORMAT_JSON, decode_trace, encode_trace, trace_to_json, write_trace
 from ettrace.costmodel import Topology, TopologyKind
 from ettrace.feeder import Feeder
-from ettrace.simulator import SimConfig, run_simulation
-from ettrace.schema import Attribute, AttributeKind, ETNode, NodeType, Trace, make_attributes
+from ettrace.simulator import DeadlockError, SimConfig, run_simulation
+from ettrace.schema import Attribute, AttributeKind, CommType, ETNode, NodeType, Trace, make_attributes
 from ettrace import validate as v
 from ettrace.builder import TraceBuilder
 
@@ -179,11 +180,11 @@ def test_non_finite_floats():
     for value in (math.nan, math.inf, -math.inf, 10**400):
         node = ETNode(1, "n", NodeType.COMP, attributes=(Attribute("f", AttributeKind.FLOAT, value),))
         assert codes(Trace(0, (node,))) == {v.NON_FINITE}, value
-        decoded = decode_trace(encode_trace(Trace(0, (node,)), FORMAT_JSON, validate=False))
+        decoded = decode_trace(trace_to_json(Trace(0, (node,))).encode())
         assert codes(decoded) == {v.NON_FINITE}, value
         node = ETNode(1, "n", NodeType.COMP, attributes=(Attribute("f", AttributeKind.FLOATS, (1.0, value)),))
         assert codes(Trace(0, (node,))) == {v.NON_FINITE}, value
-        decoded = decode_trace(encode_trace(Trace(0, (node,)), FORMAT_JSON, validate=False))
+        decoded = decode_trace(trace_to_json(Trace(0, (node,))).encode())
         assert codes(decoded) == {v.NON_FINITE}, value
         with pytest.raises(v.InvalidTraceError, match="non-finite"):
             encode_trace(Trace(0, (node,)), FORMAT_JSON)
@@ -196,9 +197,7 @@ def test_non_finite_floats():
 
 
 def test_names_and_doc_strings_must_be_strings():
-    b = TraceBuilder(0)
-    b.add_node("COMP", 5, {"runtime": 1})
-    named_five = b.build(validate=False)
+    named_five = Trace(0, (ETNode(1, 5, NodeType.COMP, attributes=make_attributes({"runtime": 1})),))
     for trace in (
         named_five,
         Trace(0, (ETNode(1, "n", NodeType.COMP, attributes=(Attribute(7, AttributeKind.INT, 1),)),)),
@@ -300,9 +299,8 @@ def _refused_everywhere(trace):
 
 
 def test_only_a_clean_check_is_remembered():
-    b = TraceBuilder(0)
-    b.add_node("COMP", "n", {"runtime": -1})
-    _refused_everywhere(b.build(validate=False))  # never checked
+    never_checked = Trace(0, (ETNode(1, "n", NodeType.COMP, attributes=make_attributes({"runtime": -1})),))
+    _refused_everywhere(never_checked)
 
     failed = Trace(0, (comp(1, [99]),))
     assert not v.validate_trace(failed).ok
@@ -322,6 +320,93 @@ def test_the_mark_leaves_equality_hash_repr_and_bytes_alone():
     assert trace == twin and (repr(trace), hash(trace), trace_to_json(trace)) == before
     assert (repr(twin), hash(twin), trace_to_json(twin)) == before
     assert vars(trace).keys() - vars(twin).keys() == {"_passed_validation"}  # replace starts unmarked
+
+
+_I, _S, _F = AttributeKind.INT, AttributeKind.STRING, AttributeKind.FLOAT
+# Required attributes of each comm node type, with a strategy for a legal value.
+_REQUIRED = {
+    NodeType.COMM_COLL: {
+        "comm_type": (_S, st.sampled_from([ct.value for ct in CommType if ct not in (CommType.SEND, CommType.RECV)])),
+        "comm_size": (_I, st.integers(0, 4096)),
+        "comm_group": (_S, st.sampled_from(["g", "h"])),
+    },
+    NodeType.COMM_SEND: {"comm_size": (_I, st.integers(0, 4096)), "comm_peer": (_I, st.integers(0, 4))},
+    NodeType.COMM_RECV: {"comm_size": (_I, st.integers(0, 4096)), "comm_peer": (_I, st.integers(0, 4))},
+}
+# Each flaw the strategy may inject; the property never assumes which ones validation reports.
+_FLAWS = ("wrong-kind", "missing-comm", "dangling-parent", "duplicate-parent", "bad-type", "non-int-id")
+
+
+@st.composite
+def _gate_traces(draw):
+    """A trace built valid, then given any subset of ``_FLAWS``, each at a drawn node."""
+    nodes = []
+    for node_id in range(1, draw(st.integers(1, 5)) + 1):
+        node_type = draw(st.sampled_from(list(NodeType)))
+        attrs = [(name, kind, draw(values)) for name, (kind, values) in _REQUIRED.get(node_type, {}).items()]
+        if node_type is not NodeType.INVALID and draw(st.booleans()):
+            attrs.append(("runtime", _I, draw(st.integers(0, 50))))
+        if node_type in (NodeType.COMM_SEND, NodeType.COMM_RECV) and draw(st.booleans()):
+            attrs.append(("comm_tag", _I, draw(st.integers(0, 3))))
+        parents = draw(st.sets(st.integers(1, node_id - 1))) if node_id > 1 else set()
+        nodes.append([node_id, node_type, sorted(parents), attrs])
+    for flaw in draw(st.sets(st.sampled_from(_FLAWS))):
+        node = nodes[draw(st.integers(0, len(nodes) - 1))]
+        if flaw == "wrong-kind":
+            name = draw(st.sampled_from(["runtime", "comm_size", "comm_peer", "comm_tag", "comm_type", "comm_group"]))
+            kind, value = draw(st.sampled_from([(_S, "5"), (_F, 5.0), (_I, True), (_I, "x"), (_I, 3)]))
+            node[3] = [a for a in node[3] if a[0] != name] + [(name, kind, value)]
+        elif flaw == "missing-comm":
+            if node[1] not in _REQUIRED:
+                node[1] = NodeType.COMM_COLL
+            node[3] = [a for a in node[3] if a[0] != draw(st.sampled_from(sorted(_REQUIRED[node[1]])))]
+        elif flaw == "dangling-parent":
+            node[2].append(99)
+        elif flaw == "duplicate-parent":
+            node[2] += [node[2][0] if node[2] else 99] * 2
+        elif flaw == "bad-type":
+            node[1] = draw(st.sampled_from(["COMP", 3, None]))
+        else:
+            node[0] = draw(st.sampled_from([str(node[0]), float(node[0]), True]))
+    return Trace(0, tuple(
+        ETNode(node_id, f"n{i}", node_type, tuple(parents), tuple(Attribute(*a) for a in attrs))
+        for i, (node_id, node_type, parents, attrs) in enumerate(nodes)
+    ))
+
+
+def _refused(call) -> bool:
+    """True when ``call`` raises InvalidTraceError; any other exception propagates."""
+    try:
+        call()
+    except v.InvalidTraceError:
+        return True
+    return False
+
+
+@settings(max_examples=300, deadline=None)
+@given(trace=_gate_traces())
+def test_every_consumer_refuses_exactly_what_validation_refuses(trace, tmp_path_factory):
+    ok = v.validate_trace(dataclasses.replace(trace)).ok  # a copy: the consumers see an unmarked trace
+    path = tmp_path_factory.getbasetemp() / "gate.0.et"
+    path.unlink(missing_ok=True)
+    config = SimConfig(topology=Topology(TopologyKind.TORUS_2D, 2, 2, 62e9, 62e9))
+
+    def replay():
+        try:
+            run_simulation([trace], config, collect_timeline=False)
+        except (DeadlockError, ValueError) as exc:  # a valid trace may deadlock or lack a timing input
+            if not ok or isinstance(exc, v.InvalidTraceError):
+                raise
+
+    for call in (
+        lambda: encode_trace(trace, FORMAT_JSON),
+        lambda: encode_trace(trace, FORMAT_BINARY),
+        lambda: write_trace(trace, path),
+        lambda: Feeder(trace),
+        replay,
+    ):
+        assert _refused(call) is not ok
+    assert path.exists() is ok
 
 
 def _comm(node_id, node_type, *attrs):
