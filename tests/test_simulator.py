@@ -544,6 +544,53 @@ def test_timeline_csv_matches_golden_digest(name):
     assert hashlib.sha256(result.timeline_csv().encode()).hexdigest() == GOLDEN_TIMELINES[name]
 
 
+# sha256 of repr(list(node_spans.items())) and of repr(launches) for the
+# GOLDEN_TIMELINES workloads, recorded before replay dropped its feeders:
+# the spans' order is the order replay priced them in.
+GOLDEN_SPANS_AND_LAUNCHES = {
+    "dlrm": (
+        "6f1156b9b186a9f49893d5f2d7bc24622c43f3bc1db4c96ae71c8d0ae479bc27",
+        "245fbae8c3ed00b45b5ab1c7d7a1f243306b5d6e1b9e633ab7f2920a9d486d6c",
+    ),
+    "mlp-dp": (
+        "e78bbf5f00918c842955a670b8bc6854afb730fce73c1c0f2c2e39e40f7316a3",
+        "0ae2f064e4f54d9be5185fef5c3c66a268e157cb3bae68b9a956e33b4064ec1b",
+    ),
+    "mlp-hybrid": (
+        "cf9d8f2f1406586bd0c7bd7dc1efd5cd4de1c6464111957514fa2d4eda03f10f",
+        "5d6dc2c789b0efda3bb1d4161b85fbf3fed4cf538bfbe6a08ae0c732b6c66a03",
+    ),
+    "mlp-mp": (
+        "038b82b8fae609315928bf74e2f9f659a3d17d54cd0d3c0398d319f05d19d593",
+        "fa6b571752a935de7ff246a8ff3ec5ef2779a12b4d0d5fd0d7b18a41c1726ae5",
+    ),
+    "transformer": (
+        "f117344d7ea21d3196db0402b5f0d6e548ea3af249332e803304a352e7428bbe",
+        "950818b8c50484e1c59b94e7facb3d4ae548b779181924dcac6f9f0bbee3b729",
+    ),
+    "pipeline-8x4": (
+        "12bff659f8db786ba1dd7776669dbccd08ea9b00d0a7496752f7b1f6eac1747b",
+        "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+    ),
+}
+
+
+def _digest(value) -> str:
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SPANS_AND_LAUNCHES))
+def test_spans_and_launches_match_golden_digests(name):
+    if name == "pipeline-8x4":
+        spec = WorkloadSpec(npus=8, parallelism=Parallelism.PIPELINE, microbatches=4)
+    else:
+        spec = preset_spec(name, 8)
+    result = run_simulation(generate_workload(spec), cfg(parse_topology("torus2d:4x2", 62e9, 1e-6)))
+    spans, launches = GOLDEN_SPANS_AND_LAUNCHES[name]
+    assert _digest(list(result.node_spans.items())) == spans
+    assert _digest(result.launches) == launches
+
+
 _COLLECTIVES = [CommType.ALL_REDUCE, CommType.ALL_GATHER, CommType.REDUCE_SCATTER, CommType.ALL_TO_ALL]
 _P2P_TYPES = {NodeType.COMM_SEND: CommType.SEND, NodeType.COMM_RECV: CommType.RECV}
 
@@ -663,6 +710,15 @@ def test_deadlock_reports_are_pinned():
         lines.append(f"{seed} {exc.stuck!r} {exc}")
     assert states == {"in-flight", "queued", "blocked"} and invalid_stuck
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == DEADLOCK_SHA256
+
+
+# sha256 of repr([exc.waiting, ...]) over the same seeded deadlocks, recorded
+# before replay dropped its feeders.
+DEADLOCK_WAITING_SHA256 = "f17c3eee7c70f5865c2a3c33b7e8a927796a09040e4e8df3f27a78963b6344e7"
+
+
+def test_deadlock_waiting_is_pinned():
+    assert _digest([exc.waiting for _, _, exc in _deadlocks(24)]) == DEADLOCK_WAITING_SHA256
 
 
 def _attrs_node(node_id, node_type, *attrs, parents=()):
