@@ -8,31 +8,42 @@ Usage, from the root of a checkout:
 
 Each rung generates a pipeline workload (``npus`` x ``microbatches``), then
 replays it with validation and the timeline on, as ``ettrace simulate``
-does, on a near-square torus at 62 GB/s and 1 us per link. One round is a
-fresh interpreter that takes every rung once, in ladder order, so the rungs
-interleave across the ``--repeats`` rounds; within a round a rung replays
-until its replays add up to ``ROUND_S`` process seconds, and the round's
-sample is their mean. With ``--before-src``, another checkout's ``src/``
-runs the same rounds as "before", and the two sides alternate which goes
+does, on a near-square torus at 62 GB/s and 1 us per link. One round takes
+every rung once, in ladder order, each rung in a fresh interpreter, so the
+rungs interleave across the ``--repeats`` rounds; within a round a rung
+replays until its replays add up to ``ROUND_S`` process seconds, and the
+round's sample is their mean. With ``--before-src``, that interpreter also
+imports another checkout's ``src/`` under another package name, as
+"before", and replays the two sides in turn, one replay each, until both
+have their ``ROUND_S``; the rungs and rounds alternate which side goes
 first. A replay starts after ``gc.collect()``, so every replay starts from
 the same collector state. It is timed by ``time.process_time`` (CPU seconds
 of the process, which other load on the machine disturbs less) and by
-``time.perf_counter`` (wall seconds).
+``time.perf_counter`` (wall seconds). After its timed replays, a rung
+replays once more under ``tracemalloc`` for the peak of the memory that
+replay allocates.
 
 Per side ("after" is this checkout) and rung the JSON holds the node count,
 each round's process and wall seconds per replay, their minimum and
-interquartile range (IQR), nodes/s at the minimum process time, and the
-full (generation 2) collections inside each round's replays, counted through
-``gc.callbacks``. Over the rungs it fits minimum process seconds against
-nodes by least squares (``slope_us_per_node``) and on log-log axes
-(``loglog_exponent``, 1.0 for linear time). A change in nodes/s at a rung is
-resolved when it exceeds that rung's ``iqr_share``, the IQR of process
-seconds over their median.
+interquartile range (IQR), nodes/s at the minimum process time, the full
+(generation 2) collections inside each round's replays, counted through
+``gc.callbacks``, and the ``tracemalloc`` peak in bytes and bytes per node.
+Over the rungs it fits minimum process seconds against nodes by least
+squares (``slope_us_per_node``) and on log-log axes (``loglog_exponent``,
+1.0 for linear time). With ``--before-src`` it also holds, per rung, the
+paired statistic: the ratio after/before of process seconds in each round,
+whose two sides took turns in one interpreter, and the median and IQR of
+those ratios.
+Load on a shared machine moves both sides of a round alike, so a change is
+resolved when the median ratio is further from 1 than its IQR; the spread of
+either side alone (``iqr_share``) is often wider than the change.
 """
 from __future__ import annotations
 
 import argparse
 import gc
+import importlib
+import importlib.util
 import json
 import math
 import os
@@ -41,6 +52,7 @@ import statistics
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -67,33 +79,60 @@ def _timed_replay(simulator, traces, cfg) -> "tuple[float, float, int]":
     return cpu, wall, full
 
 
-def one_round(src: str) -> "list[dict]":
-    """Replay every rung once with ``ettrace`` imported from ``src``."""
-    sys.path.insert(0, src)
-    from ettrace import costmodel, simulator, workloads
+def _peak_bytes(simulator, traces, cfg) -> int:
+    """The ``tracemalloc`` peak of one replay."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        simulator.run_simulation(traces, cfg)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
-    out = []
-    for npus, microbatches in RUNGS:
+
+def _load(src: str, name: str):
+    """The ``ettrace`` package in ``src``, imported as ``name``; its modules import each other relatively."""
+    init = Path(src) / "ettrace" / "__init__.py"
+    spec = importlib.util.spec_from_file_location(name, init, submodule_search_locations=[str(init.parent)])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    return package
+
+
+def one_rung(sides: "dict[str, str]", rung: int) -> "dict[str, dict]":
+    """One round's sample of rung ``rung`` for each side (label -> ``src``), replayed in turn."""
+    npus, microbatches = RUNGS[rung]
+    runs = {}
+    for label, src in sides.items():
+        name = _load(src, f"ettrace_{label}").__name__
+        costmodel, simulator, workloads = (
+            importlib.import_module(f"{name}.{module}") for module in ("costmodel", "simulator", "workloads")
+        )
         spec = workloads.WorkloadSpec(npus=npus, parallelism=workloads.Parallelism.PIPELINE, microbatches=microbatches)
-        traces = workloads.generate_workload(spec)
         d1, d2 = costmodel.near_square_dims(npus)
         cfg = simulator.SimConfig(topology=costmodel.parse_topology(f"torus2d:{d1}x{d2}", 62e9, 1e-6))
-        replays = []
-        while sum(cpu for cpu, _, _ in replays) < ROUND_S:
-            replays.append(_timed_replay(simulator, traces, cfg))
-        out.append({
-            "nodes": sum(len(t.nodes) for t in traces),
-            "replays": len(replays),
-            "process_s": statistics.fmean(cpu for cpu, _, _ in replays),
-            "wall_s": statistics.fmean(wall for _, wall, _ in replays),
-            "full_gc": sum(full for _, _, full in replays),
-        })
-        del traces
-    return out
+        runs[label] = (simulator, workloads.generate_workload(spec), cfg)
+    replays: dict[str, list] = {label: [] for label in sides}
+    while min(sum(cpu for cpu, _, _ in done) for done in replays.values()) < ROUND_S:
+        for label, run in runs.items():
+            replays[label].append(_timed_replay(*run))
+    return {
+        label: {
+            "nodes": sum(len(t.nodes) for t in runs[label][1]),
+            "replays": len(done),
+            "process_s": statistics.fmean(cpu for cpu, _, _ in done),
+            "wall_s": statistics.fmean(wall for _, wall, _ in done),
+            "full_gc": sum(full for _, _, full in done),
+            "peak_bytes": _peak_bytes(*runs[label]),
+        }
+        for label, done in replays.items()
+    }
 
 
-def _round_in_child(src: Path) -> "list[dict]":
-    argv = [sys.executable, str(Path(__file__).resolve()), "--round", str(src)]
+def _rung_in_child(sides: "dict[str, Path]", rung: int) -> "dict[str, dict]":
+    argv = [sys.executable, str(Path(__file__).resolve()), "--rung", str(rung)]
+    argv += [f"--side={label}={src}" for label, src in sides.items()]
     return json.loads(subprocess.run(argv, check=True, capture_output=True, text=True).stdout)
 
 
@@ -129,8 +168,25 @@ def summarize(rounds: "list[list[dict]]") -> dict:
             "iqr_wall_s": round(iqr_wall, 4),
             "nodes_per_s": round(nodes / min_cpu),
             "full_gc": [s["full_gc"] for s in samples],
+            "peak_bytes": max(s["peak_bytes"] for s in samples),
+            "peak_bytes_per_node": round(max(s["peak_bytes"] for s in samples) / nodes),
         })
     return {"rungs": rungs, "fit": fit(rungs)}
+
+
+def paired(before: "list[list[dict]]", after: "list[list[dict]]") -> "list[dict]":
+    """Per rung, the after/before ratio of process seconds in each round, and its median and IQR."""
+    out = []
+    for (npus, microbatches), b, a in zip(RUNGS, zip(*before), zip(*after)):
+        ratios = [x["process_s"] / y["process_s"] for x, y in zip(a, b)]
+        _, iqr = _spread(ratios)
+        out.append({
+            "rung": f"pipeline-{npus}x{microbatches}",
+            "ratios": [round(r, 3) for r in ratios],
+            "ratio_median": round(statistics.median(ratios), 3),
+            "ratio_iqr": round(iqr, 3),
+        })
+    return out
 
 
 def fit(rungs: "list[dict]") -> dict:
@@ -153,10 +209,12 @@ def main(argv: "list[str] | None" = None) -> int:
     parser.add_argument("--repeats", type=int, default=5, help="rounds per side (default 5)")
     parser.add_argument("--out", default=str(ROOT / "BENCH_replay.json"), help="output JSON path")
     parser.add_argument("--before-src", type=Path, help="another checkout's src/, timed alongside as 'before'")
-    parser.add_argument("--round", help=argparse.SUPPRESS)  # one round in this process, as JSON on stdout
+    # One rung of a round in this process, as JSON on stdout, for each --side=label=src in turn.
+    parser.add_argument("--rung", type=int, help=argparse.SUPPRESS)
+    parser.add_argument("--side", action="append", default=[], help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
-    if args.round:
-        print(json.dumps(one_round(args.round)))
+    if args.rung is not None:
+        print(json.dumps(one_rung(dict(side.split("=", 1) for side in args.side), args.rung)))
         return 0
     if args.repeats < 1:
         parser.error("--repeats must be >= 1")
@@ -167,15 +225,25 @@ def main(argv: "list[str] | None" = None) -> int:
         sides = {"before": args.before_src.resolve(), **sides}
     rounds: dict[str, list] = {label: [] for label in sides}
     for i in range(args.repeats):
-        order = list(sides) if i % 2 == 0 else list(reversed(sides))
-        for label in order:
-            rounds[label].append(_round_in_child(sides[label]))
+        for label in sides:
+            rounds[label].append([])
+        for rung in range(len(RUNGS)):
+            order = list(sides) if (i + rung) % 2 == 0 else list(reversed(sides))
+            samples = _rung_in_child({label: sides[label] for label in order}, rung)
+            for label in sides:
+                rounds[label][-1].append(samples[label])
         print(f"round {i + 1}/{args.repeats} done", file=sys.stderr)
     results = {label: summarize(rounds[label]) for label in sides}
     for label, result in results.items():
         for r in result["rungs"]:
             print(f"{label:>6} {r['rung']:>16}  {r['nodes']:>7} nodes  min {r['min_process_s']:7.3f} s  "
-                  f"IQR {r['iqr_share']:6.1%}  {r['nodes_per_s']:>7} nodes/s  full gc {r['full_gc']}",
+                  f"IQR {r['iqr_share']:6.1%}  {r['nodes_per_s']:>7} nodes/s  "
+                  f"peak {r['peak_bytes_per_node']:>5} B/node  full gc {r['full_gc']}",
+                  file=sys.stderr)
+    if args.before_src:
+        results["paired"] = paired(rounds["before"], rounds["after"])
+        for r in results["paired"]:
+            print(f"after/before {r['rung']:>16}  median {r['ratio_median']:.3f}  IQR {r['ratio_iqr']:.3f}",
                   file=sys.stderr)
     doc = {
         "benchmark": "replay_ladder",
@@ -186,7 +254,7 @@ def main(argv: "list[str] | None" = None) -> int:
         **results,
     }
     Path(args.out).write_text(json.dumps(doc, indent=2) + "\n")
-    print(json.dumps({label: result["fit"] for label, result in results.items()}))
+    print(json.dumps({label: results[label]["fit"] for label in sides}))
     return 0
 
 

@@ -11,6 +11,7 @@ tracking once they hold only ids; ``add_node`` grows lists.
 from __future__ import annotations
 
 from collections import deque
+from typing import Callable
 
 from .schema import ETNode, NodeType, Trace
 from .validate import InvalidTraceError, validate_trace
@@ -18,6 +19,27 @@ from .validate import InvalidTraceError, validate_trace
 
 class FeederError(RuntimeError):
     pass
+
+
+def release(node: int, children, unmet, invalid: Callable[[int], bool], ready: Callable[[int], object]) -> list[int]:
+    """Count ``node`` complete for each child, and pass each child left with no
+    unfinished parent to ``ready``, in order. A child that ``invalid`` names
+    completes in place instead, depth first, on an explicit stack; returns those.
+    ``children`` and ``unmet`` are keyed by id in ``Feeder``, by position in replay."""
+    collapsed = []
+    stack = [iter(children[node])]
+    while stack:
+        for child in stack[-1]:
+            unmet[child] -= 1
+            if not unmet[child]:
+                if invalid(child):
+                    collapsed.append(child)
+                    stack.append(iter(children[child]))
+                    break
+                ready(child)
+        else:
+            stack.pop()
+    return collapsed
 
 
 class Feeder:
@@ -136,24 +158,13 @@ class Feeder:
         return freed
 
     def _complete(self, node_id: int) -> list[int]:
-        """Mark ``node_id`` complete; return the non-INVALID nodes it readied, in order.
-
-        Readied INVALID nodes complete in place, depth first, on an explicit stack.
-        """
+        """Mark ``node_id`` complete; return the non-INVALID nodes it readied, in order."""
         freed: list[int] = []
         self._completed.add(node_id)
-        stack = [iter(self._children[node_id])]
-        while stack:
-            for child_id in stack[-1]:
-                self._unmet[child_id] -= 1
-                if self._unmet[child_id] == 0:
-                    if self._nodes[child_id].type is NodeType.INVALID:
-                        self._completed.add(child_id)
-                        stack.append(iter(self._children[child_id]))
-                        break
-                    freed.append(child_id)
-            else:
-                stack.pop()
+        nodes = self._nodes
+        self._completed.update(
+            release(node_id, self._children, self._unmet, lambda c: nodes[c].type is NodeType.INVALID, freed.append)
+        )
         return freed
 
     # ------------------------------------------------------------------
@@ -181,7 +192,7 @@ class Feeder:
         del self._children[node_id]
         del self._unmet[node_id]
 
-    # Introspection helpers (used by the simulator and tests).
+    # Introspection helpers (used by tests and demos).
 
     @property
     def completed_ids(self) -> frozenset[int]:

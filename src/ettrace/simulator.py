@@ -10,11 +10,13 @@ complete simultaneously. Both kinds of match go through one rendezvous;
 ``SimResult.launches`` logs the collective launches, which
 ``synth.build_master_trace`` turns into master ops.
 Every attribute replay needs is read once, before the first event, by
-``_lower``, in one pass over each node's attributes. The event loop is
-integer-cycle and fully deterministic: identical inputs produce
-byte-identical timelines. It records the timeline as plain tuples, which the
-cyclic garbage collector stops tracking, and builds ``TimelineRow``s only
-when ``SimResult.timeline`` is read.
+``_lower``, in one pass over each node's attributes, into per-NPU lists
+indexed by each node's position in id order; replay tracks dependencies in
+those lists and builds no ``Feeder``. The event loop is integer-cycle and
+fully deterministic: identical inputs produce byte-identical timelines. It
+records the timeline as plain tuples and the node spans as one flat list of
+ints, which the cyclic garbage collector does not track, and builds
+``TimelineRow``s and the ``node_spans`` dict only when they are read.
 """
 from __future__ import annotations
 
@@ -23,11 +25,12 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import attrgetter
 from typing import Callable, Iterable, Sequence
 
 from . import costmodel, workloads
 from .costmodel import Topology
-from .feeder import Feeder
+from .feeder import release
 from .schema import (
     ATTR_COMM_GROUP,
     ATTR_COMM_PEER,
@@ -97,10 +100,16 @@ class NpuStats:
 class SimResult:
     makespan: int
     per_npu: "dict[int, NpuStats]"
-    node_spans: "dict[tuple[int, int], tuple[int, int]]"  # (npu, node) -> (start, finish)
+    spans: "list[int]"  # npu, node id, start, finish of each node, flat, in the order replay priced them
     records: "list[tuple[str, int, int, int, str]]"  # (event, npu, cycle, node id, name), in replay order
     # (rendezvous key, comm_type, [(npu, node id, amount, comm_type)]) of each collective, in launch order
     launches: "list[tuple[tuple, str, list[tuple]]]" = field(default_factory=list)
+
+    @property
+    def node_spans(self) -> "dict[tuple[int, int], tuple[int, int]]":
+        """(npu, node) -> (start, finish), built anew on each read."""
+        it = iter(self.spans)
+        return {(npu, node): (start, finish) for npu, node, start, finish in zip(it, it, it, it)}
 
     @property
     def timeline(self) -> list[TimelineRow]:
@@ -151,15 +160,40 @@ def compute_breakdown(result: SimResult) -> list[dict]:
 # --------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(eq=False)
 class _Npu:
+    """One NPU's lowered trace and replay state; per-node lists are indexed by position in id order."""
+
     npu_id: int
-    feeder: Feeder
-    ops: "dict[int, tuple]"  # node id -> record from _lower
+    ids: "list[int]"
+    names: "list[str]"
+    ops: "list[tuple | None]"  # (cls, amount, sync) from _lower; None for INVALID
+    unmet: "list[int]"  # parents not yet complete
+    children: "list[tuple[int, ...]]"  # positions, ascending
     queues: "list[deque[int]]" = field(default_factory=lambda: [deque(), deque(), deque()])
     busy: "list[int | None]" = field(default_factory=lambda: [None, None, None])
-    issue_cycle: "dict[int, int]" = field(default_factory=dict)
-    intervals: "list[list[tuple[int, int]]]" = field(default_factory=lambda: [[], [], []])
+    # per class: issue and callback cycle of each node, flat; a class runs one node at a time
+    intervals: "list[list[int]]" = field(default_factory=lambda: [[], [], []])
+
+    def __post_init__(self) -> None:
+        """Collapse the INVALID sources, then queue every ready node in id order, as ``Feeder.load`` does."""
+        ops, unmet = self.ops, self.unmet
+        for pos in [pos for pos, op in enumerate(ops) if op is None and not unmet[pos]]:
+            release(pos, self.children, unmet, lambda c: ops[c] is None, lambda c: None)  # the scan queues them
+        for pos, op in enumerate(ops):
+            if op is not None and not unmet[pos]:
+                self.queues[op[0]].append(pos)
+
+    def complete(self, pos: int) -> None:
+        """Mark ``pos`` complete and queue, in order, the nodes it readies."""
+        ops, queues = self.ops, self.queues
+        release(pos, self.children, self.unmet, lambda c: ops[c] is None, lambda c: queues[ops[c][0]].append(c))
+
+    def issue(self, cycle: int, start: "Callable[[_Npu, int, int], None]") -> None:
+        """Start the head of each idle class's queue, in class order."""
+        for cls, queue in enumerate(self.queues):
+            if queue and self.busy[cls] is None:
+                start(self, queue.popleft(), cycle)
 
 
 def _need(value: "int | None", npu_id: int, node: ETNode, what: str) -> int:
@@ -168,10 +202,10 @@ def _need(value: "int | None", npu_id: int, node: ETNode, what: str) -> int:
     return value
 
 
-def _lower(traces: Sequence[Trace], cfg: SimConfig) -> "dict[int, dict[int, tuple]]":
-    """Read every attribute replay uses, once: npu -> node id -> record.
+def _lower(traces: Sequence[Trace], cfg: SimConfig) -> "list[_Npu]":
+    """Read every attribute replay uses, once: one ``_Npu`` per trace, in order.
 
-    Each non-INVALID node becomes ``(cls, name, amount, sync)``. ``amount``
+    Each non-INVALID node's op is ``(cls, amount, sync)``. ``amount``
     is the node's duration in cycles, except for communication under MODEL
     timing, where it is the payload in bytes that the cost model prices when
     the rendezvous launches. ``sync`` is None for nodes that run alone. For
@@ -186,19 +220,25 @@ def _lower(traces: Sequence[Trace], cfg: SimConfig) -> "dict[int, dict[int, tupl
     carry the attributes their kind requires. What the config decides is
     checked here: a node that lacks its timing input raises ValueError naming
     it, and so does, under MODEL comm timing, a communication node whose own
-    rank or peer is not on the topology. Untagged SEND/RECV share one
-    ``sync`` per ``(src, dst, side)``.
+    rank or peer is not on the topology. Nodes with equal syncs share one
+    tuple, so untagged SEND/RECV share one ``sync`` per ``(src, dst, side)``.
     """
     groups: dict[str, set[int]] = {}
-    p2p_syncs: dict[tuple, tuple] = {}  # untagged (src, dst, side) -> sync
-    lowered: dict[int, dict[int, tuple]] = {}
+    syncs: dict[tuple, tuple] = {}  # (counter, stem, comm_type) -> the one sync of that value
+    lowered: list[_Npu] = []
     trace_compute = cfg.compute_timing is TimingMode.FROM_TRACE
     trace_comm = cfg.comm_timing is TimingMode.FROM_TRACE
     model_comm = cfg.comm_timing is TimingMode.MODEL
     fabric = cfg.topology.npus if model_comm else 0
     for trace in traces:
         npu = trace.npu_id
-        ops = lowered[npu] = {}
+        order = sorted(trace.nodes, key=attrgetter("id"))
+        position = {node.id: pos for pos, node in enumerate(order)}
+        children: list[list[int]] = [[] for _ in order]
+        for pos, node in enumerate(order):
+            for parent in node.parents:
+                children[position[parent]].append(pos)
+        ops: list = [None] * len(order)
         for node in trace.nodes:
             kind = node.type
             if kind is _INVALID:
@@ -234,18 +274,17 @@ def _lower(traces: Sequence[Trace], cfg: SimConfig) -> "dict[int, dict[int, tupl
                     group = attrs[ATTR_COMM_GROUP]
                     ranks = groups.setdefault(group, set())
                     ranks.add(npu)
-                    sync = ((npu, group), (group,), ranks, attrs[ATTR_COMM_TYPE])
+                    counter, stem, comm_type = (npu, group), (group,), attrs[ATTR_COMM_TYPE]
                 else:
                     peer = attrs[ATTR_COMM_PEER]
                     ranks = (npu, peer) if kind is _SEND else (peer, npu)
                     tag = attrs.get(ATTR_COMM_TAG)
+                    comm_type = None
                     if tag is None:
-                        counter = (*ranks, "send" if kind is _SEND else "recv")
-                        if counter not in p2p_syncs:
-                            p2p_syncs[counter] = (counter, (*ranks, "seq"), ranks, None)
-                        sync = p2p_syncs[counter]
+                        counter, stem = (*ranks, "send" if kind is _SEND else "recv"), (*ranks, "seq")
                     else:
-                        sync = (None, (*ranks, "tag", tag), ranks, None)
+                        counter, stem = None, (*ranks, "tag", tag)
+                sync = syncs.setdefault((counter, stem, comm_type), (counter, stem, ranks, comm_type))
                 if model_comm:
                     # The cost model places every rank it prices on the fabric.
                     for rank in (npu,) if kind is _COLL else ranks:
@@ -253,7 +292,9 @@ def _lower(traces: Sequence[Trace], cfg: SimConfig) -> "dict[int, dict[int, tupl
                             raise ValueError(
                                 f"npu {npu} node {node.id}: rank {rank} outside topology of {fabric} NPUs"
                             )
-            ops[node.id] = (cls, node.name, amount, sync)
+            ops[position[node.id]] = (cls, amount, sync)
+        names, unmet = [node.name for node in order], [len(node.parents) for node in order]
+        lowered.append(_Npu(npu, list(position), names, ops, unmet, list(map(tuple, children))))
     return lowered
 
 
@@ -274,22 +315,17 @@ def run_simulation(
     if not report.ok:
         raise InvalidTraceError(report, "refusing to simulate invalid workload")
     traces.sort(key=lambda t: t.npu_id)
-    lowered = _lower(traces, cfg)
-
-    npus = {t.npu_id: _Npu(t.npu_id, Feeder(t), lowered[t.npu_id]) for t in traces}
+    npus = {npu.npu_id: npu for npu in _lower(traces, cfg)}
     counters: dict[tuple, int] = {}  # sync counter -> number of the last arrival
-    waiting: dict[tuple, list[tuple]] = {}  # rendezvous key -> members arrived so far
+    # rendezvous key -> members arrived so far, as (npu, node id, amount, comm_type, position)
+    waiting: dict[tuple, list[tuple]] = {}
     prices: dict[tuple, float] = {}  # (comm_type, payload, group) -> seconds of that collective
     launches: list[tuple] = []
     model_comm = cfg.comm_timing is TimingMode.MODEL
 
-    heap: list[tuple[int, int, int]] = []  # (cycle, npu, node_id): a cycle's callbacks pop in (npu, node) order
-    spans: dict[tuple[int, int], tuple[int, int]] = {}
+    heap: list[tuple[int, int, int]] = []  # (cycle, npu, position): a cycle's callbacks pop in (npu, node) order
+    spans: list[int] = []
     records: list[tuple[str, int, int, int, str]] = []
-
-    def finish(npu_id: int, node_id: int, cycle: int, dur: int) -> None:
-        spans[(npu_id, node_id)] = (cycle, cycle + dur)
-        heapq.heappush(heap, (cycle + dur, npu_id, node_id))
 
     def launch(key: tuple, members: "list[tuple]", ranks: "set[int] | tuple[int, int]", cycle: int) -> None:
         """Start a full rendezvous.
@@ -314,18 +350,22 @@ def run_simulation(
             dur = cfg.seconds_to_cycles(seconds)
         if comm_type is not None:
             members.sort()  # collective spans are recorded in rank order, a pair's in arrival order
-            launches.append((key, comm_type, members))
-        for npu_id, node_id, _, _ in members:
-            finish(npu_id, node_id, cycle, dur)
+            launches.append((key, comm_type, [m[:4] for m in members]))
+        end = cycle + dur
+        for npu_id, node_id, _, _, pos in members:
+            spans.extend((npu_id, node_id, cycle, end))
+            heapq.heappush(heap, (end, npu_id, pos))
 
-    def start(npu: _Npu, node_id: int, cycle: int) -> None:
-        cls, name, amount, sync = npu.ops[node_id]
-        npu.busy[cls] = node_id
-        npu.issue_cycle[node_id] = cycle
+    def start(npu: _Npu, pos: int, cycle: int) -> None:
+        cls, amount, sync = npu.ops[pos]
+        npu.busy[cls] = pos
+        npu.intervals[cls].append(cycle)
+        node_id = npu.ids[pos]
         if collect_timeline:
-            records.append((ISSUE, npu.npu_id, cycle, node_id, name))
+            records.append((ISSUE, npu.npu_id, cycle, node_id, npu.names[pos]))
         if sync is None:
-            finish(npu.npu_id, node_id, cycle, amount)
+            spans.extend((npu.npu_id, node_id, cycle, cycle + amount))
+            heapq.heappush(heap, (cycle + amount, npu.npu_id, pos))
             return
         # Arrivals are numbered in the order this rank issues them.
         counter, key, ranks, comm_type = sync
@@ -333,87 +373,75 @@ def run_simulation(
             counters[counter] = counters.get(counter, -1) + 1
             key += (counters[counter],)
         members = waiting.setdefault(key, [])
-        members.append((npu.npu_id, node_id, amount, comm_type))
+        members.append((npu.npu_id, node_id, amount, comm_type, pos))
         if len(members) == len(ranks):
             launch(key, members, ranks, cycle)
 
-    def issue(npu: _Npu, cycle: int) -> None:
-        while (node := npu.feeder.get_next_issuable_node()) is not None:
-            npu.queues[npu.ops[node.id][0]].append(node.id)
-        for cls, queue in enumerate(npu.queues):
-            if queue and npu.busy[cls] is None:
-                start(npu, queue.popleft(), cycle)
-
     now = 0
     for npu in npus.values():
-        issue(npu, now)
+        npu.issue(now, start)
     while heap:
         now = heap[0][0]
-        called_back: dict[int, None] = {}  # NPU ids, ascending
+        called_back: dict[_Npu, None] = {}  # in ascending NPU id
         while heap and heap[0][0] == now:
-            _, npu_id, node_id = heapq.heappop(heap)
+            _, npu_id, pos = heapq.heappop(heap)
             npu = npus[npu_id]
-            cls, name, _, _ = npu.ops[node_id]
+            cls = npu.ops[pos][0]
             if collect_timeline:
-                records.append((CALLBACK, npu_id, now, node_id, name))
-            npu.intervals[cls].append((npu.issue_cycle[node_id], now))
+                records.append((CALLBACK, npu_id, now, npu.ids[pos], npu.names[pos]))
+            npu.intervals[cls].append(now)
             npu.busy[cls] = None
-            npu.feeder.free_children_nodes(node_id)
-            called_back[npu_id] = None
-        # Only a callback changes an NPU's feeder or class queues, so the NPUs
-        # without one in this batch have nothing new to issue.
-        for npu_id in called_back:
-            issue(npus[npu_id], now)
+            npu.complete(pos)
+            called_back[npu] = None
+        # Only a callback changes an NPU's class queues, so the NPUs without
+        # one in this batch have nothing new to issue.
+        for npu in called_back:
+            npu.issue(now, start)
 
     stuck = _collect_stuck(npus)
     if stuck:
-        raise DeadlockError(stuck, waiting.items())
+        raise DeadlockError(stuck, ((key, [m[:4] for m in members]) for key, members in waiting.items()))
 
-    makespan = max((f for _, f in spans.values()), default=0)
     per_npu = {npu_id: _stats(npu) for npu_id, npu in npus.items()}
-    return SimResult(makespan=makespan, per_npu=per_npu, node_spans=spans, records=records, launches=launches)
+    # Every span's finish is popped off the heap, the last of them at ``now``.
+    return SimResult(makespan=now, per_npu=per_npu, spans=spans, records=records, launches=launches)
 
 
 def _collect_stuck(npus: "dict[int, _Npu]") -> list[StuckNode]:
+    """Each NPU's in-flight, queued and blocked nodes, in id order. Replay ends with
+    every ready node queued, in flight or complete, so the rest wait on parents."""
     stuck: list[StuckNode] = []
     for npu_id in sorted(npus):
         npu = npus[npu_id]
-        if npu.feeder.pending_count() == 0:
-            continue
-        done = npu.feeder.completed_ids
-        in_flight = {nid for nid in npu.busy if nid is not None}
-        queued = {nid for q in npu.queues for nid in q}
-        for nid in sorted(in_flight):
-            stuck.append(StuckNode(npu_id, nid, npu.feeder.lookup_node(nid).name, "in-flight"))
-        for nid in sorted(queued):
-            stuck.append(StuckNode(npu_id, nid, npu.feeder.lookup_node(nid).name, "queued"))
-        for nid in npu.feeder.node_ids():
-            if nid not in done and nid not in in_flight and nid not in queued:
-                stuck.append(StuckNode(npu_id, nid, npu.feeder.lookup_node(nid).name, "blocked"))
+        in_flight = sorted(pos for pos in npu.busy if pos is not None)
+        queued = sorted(pos for queue in npu.queues for pos in queue)
+        blocked = [pos for pos, unmet in enumerate(npu.unmet) if unmet]
+        for state, positions in (("in-flight", in_flight), ("queued", queued), ("blocked", blocked)):
+            stuck.extend(StuckNode(npu_id, npu.ids[pos], npu.names[pos], state) for pos in positions)
     return stuck
 
 
-def _overlap(a: "list[tuple[int, int]]", b: "list[tuple[int, int]]") -> int:
-    """Total overlap length of two sorted non-overlapping interval lists."""
+def _overlap(a: "list[int]", b: "list[int]") -> int:
+    """Total overlap length of two flat lists of sorted non-overlapping (start, end) intervals."""
     total = 0
     i = j = 0
     while i < len(a) and j < len(b):
-        lo = max(a[i][0], b[j][0])
-        hi = min(a[i][1], b[j][1])
+        lo = max(a[i], b[j])
+        hi = min(a[i + 1], b[j + 1])
         if lo < hi:
             total += hi - lo
-        if a[i][1] <= b[j][1]:
-            i += 1
+        if a[i + 1] <= b[j + 1]:
+            i += 2
         else:
-            j += 1
+            j += 2
     return total
 
 
 def _stats(npu: _Npu) -> NpuStats:
-    mem, comp, net = (sorted(npu.intervals[cls]) for cls in (_MEMORY, _COMPUTE, _NETWORK))
-    compute_busy = sum(f - s for s, f in comp)
-    comm_busy = sum(f - s for s, f in net)
-    mem_busy = sum(f - s for s, f in mem)
+    mem, comp, net = npu.intervals
+    compute_busy = sum(comp[1::2]) - sum(comp[::2])
+    comm_busy = sum(net[1::2]) - sum(net[::2])
+    mem_busy = sum(mem[1::2]) - sum(mem[::2])
     exposed = comm_busy - _overlap(net, comp)
     return NpuStats(compute_busy=compute_busy, comm_busy=comm_busy, mem_busy=mem_busy, exposed_comm=exposed)
 

@@ -11,7 +11,7 @@ replay's plain ``(event, gpu_id, cycle, node_id, node_name)`` records alike.
 from __future__ import annotations
 
 import json
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .schema import NodeType, Trace
 
@@ -116,29 +116,26 @@ TypeLookup = Callable[[int, int], NodeType]
 
 def node_type_lookup(traces: "Sequence[Trace] | Iterable[Trace]") -> TypeLookup:
     """Build a (gpu_id, node_id) -> NodeType lookup from per-NPU traces."""
-    table: dict[tuple[int, int], NodeType] = {}
+    table: dict[int, dict[int, NodeType]] = {}  # gpu -> node -> type
     for trace in traces:
-        for node in trace.nodes:
-            table[(trace.npu_id, node.id)] = node.type
+        table.setdefault(trace.npu_id, {}).update((node.id, node.type) for node in trace.nodes)
 
     def type_of(gpu_id: int, node_id: int) -> NodeType:
         try:
-            return table[(gpu_id, node_id)]
+            return table[gpu_id][node_id]
         except KeyError:
             raise TimelineError(f"no node {node_id} on gpu {gpu_id} in the given traces") from None
 
     return type_of
 
 
-def timeline_to_chrome_events(rows: Sequence[TimelineRow], type_of: TypeLookup) -> list[dict]:
-    """Pair issue/callback rows into complete events, one per pair.
+def _complete_events(rows: Iterable[TimelineRow], type_of: TypeLookup) -> "Iterator[tuple[str, int, int, int, int]]":
+    """(name, pid, tid, ts, dur) of each issue/callback pair, in callback order.
 
-    ts/dur are in cycles; the viewer renders them as microseconds. Every
-    issue needs a later callback for the same (gpu, node) and vice versa;
-    leftovers mean the timeline is truncated or corrupt and raise.
+    Every issue needs a later callback for the same (gpu, node) and vice
+    versa; leftovers mean the timeline is truncated or corrupt and raise.
     """
     open_issues: dict[tuple[int, int], tuple[int, str]] = {}  # (gpu, node) -> (issue cycle, name)
-    events: list[dict] = []
     for event, gpu_id, cycle, node_id, node_name in rows:
         key = (gpu_id, node_id)
         if event == ISSUE:
@@ -156,20 +153,19 @@ def timeline_to_chrome_events(rows: Sequence[TimelineRow], type_of: TypeLookup) 
             tid = _TID_FOR_TYPE.get(node_type)
             if tid is None:
                 raise TimelineError(f"node {node_id} on gpu {gpu_id} has untimeable type {node_type.name}")
-            events.append(
-                {
-                    "name": issue_name,
-                    "ph": "X",
-                    "pid": gpu_id,
-                    "tid": tid,
-                    "ts": issue_cycle,
-                    "dur": cycle - issue_cycle,
-                }
-            )
+            yield issue_name, gpu_id, tid, issue_cycle, cycle - issue_cycle
     if open_issues:
         missing = sorted(open_issues)
         raise TimelineError(f"issue rows without callbacks for (gpu, node) pairs: {missing}")
-    return events
+
+
+def timeline_to_chrome_events(rows: Sequence[TimelineRow], type_of: TypeLookup) -> list[dict]:
+    """Pair issue/callback rows into complete events, one per pair; ts/dur are
+    in cycles, which the viewer renders as microseconds."""
+    return [
+        {"name": name, "ph": "X", "pid": pid, "tid": tid, "ts": ts, "dur": dur}
+        for name, pid, tid, ts, dur in _complete_events(rows, type_of)
+    ]
 
 
 def timeline_to_chrome_trace(rows: Sequence[TimelineRow], type_of: TypeLookup) -> str:
@@ -179,9 +175,9 @@ def timeline_to_chrome_trace(rows: Sequence[TimelineRow], type_of: TypeLookup) -
     for rows of str names and int fields, as replay and ``parse_timeline_csv``
     make them. Written directly, because ``indent`` turns off json's C encoder.
     """
-    events = [
-        f'{{\n  "name": {_json_str(e["name"])},\n  "ph": "X",\n  "pid": {e["pid"]},\n  "tid": {e["tid"]},'
-        f'\n  "ts": {e["ts"]},\n  "dur": {e["dur"]}\n }}'
-        for e in timeline_to_chrome_events(rows, type_of)
-    ]
-    return "[\n " + ",\n ".join(events) + "\n]\n" if events else "[]\n"
+    text = ",\n ".join(
+        f'{{\n  "name": {_json_str(name)},\n  "ph": "X",\n  "pid": {pid},\n  "tid": {tid},'
+        f'\n  "ts": {ts},\n  "dur": {dur}\n }}'
+        for name, pid, tid, ts, dur in _complete_events(rows, type_of)
+    )
+    return f"[\n {text}\n]\n" if text else "[]\n"

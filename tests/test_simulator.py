@@ -1,8 +1,10 @@
+import gc
 import hashlib
 import itertools
 import math
 import random
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,7 +26,7 @@ from ettrace.simulator import (
 )
 from ettrace import validate as v
 from ettrace.validate import InvalidTraceError, validate_workload
-from ettrace.viz import parse_timeline_csv
+from ettrace.viz import node_type_lookup, parse_timeline_csv, timeline_to_chrome_trace
 from ettrace.workloads import Parallelism, WorkloadSpec, generate_workload, preset_spec
 
 from conftest import invalid_chain_trace, random_dag_parents
@@ -506,20 +508,55 @@ def test_empty_workload():
 
 
 def test_replay_polls_only_npus_that_got_a_callback(monkeypatch):
-    polls = []
+    steps = []
+    issue = simulator._Npu.issue
 
-    class CountingFeeder(Feeder):
-        def get_next_issuable_node(self):
-            polls.append(self)
-            return super().get_next_issuable_node()
+    def counting_issue(npu, cycle, start):
+        steps.append(npu.npu_id)
+        return issue(npu, cycle, start)
 
-    monkeypatch.setattr(simulator, "Feeder", CountingFeeder)
+    monkeypatch.setattr(simulator._Npu, "issue", counting_issue)
     traces = generate_workload(WorkloadSpec(npus=32, parallelism=Parallelism.PIPELINE, microbatches=4))
     nodes = sum(len(t.nodes) for t in traces)
     run_simulation(traces, cfg(parse_topology("torus2d:8x4", 62e9, 1e-6)), collect_timeline=False)
-    # one hit per node, plus one empty poll per visit: the first visit to each
-    # NPU and one per callback
-    assert len(polls) <= 2 * nodes + 32
+    # one issue step per NPU on the first visit, then one per NPU that got a
+    # callback in a batch, at most one per node; issuing on all 32 NPUs after
+    # each of this replay's 444 batches would take 14,240 steps
+    assert 32 < len(steps) <= 2 * nodes + 32
+
+
+def test_replay_builds_no_feeder(monkeypatch):
+    def refuse(self, trace=None):
+        raise AssertionError("replay built a Feeder")
+
+    monkeypatch.setattr(Feeder, "__init__", refuse)
+    traces = generate_workload(preset_spec("mlp-hybrid", 8))
+    result = run_simulation(traces, cfg(parse_topology("torus2d:4x2", 62e9, 1e-6)))
+    assert len(result.node_spans) == sum(len(t.nodes) for t in traces)
+    with pytest.raises(AssertionError, match="built a Feeder"):
+        Feeder(traces[0])
+
+
+def test_replay_and_chrome_export_stay_under_900_bytes_per_node():
+    """tracemalloc peak of a replay plus its Chrome export, per node.
+
+    A 32x8 pipeline (1,504 nodes) peaked at 1,114 bytes per node while replay
+    built one Feeder per NPU, kept its spans as a dict of tuples and exported
+    through a list of event dicts; without them it peaks at 729.
+    """
+    traces = generate_workload(WorkloadSpec(npus=32, parallelism=Parallelism.PIPELINE, microbatches=8))
+    nodes = sum(len(t.nodes) for t in traces)
+    config = cfg(parse_topology("torus2d:8x4", 62e9, 1e-6))
+    run_simulation(traces, config)  # first-use allocations are not the replay's
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = run_simulation(traces, config)
+        timeline_to_chrome_trace(result.records, node_type_lookup(traces))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / nodes < 900, peak / nodes
 
 
 # sha256 of the timeline CSV, recorded before replay re-issued only on NPUs
