@@ -4,16 +4,18 @@ Hands out nodes whose parents have all completed, in FIFO order (seeded by
 ascending node id), and unlocks children as completions are reported back.
 INVALID nodes are transparent: they complete on their own the moment their
 parents finish, so consumers never see them. ``load`` takes only traces
-that pass validation, so every parent it reads exists and is listed once. It
-stores child lists as tuples, which the cyclic garbage collector stops
-tracking once they hold only ids; ``add_node`` grows lists.
+that pass validation and builds their graph with ``schema.dependency_graph``,
+the one builder validation and replay use too; ``seed`` and ``release`` are
+the seeding and completion steps replay shares. Inside, a node is known by
+its position in that graph, and ``add_node`` appends one; the public API
+speaks in node ids.
 """
 from __future__ import annotations
 
 from collections import deque
 from typing import Callable
 
-from .schema import ETNode, NodeType, Trace
+from .schema import ETNode, NodeType, Trace, dependency_graph
 from .validate import InvalidTraceError, validate_trace
 
 
@@ -25,7 +27,7 @@ def release(node: int, children, unmet, invalid: Callable[[int], bool], ready: C
     """Count ``node`` complete for each child, and pass each child left with no
     unfinished parent to ``ready``, in order. A child that ``invalid`` names
     completes in place instead, depth first, on an explicit stack; returns those.
-    ``children`` and ``unmet`` are keyed by id in ``Feeder``, by position in replay."""
+    ``children`` and ``unmet`` are indexed by position."""
     collapsed = []
     stack = [iter(children[node])]
     while stack:
@@ -42,11 +44,22 @@ def release(node: int, children, unmet, invalid: Callable[[int], bool], ready: C
     return collapsed
 
 
+def seed(children, unmet, invalid: Callable[[int], bool]) -> "tuple[list[int], list[int]]":
+    """Complete each INVALID node with no unfinished parent, and the INVALID
+    chains that leaves with none; returns the positions completed, then the
+    positions of the other nodes with no unfinished parent, ascending."""
+    done = [pos for pos, left in enumerate(unmet) if not left and invalid(pos)]
+    for pos in done[:]:
+        done += release(pos, children, unmet, invalid, lambda child: None)  # the scan below finds them
+    return done, [pos for pos, left in enumerate(unmet) if not left and not invalid(pos)]
+
+
 class Feeder:
     def __init__(self, trace: "Trace | None" = None):
-        self._nodes: dict[int, ETNode] = {}
-        self._children: dict[int, "tuple[int, ...] | list[int]"] = {}  # tuples from load
-        self._unmet: dict[int, int] = {}
+        self._nodes: list[ETNode] = []  # by position: load's id order, then add_node's
+        self._unmet: list[int] = []  # parents not yet complete
+        self._children: "list[tuple[int, ...] | list[int]]" = []  # tuples from load
+        self._position: dict[int, int] = {}  # id -> position, of every node not removed
         self._queue: deque[int] = deque()
         self._issued: set[int] = set()
         self._completed: set[int] = set()
@@ -69,51 +82,44 @@ class Feeder:
         report = validate_trace(trace)
         if not report.ok:
             raise InvalidTraceError(report, "feeder refuses invalid trace")
-        self.__init__()
-        children: dict[int, list[int]] = {}
-        for node in trace.nodes:
-            self._nodes[node.id] = node
-            children[node.id] = []
-        ordered = sorted(trace.nodes, key=lambda n: n.id)
-        for node in ordered:
-            self._unmet[node.id] = len(node.parents)
-            for pid in node.parents:
-                children[pid].append(node.id)
-        self._children = {nid: tuple(kids) for nid, kids in children.items()}
-        # Collapse source-side INVALID chains before queueing anything, so the
-        # initial queue order is purely ascending id.
-        for node in ordered:
-            if not node.parents and node.type is NodeType.INVALID:
-                self._complete(node.id)
-        self._queue.extend(
-            nid
-            for nid in sorted(self._nodes)
-            if self._unmet[nid] == 0 and nid not in self._completed
-        )
+        self._nodes, self._unmet, self._children = dependency_graph(trace.nodes)
+        self._position = {node.id: pos for pos, node in enumerate(self._nodes)}
+        done, ready = seed(self._children, self._unmet, self._invalid)
+        self._queue, self._issued, self._completed = deque(ready), set(), set(done)
+
+    def _invalid(self, pos: int) -> bool:
+        return self._nodes[pos].type is NodeType.INVALID
+
+    def _at(self, node_id: int) -> int:
+        if node_id not in self._position:
+            raise FeederError(f"unknown node {node_id}")
+        return self._position[node_id]
 
     def add_node(self, node: ETNode) -> None:
         """Add one node; its parents must already be known."""
-        if node.id in self._nodes:
+        if node.id in self._position:
             raise FeederError(f"node {node.id} already present")
-        missing = [p for p in node.parents if p not in self._nodes]
+        missing = [p for p in node.parents if p not in self._position]
         if missing:
             raise FeederError(f"node {node.id}: unknown parents {missing}")
-        self._nodes[node.id] = node
-        self._children[node.id] = []  # it may gain children
+        pos = len(self._nodes)
         unmet = 0
-        for pid in set(node.parents):
-            if pid not in self._completed:
+        for parent in {self._position[pid] for pid in node.parents}:
+            if parent not in self._completed:
                 unmet += 1
-                children = self._children[pid]
+                children = self._children[parent]
                 if isinstance(children, tuple):  # loaded: copy once, then append in O(1)
-                    children = self._children[pid] = list(children)
-                children.append(node.id)
-        self._unmet[node.id] = unmet
+                    children = self._children[parent] = list(children)
+                children.append(pos)
+        self._nodes.append(node)
+        self._unmet.append(unmet)
+        self._children.append([])  # it may gain children
+        self._position[node.id] = pos
         if unmet == 0:
             if node.type is NodeType.INVALID:
-                self._complete(node.id)
+                self._complete(pos)
             else:
-                self._queue.append(node.id)
+                self._queue.append(pos)
 
     # ------------------------------------------------------------------
     # Issue loop
@@ -131,40 +137,35 @@ class Feeder:
         """Pop the next ready node (FIFO), or None if nothing is ready now."""
         if not self._queue:
             return None
-        node_id = self._queue.popleft()
-        self._issued.add(node_id)
-        return self._nodes[node_id]
+        pos = self._queue.popleft()
+        self._issued.add(pos)
+        return self._nodes[pos]
 
     def push_back_issuable_node(self, node_id: int) -> None:
         """Return an issued-but-unfinished node to the tail of the ready queue."""
-        if node_id not in self._nodes:
-            raise FeederError(f"unknown node {node_id}")
-        if node_id not in self._issued:
+        pos = self._at(node_id)
+        if pos not in self._issued:
             raise FeederError(f"node {node_id} is not currently issued")
-        self._issued.discard(node_id)
-        self._queue.append(node_id)
+        self._issued.discard(pos)
+        self._queue.append(pos)
 
     def free_children_nodes(self, node_id: int) -> list[int]:
         """Mark ``node_id`` complete; returns ids that became issuable (in order)."""
-        if node_id not in self._nodes:
-            raise FeederError(f"unknown node {node_id}")
-        if node_id in self._completed:
+        pos = self._at(node_id)
+        if pos in self._completed:
             raise FeederError(f"node {node_id} completed twice")
-        if node_id not in self._issued:
+        if pos not in self._issued:
             raise FeederError(f"node {node_id} was never issued")
-        self._issued.discard(node_id)
-        freed = self._complete(node_id)
+        self._issued.discard(pos)
+        freed = self._complete(pos)
         self._queue.extend(freed)
-        return freed
+        return [self._nodes[child].id for child in freed]
 
-    def _complete(self, node_id: int) -> list[int]:
-        """Mark ``node_id`` complete; return the non-INVALID nodes it readied, in order."""
+    def _complete(self, pos: int) -> list[int]:
+        """Mark ``pos`` complete; return the positions of the non-INVALID nodes it readied, in order."""
         freed: list[int] = []
-        self._completed.add(node_id)
-        nodes = self._nodes
-        self._completed.update(
-            release(node_id, self._children, self._unmet, lambda c: nodes[c].type is NodeType.INVALID, freed.append)
-        )
+        self._completed.add(pos)
+        self._completed.update(release(pos, self._children, self._unmet, self._invalid, freed.append))
         return freed
 
     # ------------------------------------------------------------------
@@ -172,38 +173,34 @@ class Feeder:
     # ------------------------------------------------------------------
 
     def lookup_node(self, node_id: int) -> ETNode:
-        try:
-            return self._nodes[node_id]
-        except KeyError:
-            raise FeederError(f"unknown node {node_id}") from None
+        return self._nodes[self._at(node_id)]
 
     def remove_node(self, node_id: int) -> None:
-        """Forget a node entirely. Refused while any child still depends on it."""
-        if node_id not in self._nodes:
-            raise FeederError(f"unknown node {node_id}")
-        live = [c for c in self._children[node_id] if c not in self._completed]
+        """Forget a node and unlink it from its parents; refused while any child still depends on it."""
+        pos = self._at(node_id)
+        live = [self._nodes[child].id for child in self._children[pos] if child not in self._completed]
         if live:
             raise FeederError(f"node {node_id} still has live children {live}")
-        if node_id in self._queue:
-            self._queue.remove(node_id)
-        self._issued.discard(node_id)
-        self._completed.discard(node_id)
-        del self._nodes[node_id]
-        del self._children[node_id]
-        del self._unmet[node_id]
+        for parent in {self._position[pid] for pid in self._nodes[pos].parents if pid in self._position}:
+            self._children[parent] = [child for child in self._children[parent] if child != pos]
+        if pos in self._queue:
+            self._queue.remove(pos)
+        self._issued.discard(pos)
+        self._completed.discard(pos)
+        del self._position[node_id]
 
     # Introspection helpers (used by tests and demos).
 
     @property
     def completed_ids(self) -> frozenset[int]:
-        return frozenset(self._completed)
+        return frozenset(self._nodes[pos].id for pos in self._completed)
 
     @property
     def queued_ids(self) -> tuple[int, ...]:
-        return tuple(self._queue)
+        return tuple(self._nodes[pos].id for pos in self._queue)
 
     def pending_count(self) -> int:
-        return len(self._nodes) - len(self._completed)
+        return len(self._position) - len(self._completed)
 
     def node_ids(self) -> tuple[int, ...]:
-        return tuple(sorted(self._nodes))
+        return tuple(sorted(self._position))

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 from typing import Iterable, Union
 
 SCHEMA_VERSION = "0.1"
@@ -214,6 +215,24 @@ class Trace:
             if node.id == node_id:
                 return node
         raise KeyError(f"npu {self.npu_id}: no node with id {node_id}")
+
+
+def dependency_graph(nodes: "Iterable[ETNode]") -> "tuple[list[ETNode], list[int], list[tuple[int, ...]]]":
+    """``nodes`` (distinct int ids) sorted by id, with each position's count of unfinished parents and
+    its children's positions as tuples. Only int parents naming another node count, once per copy, so
+    validation can build the graph of a trace it has yet to accept."""
+    order = sorted(nodes, key=attrgetter("id"))
+    position = {node.id: pos for pos, node in enumerate(order)}
+    unmet = [0] * len(order)
+    children: list[list[int]] = [[] for _ in order]
+    for pos, node in enumerate(order):
+        for parent in node.parents:
+            if type(parent) is int:
+                at = position.get(parent, pos)
+                if at != pos:
+                    unmet[pos] += 1
+                    children[at].append(pos)
+    return order, unmet, list(map(tuple, children))
 
 
 def get_attr(node: ETNode, name: str, default: object = None) -> object:

@@ -11,8 +11,9 @@ complete simultaneously. Both kinds of match go through one rendezvous;
 ``synth.build_master_trace`` turns into master ops.
 Every attribute replay needs is read once, before the first event, by
 ``_lower``, in one pass over each node's attributes, into per-NPU lists
-indexed by each node's position in id order; replay tracks dependencies in
-those lists and builds no ``Feeder``. The event loop is integer-cycle and
+indexed by position in ``schema.dependency_graph``'s id order; replay seeds
+and releases that graph through ``feeder.seed`` and ``feeder.release``, as
+``Feeder`` does, and builds no ``Feeder``. The event loop is integer-cycle and
 fully deterministic: identical inputs produce byte-identical timelines. It
 records the timeline as plain tuples and the node spans as one flat list of
 ints, which the cyclic garbage collector does not track, and builds
@@ -25,12 +26,11 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from operator import attrgetter
 from typing import Callable, Iterable, Sequence
 
 from . import costmodel, workloads
 from .costmodel import Topology
-from .feeder import release
+from .feeder import release, seed
 from .schema import (
     ATTR_COMM_GROUP,
     ATTR_COMM_PEER,
@@ -43,6 +43,7 @@ from .schema import (
     ETNode,
     NodeType,
     Trace,
+    dependency_graph,
 )
 from .validate import InvalidTraceError, validate_workload
 from .viz import CALLBACK, ISSUE, TimelineRow, emit_timeline_csv
@@ -177,12 +178,9 @@ class _Npu:
 
     def __post_init__(self) -> None:
         """Collapse the INVALID sources, then queue every ready node in id order, as ``Feeder.load`` does."""
-        ops, unmet = self.ops, self.unmet
-        for pos in [pos for pos, op in enumerate(ops) if op is None and not unmet[pos]]:
-            release(pos, self.children, unmet, lambda c: ops[c] is None, lambda c: None)  # the scan queues them
-        for pos, op in enumerate(ops):
-            if op is not None and not unmet[pos]:
-                self.queues[op[0]].append(pos)
+        ops = self.ops
+        for pos in seed(self.children, self.unmet, lambda c: ops[c] is None)[1]:
+            self.queues[ops[pos][0]].append(pos)
 
     def complete(self, pos: int) -> None:
         """Mark ``pos`` complete and queue, in order, the nodes it readies."""
@@ -218,9 +216,9 @@ def _lower(traces: Sequence[Trace], cfg: SimConfig) -> "list[_Npu]":
     ``traces`` have passed validation, so each node's attribute names are
     unique, every well-known attribute has its kind, and communication nodes
     carry the attributes their kind requires. What the config decides is
-    checked here: a node that lacks its timing input raises ValueError naming
-    it, and so does, under MODEL comm timing, a communication node whose own
-    rank or peer is not on the topology. Nodes with equal syncs share one
+    checked here, in id order: a node that lacks its timing input raises
+    ValueError naming it, and so does, under MODEL comm timing, a
+    communication node whose own rank or peer is not on the topology. Nodes with equal syncs share one
     tuple, so untagged SEND/RECV share one ``sync`` per ``(src, dst, side)``.
     """
     groups: dict[str, set[int]] = {}
@@ -232,14 +230,9 @@ def _lower(traces: Sequence[Trace], cfg: SimConfig) -> "list[_Npu]":
     fabric = cfg.topology.npus if model_comm else 0
     for trace in traces:
         npu = trace.npu_id
-        order = sorted(trace.nodes, key=attrgetter("id"))
-        position = {node.id: pos for pos, node in enumerate(order)}
-        children: list[list[int]] = [[] for _ in order]
-        for pos, node in enumerate(order):
-            for parent in node.parents:
-                children[position[parent]].append(pos)
+        order, unmet, children = dependency_graph(trace.nodes)
         ops: list = [None] * len(order)
-        for node in trace.nodes:
+        for pos, node in enumerate(order):
             kind = node.type
             if kind is _INVALID:
                 continue
@@ -292,9 +285,8 @@ def _lower(traces: Sequence[Trace], cfg: SimConfig) -> "list[_Npu]":
                             raise ValueError(
                                 f"npu {npu} node {node.id}: rank {rank} outside topology of {fabric} NPUs"
                             )
-            ops[position[node.id]] = (cls, amount, sync)
-        names, unmet = [node.name for node in order], [len(node.parents) for node in order]
-        lowered.append(_Npu(npu, list(position), names, ops, unmet, list(map(tuple, children))))
+            ops[pos] = (cls, amount, sync)
+        lowered.append(_Npu(npu, [node.id for node in order], [node.name for node in order], ops, unmet, children))
     return lowered
 
 
@@ -319,7 +311,7 @@ def run_simulation(
     counters: dict[tuple, int] = {}  # sync counter -> number of the last arrival
     # rendezvous key -> members arrived so far, as (npu, node id, amount, comm_type, position)
     waiting: dict[tuple, list[tuple]] = {}
-    prices: dict[tuple, float] = {}  # (comm_type, payload, group) -> seconds of that collective
+    prices: dict[tuple, float] = {}  # (comm_type, payload, group or (src, dst)) -> seconds of that launch
     launches: list[tuple] = []
     model_comm = cfg.comm_timing is TimingMode.MODEL
 
@@ -339,15 +331,15 @@ def run_simulation(
         del waiting[key]
         dur = max(m[2] for m in members)
         if model_comm:
-            if comm_type is None:
-                seconds = costmodel.p2p_time(dur, *ranks, cfg.topology)
-            else:
-                # A group's ranks are fixed once lowered, so its name stands for them.
-                price = (comm_type, dur, key[0])
-                if price not in prices:
-                    prices[price] = costmodel.group_collective_time(comm_type, dur, ranks, cfg.topology)
-                seconds = prices[price]
-            dur = cfg.seconds_to_cycles(seconds)
+            # A group's ranks are fixed once lowered, so its name stands for them.
+            price = (comm_type, dur, ranks if comm_type is None else key[0])
+            if price not in prices:
+                prices[price] = (
+                    costmodel.p2p_time(dur, *ranks, cfg.topology)
+                    if comm_type is None
+                    else costmodel.group_collective_time(comm_type, dur, ranks, cfg.topology)
+                )
+            dur = cfg.seconds_to_cycles(prices[price])
         if comm_type is not None:
             members.sort()  # collective spans are recorded in rank order, a pair's in arrival order
             launches.append((key, comm_type, [m[:4] for m in members]))

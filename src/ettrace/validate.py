@@ -30,6 +30,7 @@ from .schema import (
     _STRINGS,
     _WELL_KNOWN_KINDS,
     attr_value_matches_kind,
+    dependency_graph,
     parse_schema_version,
 )
 
@@ -246,26 +247,15 @@ def _check_comm_contract(node: ETNode, first: "dict[str, Attribute]", out: list[
 
 
 def _find_cycle_members(nodes: dict[int, ETNode]) -> set[int]:
-    """Ids of nodes on (or feeding only into) cycles, found by Kahn peeling."""
-    indeg = {nid: 0 for nid in nodes}
-    children: dict[int, list[int]] = {nid: [] for nid in nodes}
-    for nid, node in nodes.items():
-        for pid in node.parents:  # a repeated parent adds and removes one in-degree per copy
-            if type(pid) is int and pid in nodes and pid != nid:
-                indeg[nid] += 1
-                children[pid].append(nid)
-    queue = [nid for nid, d in indeg.items() if d == 0]
-    seen = 0
-    while queue:
-        nid = queue.pop()
-        seen += 1
-        for cid in children[nid]:
-            indeg[cid] -= 1
-            if indeg[cid] == 0:
-                queue.append(cid)
-    if seen == len(nodes):
-        return set()
-    return {nid for nid, d in indeg.items() if d > 0}
+    """Ids of the nodes Kahn peeling leaves: those on a cycle or downstream of one."""
+    order, unmet, children = dependency_graph(nodes.values())
+    peeled = [pos for pos, left in enumerate(unmet) if not left]
+    for pos in peeled:  # grows as it goes
+        for child in children[pos]:
+            unmet[child] -= 1
+            if not unmet[child]:
+                peeled.append(child)
+    return {order[pos].id for pos, left in enumerate(unmet) if left}
 
 
 def validate_trace(trace: Trace) -> ValidationReport:
@@ -336,7 +326,7 @@ def validate_trace(trace: Trace) -> ValidationReport:
         _check_comm_contract(node, _check_attributes(node, out), out)
 
     for nid in sorted(_find_cycle_members(by_id)):
-        out.append(Violation(CYCLE, "node participates in a dependency cycle", nid))
+        out.append(Violation(CYCLE, "node is on a dependency cycle or depends on one", nid))
 
     if not out:
         object.__setattr__(trace, "_passed_validation", True)

@@ -80,6 +80,26 @@ def all_topological_orders(parents: "dict[int, set[int]]") -> "set[tuple[int, ..
     }
 
 
+def unpeelable_oracle(parents: "dict[int, list[object]]") -> "set[int]":
+    """Ids that peeling cannot remove, by full rescans until nothing changes.
+
+    A node peels once every parent that counts has peeled; only int parents
+    that name another node count, so dangling, self and non-int parents never
+    hold a node back. What is left is on a cycle or depends on one.
+    """
+    peeled: set[int] = set()
+    changed = True
+    while changed:
+        changed = False
+        for node, ps in parents.items():
+            if node not in peeled and all(
+                p in peeled for p in ps if type(p) is int and p in parents and p != node
+            ):
+                peeled.add(node)
+                changed = True
+    return set(parents) - peeled
+
+
 # --------------------------------------------------------------------------
 # Single-NPU replay: one-cycle-at-a-time stepping
 # --------------------------------------------------------------------------

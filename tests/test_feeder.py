@@ -2,7 +2,10 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from ettrace import simulator
+from ettrace.costmodel import Topology, TopologyKind
 from ettrace.feeder import Feeder, FeederError
 from ettrace.schema import ETNode, NodeType, Trace, make_attributes
 from ettrace.validate import InvalidTraceError
@@ -141,6 +144,22 @@ def test_remove_node_refuses_live_children():
     f = Feeder(Trace(0, (comp(1), comp(2))))
     f.remove_node(1)
     assert f.queued_ids == (2,) and f.node_ids() == (2,)
+
+
+def test_removing_a_leaf_unlinks_it_from_its_parents():
+    f = Feeder(diamond())
+    f.remove_node(4)
+    f.remove_node(2)  # its one child is gone
+    assert f.node_ids() == (1, 3)
+    assert drain(f) == [1, 3]
+
+
+def test_freeing_the_parent_of_a_removed_node_frees_nothing():
+    f = Feeder(Trace(0, (comp(1), comp(2, [1]))))
+    f.remove_node(2)
+    f.get_next_issuable_node()
+    assert f.free_children_nodes(1) == []
+    assert f.pending_count() == 0
 
 
 def test_invalid_nodes_are_transparent():
@@ -322,3 +341,30 @@ def test_long_invalid_chain_releases_without_recursion():
     head = feeder.get_next_issuable_node()
     assert [feeder.lookup_node(i).name for i in feeder.free_children_nodes(head.id)] == ["tail"]
     assert feeder.pending_count() == 1
+
+
+@st.composite
+def _traces_with_invalid_chains(draw):
+    """A valid trace of COMP, MEM_LOAD and INVALID nodes over sparse ids, listed
+    in shuffled order; a node often hangs below the one before, so INVALID
+    nodes form chains, at the sources too."""
+    ids = draw(st.lists(st.integers(0, 10**6), unique=True, max_size=24))
+    nodes = []
+    for i, node_id in enumerate(ids):
+        node_type = draw(st.sampled_from([NodeType.INVALID, NodeType.INVALID, NodeType.COMP, NodeType.MEM_LOAD]))
+        if i and draw(st.booleans()):
+            parents = [ids[i - 1]]
+        else:
+            parents = draw(st.lists(st.sampled_from(ids[:i]), unique=True, max_size=3)) if i else []
+        attrs = {} if node_type is NodeType.INVALID else {"runtime": 1}
+        nodes.append(ETNode(node_id, f"n{node_id}", node_type, tuple(parents), make_attributes(attrs)))
+    return Trace(0, tuple(draw(st.permutations(nodes))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_traces_with_invalid_chains())
+def test_feeder_queue_starts_as_replays_class_queues_in_id_order(trace):
+    config = simulator.SimConfig(topology=Topology(TopologyKind.TORUS_2D, 1, 1, 1e9, 1e9))
+    (npu,) = simulator._lower([trace], config)
+    replay_ready = sorted(npu.ids[pos] for queue in npu.queues for pos in queue)
+    assert Feeder(trace).queued_ids == tuple(replay_ready)

@@ -1,8 +1,11 @@
-"""numpy and the converters load only for the commands that use them.
+"""How the modules depend on each other.
 
-Each check runs in a fresh interpreter, because the test process itself has
-long since imported every module.
+numpy and the converters load only for the commands that use them; each such
+check runs in a fresh interpreter, because the test process itself has long
+since imported every module. Validation, the feeder and replay share one
+dependency graph.
 """
+import dataclasses
 import os
 import subprocess
 import sys
@@ -103,3 +106,43 @@ assert not hasattr(ettrace, "no_such_name")
 """
     run_fresh(code, tmp_path)
 
+
+def test_validation_the_feeder_and_replay_share_one_dependency_graph(monkeypatch):
+    """``validate``, ``feeder`` and ``simulator`` build every graph through
+    ``schema.dependency_graph``; ``feeder`` and ``simulator`` seed it and
+    complete nodes through ``feeder.seed`` and ``feeder.release``. A module
+    that tracked dependencies its own way would miss a call here."""
+    from ettrace import feeder, schema, simulator, validate
+    from ettrace.costmodel import parse_topology
+    from ettrace.workloads import generate_workload, preset_spec
+
+    traces = generate_workload(preset_spec("mlp-hybrid", 4))
+    calls = []
+
+    def counted(module, name, shared):
+        assert getattr(module, name) is shared, f"{module.__name__}.{name} is its own"
+
+        def call(*args):
+            calls.append((module.__name__, name))
+            return shared(*args)
+
+        monkeypatch.setattr(module, name, call)
+
+    seed, release = feeder.seed, feeder.release
+    for module in (validate, feeder, simulator):
+        counted(module, "dependency_graph", schema.dependency_graph)
+    for module in (feeder, simulator):
+        counted(module, "seed", seed)
+        counted(module, "release", release)
+
+    assert validate.validate_trace(dataclasses.replace(traces[0])).ok  # a copy, not marked as checked
+    assert set(calls) == {("ettrace.validate", "dependency_graph")}
+    feed = feeder.Feeder(traces[0])
+    while feed.has_nodes_to_issue():
+        feed.free_children_nodes(feed.get_next_issuable_node().id)
+    assert feed.pending_count() == 0
+    config = simulator.SimConfig(topology=parse_topology("torus2d:2x2", 62e9, 1e-6))
+    simulator.run_simulation(traces, config, collect_timeline=False)
+    names = ("dependency_graph", "seed", "release")
+    shared = {(f"ettrace.{module}", name) for module in ("feeder", "simulator") for name in names}
+    assert set(calls) == {("ettrace.validate", "dependency_graph")} | shared

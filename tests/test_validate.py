@@ -14,6 +14,7 @@ from ettrace import validate as v
 from ettrace.builder import TraceBuilder
 
 from conftest import random_valid_trace
+from oracles import unpeelable_oracle
 
 
 def comp(node_id, parents=(), runtime=1):
@@ -73,6 +74,34 @@ def test_cycle_detected_with_members_named():
     report = v.validate_trace(trace)
     cycle_ids = {viol.node_id for viol in report.violations if viol.code == v.CYCLE}
     assert cycle_ids == {1, 2}
+
+
+def test_cycle_report_names_the_nodes_downstream_of_a_cycle():
+    # 0 -> {1 <-> 2} -> 3 -> 4: peeling leaves 3 and 4 too, and the message says so
+    trace = Trace(0, (comp(0), comp(1, [0, 2]), comp(2, [0, 1]), comp(3, [2]), comp(4, [3])))
+    cycle = [viol for viol in v.validate_trace(trace).violations if viol.code == v.CYCLE]
+    assert {viol.node_id for viol in cycle} == {1, 2, 3, 4}
+    assert {viol.message for viol in cycle} == {"node is on a dependency cycle or depends on one"}
+
+
+@st.composite
+def _messy_graphs(draw):
+    """id -> parents over distinct int ids, with dangling, repeated, self and non-int parents."""
+    ids = draw(st.lists(st.integers(0, 12), unique=True, max_size=9))
+    parent = st.one_of(
+        st.sampled_from(ids) if ids else st.nothing(),  # a real parent, itself included
+        st.integers(0, 15),  # often dangling
+        st.sampled_from([-1, "1", 1.0, True, None]),
+    )
+    return {node_id: draw(st.lists(parent, max_size=4)) for node_id in ids}
+
+
+@settings(max_examples=300, deadline=None)
+@given(_messy_graphs())
+def test_cycle_ids_match_a_brute_force_peel(parents):
+    trace = Trace(0, tuple(ETNode(i, f"n{i}", NodeType.COMP, tuple(ps)) for i, ps in parents.items()))
+    cycle_ids = {viol.node_id for viol in v.validate_trace(trace).violations if viol.code == v.CYCLE}
+    assert cycle_ids == unpeelable_oracle(parents)
 
 
 def test_empty_attribute_name():
