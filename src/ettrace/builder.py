@@ -6,7 +6,7 @@ a ``Trace`` literal.
 """
 from __future__ import annotations
 
-from functools import partialmethod
+from functools import lru_cache, partialmethod
 
 from .schema import (
     ATTR_COMM_GROUP,
@@ -19,6 +19,7 @@ from .schema import (
     NodeType,
     SCHEMA_VERSION,
     Trace,
+    _infer_attr,
     make_attributes,
     p2p_attributes,
 )
@@ -39,6 +40,8 @@ class TraceBuilder:
         self._attrs: dict[int, list[Attribute]] = {}
         self._parents: dict[int, list[int]] = {}
         self._has_children: set[int] = set()
+        # _infer_attr once per (name, value) and their types, so that 1 and 1.0 stay apart
+        self._shared = lru_cache(maxsize=None, typed=True)(_infer_attr)
 
     def __len__(self) -> int:
         return len(self._names)
@@ -55,7 +58,7 @@ class TraceBuilder:
         self._next_id += 1
         self._names[node_id] = name
         self._types[node_id] = type if isinstance(type, NodeType) else NodeType[type]
-        self._attrs[node_id] = list(make_attributes(attrs))
+        self._attrs[node_id] = self._attributes(attrs)
         self._parents[node_id] = []
         for pid in parents:
             self.assign_dep(pid, node_id)
@@ -102,13 +105,24 @@ class TraceBuilder:
     def set_attr(self, node_id: int, name: str, value: object) -> None:
         """Set or replace one attribute on an existing node."""
         self._require(node_id)
-        new = make_attributes({name: value})[0]
+        new = self._attributes({name: value})[0]
         attrs = self._attrs[node_id]
         for i, attr in enumerate(attrs):
             if attr.name == name:
                 attrs[i] = new
                 return
         attrs.append(new)
+
+    def _attributes(self, attrs: "dict[str, object] | list[Attribute] | None") -> list[Attribute]:
+        """``make_attributes(attrs)``, with one Attribute per int, str or non-zero float value of a name
+        (a bool has no kind, and ``==`` ignores the sign of a float zero)."""
+        if not isinstance(attrs, dict):
+            return list(make_attributes(attrs))
+        return [
+            self._shared(name, value) if type(value) in (int, str) or type(value) is float and value
+            else _infer_attr(name, value)
+            for name, value in attrs.items()
+        ]
 
     def _require(self, node_id: int) -> None:
         if node_id not in self._names:

@@ -7,7 +7,9 @@ from __future__ import annotations
 
 import argparse
 import sys
+from itertools import islice
 from pathlib import Path
+from typing import Iterator
 
 # convert and synth (numpy) load inside the commands that use them, so the
 # other commands never pay for their import.
@@ -29,6 +31,12 @@ def _write_output(text: str, output: "str | None") -> None:
         Path(output).write_text(text)
     else:
         sys.stdout.write(text)
+
+
+def _write_chunks(path: str, chunks: Iterator[str]) -> None:
+    """Write ``chunks`` to ``path`` as they come, a few thousand to a write."""
+    with open(path, "w") as out:
+        out.writelines(iter(lambda: "".join(islice(chunks, 4096)), ""))
 
 
 def _info(message: str) -> None:
@@ -152,11 +160,10 @@ def _cmd_simulate(args, parser: _Parser) -> int:
     traces = _load_workload(args)
     result = simulator.run_simulation(traces, cfg)
     if args.timeline:
-        Path(args.timeline).write_text(result.timeline_csv())
+        _write_chunks(args.timeline, viz.timeline_csv_lines(result.rows()))
         _info(f"wrote timeline to {args.timeline}")
     if args.chrome:
-        type_of = viz.node_type_lookup(traces)
-        Path(args.chrome).write_text(viz.timeline_to_chrome_trace(result.records, type_of))
+        _write_chunks(args.chrome, viz.chrome_trace_chunks(result.rows(), viz.node_type_lookup(traces)))
         _info(f"wrote chrome trace to {args.chrome}")
     lines = ["npu_id,compute_busy,comm_busy,mem_busy,exposed_comm"]
     for npu_id in sorted(result.per_npu):

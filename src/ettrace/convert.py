@@ -105,7 +105,7 @@ def split_per_npu(nodes: Sequence[GlobalNode]) -> list[Trace]:
                     (parent.npu, send_id, f"xfer_send_{pid}_to_npu{node.npu}", NodeType.COMM_SEND, (pid,), node.npu),
                     (node.npu, recv_id, f"xfer_recv_{pid}_on_npu{node.npu}", NodeType.COMM_RECV, (), parent.npu),
                 ):
-                    attrs = p2p_attributes(size, peer, tag)
+                    attrs = make_attributes(p2p_attributes(size, peer, tag))
                     extra.setdefault(npu, []).append(ETNode(half_id, name, half_type, half_parents, attrs))
                 pair_for[key] = recv_id
             new_parents[node.id].append(pair_for[key])
@@ -279,8 +279,8 @@ def convert_flexflow(text: str) -> list[Trace]:
     """
     parsed_nodes, parsed_edges = _parse_dot(text)
 
-    # One (id, name, type, attributes, npu) record per node, ids in order.
-    records: list[tuple[int, str, NodeType, tuple[Attribute, ...], int]] = []
+    # One (id, name, type, attribute values, npu) record per node, ids in order.
+    records: list[tuple[int, str, NodeType, dict[str, object], int]] = []
     ends: dict[str, tuple[int, int]] = {}  # dot id -> (id its in-edges reach, id its out-edges leave)
     tag = 1
     for dot_id, (attrs, line_no) in parsed_nodes.items():  # insertion = declaration order
@@ -306,7 +306,7 @@ def convert_flexflow(text: str) -> list[Trace]:
         else:
             node_type = NodeType.INVALID
             node_attrs = {}
-        records.append((node_id, label or dot_id, node_type, make_attributes(node_attrs), npu))
+        records.append((node_id, label or dot_id, node_type, node_attrs, npu))
         ends[dot_id] = (node_id, node_id)
 
     parents: dict[int, list[int]] = {rec[0]: [] for rec in records}
@@ -315,7 +315,7 @@ def convert_flexflow(text: str) -> list[Trace]:
         if src_id not in (dst_id, *parents[dst_id]):
             parents[dst_id].append(src_id)
     return split_per_npu(
-        [GlobalNode(i, name, t, tuple(parents[i]), attrs, npu) for i, name, t, attrs, npu in records]
+        [GlobalNode(i, name, t, tuple(parents[i]), make_attributes(attrs), npu) for i, name, t, attrs, npu in records]
     )
 
 

@@ -110,7 +110,7 @@ def attr_value_matches_kind(kind: AttributeKind, value: object) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Attribute:
     """A named, typed value attached to a node.
 
@@ -170,15 +170,15 @@ def make_attributes(attrs: "dict[str, object] | Iterable[Attribute] | None") -> 
     return tuple(attrs)
 
 
-def p2p_attributes(comm_size: object, comm_peer: object, comm_tag: object = None) -> tuple[Attribute, ...]:
-    """A COMM_SEND or COMM_RECV node's attributes: bytes, peer npu_id and an optional pairing tag."""
+def p2p_attributes(comm_size: object, comm_peer: object, comm_tag: object = None) -> "dict[str, object]":
+    """A COMM_SEND or COMM_RECV node's attribute values: bytes, peer npu_id and an optional pairing tag."""
     attrs = {ATTR_COMM_SIZE: comm_size, ATTR_COMM_PEER: comm_peer}
     if comm_tag is not None:
         attrs[ATTR_COMM_TAG] = comm_tag
-    return make_attributes(attrs)
+    return attrs
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ETNode:
     """One unit of recorded work: compute, memory traffic, or communication."""
 

@@ -15,8 +15,8 @@ indexed by position in ``schema.dependency_graph``'s id order; replay seeds
 and releases that graph through ``feeder.seed`` and ``feeder.release``, as
 ``Feeder`` does, and builds no ``Feeder``. The event loop is integer-cycle and
 fully deterministic: identical inputs produce byte-identical timelines. It
-records the timeline as plain tuples and the node spans as one flat list of
-ints, which the cyclic garbage collector does not track, and builds
+records the timeline and the node spans as flat lists of ints, beside each
+NPU's node ids and names by position, and builds the timeline records,
 ``TimelineRow``s and the ``node_spans`` dict only when they are read.
 """
 from __future__ import annotations
@@ -26,7 +26,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import costmodel, workloads
 from .costmodel import Topology
@@ -102,9 +102,23 @@ class SimResult:
     makespan: int
     per_npu: "dict[int, NpuStats]"
     spans: "list[int]"  # npu, node id, start, finish of each node, flat, in the order replay priced them
-    records: "list[tuple[str, int, int, int, str]]"  # (event, npu, cycle, node id, name), in replay order
+    events: "list[int]"  # npu, position (~position for a callback), cycle of each event, flat, in replay order
+    ids: "dict[int, list[int]]"  # npu -> its node ids, by position in id order
+    names: "dict[int, list[str]]"  # npu -> its node names, by position in id order
     # (rendezvous key, comm_type, [(npu, node id, amount, comm_type)]) of each collective, in launch order
     launches: "list[tuple[tuple, str, list[tuple]]]" = field(default_factory=list)
+
+    def rows(self) -> "Iterator[tuple[str, int, int, int, str]]":
+        """(event, npu, cycle, node id, name) of each timeline event, in replay order."""
+        ids, names, it = self.ids, self.names, iter(self.events)
+        for npu, at, cycle in zip(it, it, it):
+            event, pos = (ISSUE, at) if at >= 0 else (CALLBACK, ~at)
+            yield event, npu, cycle, ids[npu][pos], names[npu][pos]
+
+    @property
+    def records(self) -> "list[tuple[str, int, int, int, str]]":
+        """The timeline as plain tuples, built anew on each read."""
+        return list(self.rows())
 
     @property
     def node_spans(self) -> "dict[tuple[int, int], tuple[int, int]]":
@@ -114,11 +128,11 @@ class SimResult:
 
     @property
     def timeline(self) -> list[TimelineRow]:
-        """The records as ``TimelineRow``s, built anew on each read."""
-        return list(map(TimelineRow._make, self.records))
+        """The timeline as ``TimelineRow``s, built anew on each read."""
+        return list(map(TimelineRow._make, self.rows()))
 
     def timeline_csv(self) -> str:
-        return emit_timeline_csv(self.records)
+        return emit_timeline_csv(self.rows())
 
 
 @dataclass(frozen=True)
@@ -317,7 +331,7 @@ def run_simulation(
 
     heap: list[tuple[int, int, int]] = []  # (cycle, npu, position): a cycle's callbacks pop in (npu, node) order
     spans: list[int] = []
-    records: list[tuple[str, int, int, int, str]] = []
+    events: list[int] = []
 
     def launch(key: tuple, members: "list[tuple]", ranks: "set[int] | tuple[int, int]", cycle: int) -> None:
         """Start a full rendezvous.
@@ -354,10 +368,10 @@ def run_simulation(
         npu.intervals[cls].append(cycle)
         node_id = npu.ids[pos]
         if collect_timeline:
-            records.append((ISSUE, npu.npu_id, cycle, node_id, npu.names[pos]))
+            events.extend((npu.npu_id, pos, cycle))
         if sync is None:
-            spans.extend((npu.npu_id, node_id, cycle, cycle + amount))
-            heapq.heappush(heap, (cycle + amount, npu.npu_id, pos))
+            spans.extend((npu.npu_id, node_id, cycle, end := cycle + amount))
+            heapq.heappush(heap, (end, npu.npu_id, pos))
             return
         # Arrivals are numbered in the order this rank issues them.
         counter, key, ranks, comm_type = sync
@@ -380,7 +394,7 @@ def run_simulation(
             npu = npus[npu_id]
             cls = npu.ops[pos][0]
             if collect_timeline:
-                records.append((CALLBACK, npu_id, now, npu.ids[pos], npu.names[pos]))
+                events.extend((npu_id, ~pos, now))
             npu.intervals[cls].append(now)
             npu.busy[cls] = None
             npu.complete(pos)
@@ -395,8 +409,10 @@ def run_simulation(
         raise DeadlockError(stuck, ((key, [m[:4] for m in members]) for key, members in waiting.items()))
 
     per_npu = {npu_id: _stats(npu) for npu_id, npu in npus.items()}
+    ids = {npu_id: npu.ids for npu_id, npu in npus.items()}
+    names = {npu_id: npu.names for npu_id, npu in npus.items()}
     # Every span's finish is popped off the heap, the last of them at ``now``.
-    return SimResult(makespan=now, per_npu=per_npu, spans=spans, records=records, launches=launches)
+    return SimResult(now, per_npu, spans, events, ids, names, launches)
 
 
 def _collect_stuck(npus: "dict[int, _Npu]") -> list[StuckNode]:

@@ -47,9 +47,13 @@ class TimelineRow(NamedTuple):
     node_name: str
 
 
+def timeline_csv_lines(rows: Iterable[TimelineRow]) -> Iterator[str]:
+    """One newline-terminated CSV line per row."""
+    return (f"{event},[{gpu}],[{cycle}],[{node}],[{name}]\n" for event, gpu, cycle, node, name in rows)
+
+
 def emit_timeline_csv(rows: Iterable[TimelineRow]) -> str:
-    lines = [f"{event},[{gpu}],[{cycle}],[{node}],[{name}]" for event, gpu, cycle, node, name in rows]
-    return "\n".join(lines) + ("\n" if lines else "")
+    return "".join(timeline_csv_lines(rows))
 
 
 def _unbracket(field: str, what: str, line_no: int) -> str:
@@ -168,6 +172,18 @@ def timeline_to_chrome_events(rows: Sequence[TimelineRow], type_of: TypeLookup) 
     ]
 
 
+def chrome_trace_chunks(rows: Iterable[TimelineRow], type_of: TypeLookup) -> Iterator[str]:
+    """The text of ``timeline_to_chrome_trace``, one event at a time."""
+    sep = "[\n "
+    for name, pid, tid, ts, dur in _complete_events(rows, type_of):
+        yield (
+            f'{sep}{{\n  "name": {_json_str(name)},\n  "ph": "X",\n  "pid": {pid},\n  "tid": {tid},'
+            f'\n  "ts": {ts},\n  "dur": {dur}\n }}'
+        )
+        sep = ",\n "
+    yield "[]\n" if sep == "[\n " else "\n]\n"
+
+
 def timeline_to_chrome_trace(rows: Sequence[TimelineRow], type_of: TypeLookup) -> str:
     """JSON text (array-of-events form) for the Chrome trace viewer.
 
@@ -175,9 +191,4 @@ def timeline_to_chrome_trace(rows: Sequence[TimelineRow], type_of: TypeLookup) -
     for rows of str names and int fields, as replay and ``parse_timeline_csv``
     make them. Written directly, because ``indent`` turns off json's C encoder.
     """
-    text = ",\n ".join(
-        f'{{\n  "name": {_json_str(name)},\n  "ph": "X",\n  "pid": {pid},\n  "tid": {tid},'
-        f'\n  "ts": {ts},\n  "dur": {dur}\n }}'
-        for name, pid, tid, ts, dur in _complete_events(rows, type_of)
-    )
-    return f"[\n {text}\n]\n" if text else "[]\n"
+    return "".join(chrome_trace_chunks(rows, type_of))

@@ -1,7 +1,9 @@
+import math
+
 import pytest
 
 from ettrace.builder import DependencyCycleError, TraceBuilder
-from ettrace.schema import AttributeKind, CommType, NodeType, get_attr
+from ettrace.schema import AttributeKind, CommType, NodeType, get_attr, make_attributes
 from ettrace.validate import InvalidTraceError
 from ettrace.workloads import Parallelism, WorkloadSpec, generate_workload, preset_spec
 
@@ -126,3 +128,35 @@ def test_build_validates_by_default():
 def test_first_id_offset():
     b = TraceBuilder(0, first_id=100)
     assert b.comp("a", 1) == 100
+
+
+def test_builder_shares_equal_attributes_and_keeps_kinds_apart():
+    b = TraceBuilder(0)
+    a = b.coll("a", "ALL_REDUCE", 64, "g0")
+    c = b.coll("c", CommType.ALL_REDUCE, 64, "g0", parents=[a])
+    s = b.send("s", 64, 1, tag=3)
+    r = b.recv("r", 64, 1, tag=3)
+    x = b.add_node(NodeType.COMP, "x", {"runtime": 5, "w": 1, "f": 2.5, "z": 0.0})
+    y = b.add_node(NodeType.COMP, "y", {"runtime": 5, "w": 1.0, "f": 2.5, "z": -0.0})
+    b.set_attr(y, "note", "n")
+    b.set_attr(x, "note", "n")
+    nodes = {node.id: node for node in b.build().nodes}
+    for left, right in zip(nodes[a].attributes, nodes[c].attributes, strict=True):
+        assert left is right
+    for left, right in zip(nodes[s].attributes, nodes[r].attributes, strict=True):
+        assert left is right
+    assert nodes[s].attribute("comm_size") is nodes[a].attribute("comm_size")
+    x_attrs, y_attrs = nodes[x].attributes, nodes[y].attributes
+    assert [left is right for left, right in zip(x_attrs, y_attrs, strict=True)] == [True, False, True, False, True]
+    assert (x_attrs[1].kind, y_attrs[1].kind) == (AttributeKind.INT, AttributeKind.FLOAT)
+    assert (math.copysign(1, x_attrs[3].value), math.copysign(1, y_attrs[3].value)) == (1, -1)
+
+
+def test_builder_refuses_a_bool_after_sharing_an_equal_int():
+    b = TraceBuilder(0)
+    b.add_node(NodeType.COMP, "one", {"runtime": 1, "flag": 1})
+    with pytest.raises(TypeError) as refused:
+        b.add_node(NodeType.COMP, "true", {"runtime": 1, "flag": True})
+    with pytest.raises(TypeError) as inferred:
+        make_attributes({"flag": True})
+    assert str(refused.value) == str(inferred.value) == "attribute 'flag': bool has no attribute kind"

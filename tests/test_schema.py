@@ -1,3 +1,5 @@
+import dataclasses
+import pickle
 from collections import namedtuple
 
 import pytest
@@ -181,3 +183,17 @@ def test_parse_schema_version():
     for bad in ("", "1", "a.b", "1.2.3", "-1.0"):
         with pytest.raises(ValueError):
             parse_schema_version(bad)
+
+
+def test_nodes_and_attributes_have_no_dict_and_survive_pickle_and_replace():
+    attr = Attribute("sizes", AttributeKind.INTS, [1, 2])
+    node = ETNode(1, "n", NodeType.COMP, [0], [attr])
+    for obj in (attr, node):
+        assert not hasattr(obj, "__dict__")
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(obj, protocol)) == obj
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            obj.name = "other"
+    twin = dataclasses.replace(node, name="m", parents=[0, 2])
+    assert (twin.name, twin.parents, twin.attributes) == ("m", (0, 2), (attr,))
+    assert dataclasses.replace(attr, value=[3]).value == (3,)  # __post_init__ still runs

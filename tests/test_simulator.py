@@ -9,7 +9,8 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ettrace import simulator
+from ettrace import codec, simulator
+from ettrace.cli import main
 from ettrace.builder import TraceBuilder
 from ettrace.costmodel import Topology, TopologyKind, all_reduce_time, p2p_time, parse_topology
 from ettrace.feeder import Feeder
@@ -559,6 +560,31 @@ def test_replay_and_chrome_export_stay_under_900_bytes_per_node():
     assert peak / nodes < 900, peak / nodes
 
 
+def test_simulate_command_stays_under_1150_bytes_per_node(tmp_path, capsys):
+    """tracemalloc peak of the in-process ``ettrace simulate --timeline --chrome`` command, per node.
+
+    A 32x8 pipeline (1,504 nodes) peaked at 1,254 bytes per node while nodes and
+    attributes carried a ``__dict__``, replay kept its timeline as tuples and
+    both files were written from whole strings; without them it peaks at 1,024.
+    """
+    traces = generate_workload(WorkloadSpec(npus=32, parallelism=Parallelism.PIPELINE, microbatches=8))
+    nodes = sum(len(t.nodes) for t in traces)
+    codec.write_workload(traces, tmp_path / "w")
+    del traces
+    argv = ["simulate", "--trace-dir", str(tmp_path / "w"), "--topology", "torus2d:8x4", "--bw", "62e9"]
+    argv += ["--lat", "1e-6", "--timeline", str(tmp_path / "t.csv"), "--chrome", str(tmp_path / "c.json")]
+    argv += ["--output", str(tmp_path / "summary.csv")]
+    assert main(argv) == 0  # first-use allocations are not the command's
+    gc.collect()
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / nodes < 1150, peak / nodes
+
+
 # sha256 of the timeline CSV, recorded before replay re-issued only on NPUs
 # that got a callback; the digests must never move.
 GOLDEN_TIMELINES = {
@@ -579,6 +605,37 @@ def test_timeline_csv_matches_golden_digest(name):
         spec = preset_spec(name, 8)
     result = run_simulation(generate_workload(spec), cfg(parse_topology("torus2d:4x2", 62e9, 1e-6)))
     assert hashlib.sha256(result.timeline_csv().encode()).hexdigest() == GOLDEN_TIMELINES[name]
+
+
+def _simulate_files(traces, tmp_path) -> "tuple[bytes, bytes]":
+    """The ``--timeline`` and ``--chrome`` files ``ettrace simulate`` writes for ``traces`` on a 4x2 torus."""
+    codec.write_workload(traces, tmp_path / "w")
+    argv = ["simulate", "--trace-dir", str(tmp_path / "w"), "--topology", "torus2d:4x2", "--bw", "62e9"]
+    argv += ["--lat", "1e-6", "--timeline", str(tmp_path / "t.csv"), "--chrome", str(tmp_path / "c.json")]
+    assert main(argv) == 0
+    return (tmp_path / "t.csv").read_bytes(), (tmp_path / "c.json").read_bytes()
+
+
+# pipeline-8x128 has 5,632 nodes: more lines and events than one write batch holds
+@pytest.mark.parametrize("name", [*sorted(GOLDEN_TIMELINES), "pipeline-8x128"])
+def test_simulate_streams_the_bytes_of_the_string_outputs(name, tmp_path, capsys):
+    if name.startswith("pipeline-"):
+        npus, microbatches = map(int, name[len("pipeline-"):].split("x"))
+        spec = WorkloadSpec(npus=npus, parallelism=Parallelism.PIPELINE, microbatches=microbatches)
+    else:
+        spec = preset_spec(name, 8)
+    traces = generate_workload(spec)
+    timeline, chrome = _simulate_files(traces, tmp_path)
+    result = run_simulation(traces, cfg(parse_topology("torus2d:4x2", 62e9, 1e-6)))
+    assert timeline == result.timeline_csv().encode()
+    assert chrome == timeline_to_chrome_trace(result.records, node_type_lookup(traces)).encode()
+    if name in GOLDEN_TIMELINES:
+        assert hashlib.sha256(timeline).hexdigest() == GOLDEN_TIMELINES[name]
+
+
+def test_simulate_of_only_invalid_nodes_writes_empty_outputs(tmp_path, capsys):
+    trace = Trace(0, (ETNode(1, "a", NodeType.INVALID), ETNode(2, "b", NodeType.INVALID, (1,))))
+    assert _simulate_files([trace], tmp_path) == (b"", b"[]\n")
 
 
 # sha256 of repr(list(node_spans.items())) and of repr(launches) for the
