@@ -174,14 +174,15 @@ def summarize(rounds: "list[list[dict]]") -> dict:
     return {"rungs": rungs, "fit": fit(rungs)}
 
 
-def paired(before: "list[list[dict]]", after: "list[list[dict]]") -> "list[dict]":
-    """Per rung, the after/before ratio of process seconds in each round, and its median and IQR."""
+def paired(names: "list[str]", before: "list[list[dict]]", after: "list[list[dict]]") -> "list[dict]":
+    """Per rung, named by ``names``, the after/before ratio of process seconds in each round,
+    and its median and IQR."""
     out = []
-    for (npus, microbatches), b, a in zip(RUNGS, zip(*before), zip(*after)):
+    for name, b, a in zip(names, zip(*before), zip(*after)):
         ratios = [x["process_s"] / y["process_s"] for x, y in zip(a, b)]
         _, iqr = _spread(ratios)
         out.append({
-            "rung": f"pipeline-{npus}x{microbatches}",
+            "rung": name,
             "ratios": [round(r, 3) for r in ratios],
             "ratio_median": round(statistics.median(ratios), 3),
             "ratio_iqr": round(iqr, 3),
@@ -241,7 +242,7 @@ def main(argv: "list[str] | None" = None) -> int:
                   f"peak {r['peak_bytes_per_node']:>5} B/node  full gc {r['full_gc']}",
                   file=sys.stderr)
     if args.before_src:
-        results["paired"] = paired(rounds["before"], rounds["after"])
+        results["paired"] = paired([r["rung"] for r in results["after"]["rungs"]], rounds["before"], rounds["after"])
         for r in results["paired"]:
             print(f"after/before {r['rung']:>16}  median {r['ratio_median']:.3f}  IQR {r['ratio_iqr']:.3f}",
                   file=sys.stderr)

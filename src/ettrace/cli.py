@@ -109,7 +109,8 @@ def _cmd_visualize(args, parser: _Parser) -> int:
 
 
 def _cmd_timeline(args, parser: _Parser) -> int:
-    rows = viz.parse_timeline_csv(Path(args.csv).read_text())
+    with open(args.csv, newline="") as csv:  # keep a "\r" in a node name
+        rows = viz.parse_timeline_csv(csv.read())
     type_of = viz.node_type_lookup(_load_workload(args))
     _write_output(viz.timeline_to_chrome_trace(rows, type_of), args.output)
     return 0

@@ -246,12 +246,13 @@ def trace_from_json(text: "str | bytes") -> Trace:
 # --------------------------------------------------------------------------
 
 # The container's fixed-width fields, little-endian: encoder and decoder share them.
-_U8 = struct.Struct("<B")
+_U8 = struct.Struct("<B")  # each byte of _VERSION; validation bounds the minor by it
 _U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
 _VERSION = struct.Struct("<BB")
-_KIND_DOC = struct.Struct("<BI")  # attribute kind tag, doc_string length
+_NPU_COUNT = struct.Struct("<II")  # npu_id, node count
+_TAG_COUNT = struct.Struct("<BI")  # node type tag and parent count; attribute kind tag and doc_string length
 _SCALAR_VALUE = {  # kind tag -> the fixed-width field after the doc_string
     AttributeKind.FLOAT.value: struct.Struct("<d"),
     AttributeKind.INT.value: struct.Struct("<q"),
@@ -277,7 +278,7 @@ def _pack_attr(parts: "list[bytes]", attr: Attribute) -> None:
         raise ValueError(f"attribute {attr.name!r}: value does not match kind {kind.name}")
     _pack_str(parts, attr.name, _U16)
     doc = attr.doc_string.encode("utf-8")
-    parts.append(_KIND_DOC.pack(kind.value, len(doc)))
+    parts.append(_TAG_COUNT.pack(kind.value, len(doc)))
     parts.append(doc)
     if kind is AttributeKind.STRING:
         _pack_str(parts, value, _U32)
@@ -296,8 +297,7 @@ def _pack_attr(parts: "list[bytes]", attr: Attribute) -> None:
 def _pack_node(node: ETNode) -> bytes:
     parts = [_U64.pack(node.id)]
     _pack_str(parts, node.name, _U16)
-    parts.append(_U8.pack(_TYPE_TAGS[node.type]))
-    parts.append(_U32.pack(len(node.parents)))
+    parts.append(_TAG_COUNT.pack(_TYPE_TAGS[node.type], len(node.parents)))
     parts.append(struct.pack(f"<{len(node.parents)}Q", *node.parents))
     parts.append(_U16.pack(len(node.attributes)))
     for attr in node.attributes:
@@ -306,9 +306,9 @@ def _pack_node(node: ETNode) -> bytes:
 
 
 def trace_to_binary(trace: Trace) -> bytes:
-    out = [MAGIC, _VERSION.pack(*parse_schema_version(trace.schema_version)), _U32.pack(trace.npu_id)]
     nodes = sorted(trace.nodes, key=lambda n: n.id)
-    out.append(_U32.pack(len(nodes)))
+    version = _VERSION.pack(*parse_schema_version(trace.schema_version))
+    out = [MAGIC, version, _NPU_COUNT.pack(trace.npu_id, len(nodes))]
     for node in nodes:
         record = _pack_node(node)
         out.append(_U32.pack(len(record)))
@@ -316,117 +316,96 @@ def trace_to_binary(trace: Trace) -> bytes:
     return b"".join(out)
 
 
-# Binary decode reads every field at its offset in the one buffer. The reads
-# below check bounds first, so malformed input raises DecodeError naming the
-# absolute offset where the stream ran out or went bad.
+# Binary decode reads each node record once, each field at its offset in the
+# one buffer, and nothing past the record's end. Texts and arrays are checked
+# against that end; a fixed-width field that crosses it moves the offset past
+# it, which the next check, or the record's last, sees. Those checks raise
+# struct.error, as a read past the buffer does, and each record turns that
+# into one DecodeError naming the node and the end of its record.
 
 
-def _unpack(st: struct.Struct, data: bytes, pos: int, what: str) -> tuple:
-    if pos + st.size > len(data):
-        raise DecodeError(f"truncated while reading {what}", offset=pos)
-    return st.unpack_from(data, pos)
-
-
-def _unpack_array(code: str, count: int, data: bytes, pos: int, what: str) -> tuple:
-    """``count`` items of the 8-byte struct ``code`` (d, q or Q) at ``pos``."""
-    if pos + 8 * count > len(data):
-        raise DecodeError(f"truncated while reading {what}", offset=pos)
-    return struct.unpack_from(f"<{count}{code}", data, pos) if count else ()
-
-
-def _unpack_str(width: struct.Struct, data: bytes, pos: int, what: str) -> "tuple[str, int]":
-    """The text at ``pos`` behind its ``width`` length, and the offset after it."""
-    if pos + width.size > len(data):
-        raise DecodeError(f"truncated while reading {what} length", offset=pos)
-    (length,) = width.unpack_from(data, pos)
-    pos += width.size
-    stop = pos + length
-    if stop > len(data):
-        raise DecodeError(f"truncated while reading {what}", offset=pos)
+def _text(data: bytes, pos: int, stop: int, end: int) -> str:
+    """The UTF-8 text ``data[pos:stop]`` of the node record that ends at ``end``."""
+    if stop > end:
+        raise struct.error
     try:
-        return data[pos:stop].decode("utf-8"), stop
+        return data[pos:stop].decode("utf-8")
     except UnicodeDecodeError:
-        raise DecodeError(f"{what} is not valid UTF-8", offset=pos) from None
-
-
-def _scalar_attr_stop(data: bytes, pos: int) -> int:
-    """End offset of the INT, FLOAT or STRING attribute at ``pos``; -1 for any other.
-
-    Reads only the three length fields, so the caller can look up the
-    attribute's raw bytes before decoding them. -1 also when the bytes run
-    out: the careful decode then names the offset.
-    """
-    try:
-        (name_len,) = _U16.unpack_from(data, pos)
-        pos += 2 + name_len
-        kind_tag, doc_len = _KIND_DOC.unpack_from(data, pos)
-        pos += 5 + doc_len
-        value = _SCALAR_VALUE.get(kind_tag)
-        if value is None:
-            return -1
-        stop = pos + value.size
-        if kind_tag == _STRING_TAG:
-            stop += value.unpack_from(data, pos)[0]
-    except struct.error:
-        return -1
-    return stop if stop <= len(data) else -1
-
-
-def _unpack_attr(data: bytes, pos: int) -> "tuple[Attribute, int]":
-    name, pos = _unpack_str(_U16, data, pos, "attribute name")
-    (kind_tag,) = _unpack(_U8, data, pos, "attribute kind")
-    kind = _KIND_FROM_TAG.get(kind_tag)
-    if kind is None:
-        raise DecodeError(f"unknown attribute kind tag {kind_tag}", offset=pos)
-    doc, pos = _unpack_str(_U32, data, pos + 1, "attribute doc_string")
-    value: object
-    if kind is AttributeKind.STRING:
-        value, pos = _unpack_str(_U32, data, pos, "STRING value")
-    elif kind is AttributeKind.FLOAT or kind is AttributeKind.INT:
-        (value,) = _unpack(_SCALAR_VALUE[kind_tag], data, pos, f"{kind.name} value")
-        pos += 8
-    else:
-        (count,) = _unpack(_U32, data, pos, f"{kind.name} count")
-        pos += 4
-        if kind is AttributeKind.STRINGS:
-            items = []
-            for _ in range(count):
-                item, pos = _unpack_str(_U32, data, pos, "STRINGS item")
-                items.append(item)
-            value = tuple(items)
-        else:
-            value = _unpack_array(_ARRAY_CODES[kind], count, data, pos, f"{kind.name} values")
-            pos += 8 * count
-    return Attribute(name, kind, value, doc), pos
+        raise DecodeError("text is not valid UTF-8", offset=pos) from None
 
 
 def _unpack_node(data: bytes, pos: int, end: int, interned: "dict[bytes, Attribute]") -> ETNode:
-    (node_id,) = _unpack(_U64, data, pos, "node id")
-    name, pos = _unpack_str(_U16, data, pos + 8, "node name")
-    (type_tag,) = _unpack(_U8, data, pos, "node type")
-    node_type = _TYPE_FROM_TAG.get(type_tag)
-    if node_type is None:
-        raise DecodeError(f"unknown node type tag {type_tag}", offset=pos)
-    (parent_count,) = _unpack(_U32, data, pos + 1, "parent count")
-    pos += 5
-    parents = _unpack_array("Q", parent_count, data, pos, "parents")
-    pos += 8 * parent_count
-    (attr_count,) = _unpack(_U16, data, pos, "attribute count")
-    pos += 2
-    attrs = []
-    for _ in range(attr_count):
-        # A scalar attribute decodes to the same frozen Attribute wherever its
-        # bytes repeat, so each distinct one is built once per trace.
-        stop = _scalar_attr_stop(data, pos)
-        key = data[pos:stop] if stop > 0 else None
-        attr = interned.get(key)
-        if attr is None:
-            attr, pos = _unpack_attr(data, pos)
-            if key is not None:
+    (node_id,) = _U64.unpack_from(data, pos)  # the caller checked that the record holds it
+    try:
+        (length,) = _U16.unpack_from(data, pos + 8)
+        pos += 10 + length
+        name = _text(data, pos - length, pos, end)
+        type_tag, count = _TAG_COUNT.unpack_from(data, pos)
+        node_type = _TYPE_FROM_TAG.get(type_tag)
+        if node_type is None:
+            raise DecodeError(f"unknown node type tag {type_tag}", offset=pos)
+        pos += 5
+        stop = pos + 8 * count
+        if stop > end:
+            raise struct.error
+        parents = struct.unpack_from(f"<{count}Q", data, pos)
+        (attr_count,) = _U16.unpack_from(data, stop)
+        pos = stop + 2
+        attrs = []
+        for _ in range(attr_count):
+            start = pos
+            (length,) = _U16.unpack_from(data, pos)
+            pos += 2 + length
+            kind_tag, doc_len = _TAG_COUNT.unpack_from(data, pos)
+            pos += 5 + doc_len
+            scalar = _SCALAR_VALUE.get(kind_tag)
+            if scalar is not None:
+                # An INT, FLOAT or STRING attribute decodes to the same frozen
+                # Attribute wherever its bytes repeat, so each distinct one is
+                # built once per trace, and shared once it decoded cleanly.
+                (value,) = scalar.unpack_from(data, pos)
+                stop = pos + scalar.size + (value if kind_tag == _STRING_TAG else 0)
+                if stop > end:
+                    raise struct.error
+                key = data[start:stop]
+                attr = interned.get(key)
+                if attr is not None:
+                    attrs.append(attr)
+                    pos = stop
+                    continue
+            attr_name = _text(data, start + 2, start + 2 + length, end)
+            kind = _KIND_FROM_TAG.get(kind_tag)
+            if kind is None:
+                raise DecodeError(f"unknown attribute kind tag {kind_tag}", offset=start + 2 + length)
+            doc = _text(data, pos - doc_len, pos, end)
+            if scalar is not None:
+                if kind_tag == _STRING_TAG:
+                    value = _text(data, pos + 4, stop, end)
+                pos = stop
+            else:
+                (count,) = _U32.unpack_from(data, pos)
+                pos += 4
+                if kind is AttributeKind.STRINGS:
+                    items = []
+                    for _ in range(count):
+                        (length,) = _U32.unpack_from(data, pos)
+                        pos += 4 + length
+                        items.append(_text(data, pos - length, pos, end))
+                    value = tuple(items)
+                else:
+                    stop = pos + 8 * count
+                    if stop > end:
+                        raise struct.error
+                    value = struct.unpack_from(f"<{count}{_ARRAY_CODES[kind]}", data, pos)
+                    pos = stop
+            attr = Attribute(attr_name, kind, value, doc)
+            if scalar is not None:
                 interned[key] = attr
-        else:
-            pos = stop
-        attrs.append(attr)
+            attrs.append(attr)
+        if pos > end:
+            raise struct.error
+    except struct.error:
+        raise DecodeError(f"node {node_id} record ends inside a field", offset=end) from None
     if pos != end:
         raise DecodeError(f"node {node_id} record has {end - pos} unread trailing bytes", offset=pos)
     return ETNode(node_id, name, node_type, parents, tuple(attrs))
@@ -439,19 +418,25 @@ def trace_from_binary(data: bytes) -> Trace:
     if magic != MAGIC:
         raise DecodeError(f"bad magic {magic!r}, expected {MAGIC!r}", offset=0)
     pos = len(MAGIC)
-    major, minor = _unpack(_VERSION, data, pos, "version")
+    if len(data) < pos + 2:
+        raise DecodeError("truncated while reading version", offset=pos)
+    major, minor = _VERSION.unpack_from(data, pos)
     if major > 0:
         raise DecodeError(f"unsupported major version {major}", offset=pos)
-    (npu_id,) = _unpack(_U32, data, pos + 2, "npu_id")
-    (node_count,) = _unpack(_U32, data, pos + 6, "node count")
-    pos += 10
+    pos += 2
+    if len(data) < pos + 8:
+        raise DecodeError("truncated while reading npu_id and node count", offset=pos)
+    npu_id, node_count = _NPU_COUNT.unpack_from(data, pos)
+    pos += 8
     interned: dict[bytes, Attribute] = {}
     nodes = []
     for _ in range(node_count):
-        (record_len,) = _unpack(_U32, data, pos, "node record length")
+        if len(data) < pos + 4:
+            raise DecodeError("truncated while reading node record length", offset=pos)
+        (record_len,) = _U32.unpack_from(data, pos)
         pos += 4
         end = pos + record_len
-        if end > len(data):
+        if end > len(data) or record_len < 8:  # a record holds at least its node id
             raise DecodeError("truncated while reading node record", offset=pos)
         nodes.append(_unpack_node(data, pos, end, interned))
         pos = end

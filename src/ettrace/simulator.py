@@ -511,7 +511,7 @@ def _sweep(
                 "npus": npus,
                 **columns(topo),
                 "makespan_cycles": result.makespan,
-                "perf_norm": base_makespan / result.makespan if result.makespan else 0.0,
+                "perf_norm": base_makespan / result.makespan,
                 "exposed_share": _exposed_share(result),
             }
         )
@@ -531,8 +531,6 @@ def _template_topology(
 
 
 def _exposed_share(result: SimResult) -> float:
-    if not result.per_npu or result.makespan == 0:
-        return 0.0
     total_exposed = sum(s.exposed_comm for s in result.per_npu.values())
     return total_exposed / (len(result.per_npu) * result.makespan)
 

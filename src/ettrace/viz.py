@@ -64,8 +64,9 @@ def _unbracket(field: str, what: str, line_no: int) -> str:
 
 
 def parse_timeline_csv(text: str) -> list[TimelineRow]:
+    """Rows of the CSV that ``timeline_csv_lines`` writes; only ``"\\n"`` ends a line."""
     rows: list[TimelineRow] = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    for line_no, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
         parts = line.split(",", 4)  # node names may contain commas

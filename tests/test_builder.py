@@ -160,3 +160,16 @@ def test_builder_refuses_a_bool_after_sharing_an_equal_int():
     with pytest.raises(TypeError) as inferred:
         make_attributes({"flag": True})
     assert str(refused.value) == str(inferred.value) == "attribute 'flag': bool has no attribute kind"
+
+
+def test_cycle_walk_visits_a_diamond_once_per_node():
+    b = TraceBuilder(0)
+    top = b.comp("top", 1)
+    left, right = b.comp("left", 1, parents=[top]), b.comp("right", 1, parents=[top])
+    sink = b.comp("sink", 1, parents=[left, right])
+    x = b.comp("x", 1)
+    b.comp("y", 1, parents=[x])
+    b.assign_dep(sink, x)  # x has a child, so the walk from sink meets top twice
+    with pytest.raises(DependencyCycleError):
+        b.assign_dep(x, top)  # top -> ... -> sink -> x -> top
+    assert b.build().node(x).parents == (sink,)

@@ -276,6 +276,32 @@ def test_timeline_rejects_bad_csv(tmp_path, capsys):
     assert code == 2 and "not bracketed" in err
 
 
+def test_timeline_reads_back_names_that_hold_other_line_breaks(tmp_path, capsys):
+    # str.splitlines breaks at each of these; the CSV ends a line only at "\n".
+    b = TraceBuilder(0)
+    parent = ()
+    for name in ("a\rb", "c\r", "\r", "d\x0be", "f\x0cg", "h\x1c\x1d\x1e", "i\x85j", "k\u2028l", "m\u2029"):
+        parent = (b.comp(name, runtime=2, parents=parent),)
+    traces = tmp_path / "w"
+    codec.write_workload([b.build()], traces)
+    csv_file, chrome_file = tmp_path / "timeline.csv", tmp_path / "chrome.json"
+    code, _, _ = run(capsys, "simulate", "--trace-dir", str(traces), "--topology", "torus2d:1x1", "--bw", "62e9",
+                     "--timeline", str(csv_file), "--chrome", str(chrome_file))
+    assert code == 0
+    code, stdout, _ = run(capsys, "timeline", str(csv_file), "--trace-dir", str(traces))
+    assert code == 0 and stdout == chrome_file.read_text()
+    assert len(json.loads(stdout)) == 9
+
+    b = TraceBuilder(0)
+    b.comp("a\nb", runtime=2)
+    codec.write_workload([b.build()], traces)
+    code, _, _ = run(capsys, "simulate", "--trace-dir", str(traces), "--topology", "torus2d:1x1", "--bw", "62e9",
+                     "--timeline", str(csv_file))
+    assert code == 0
+    code, _, err = run(capsys, "timeline", str(csv_file), "--trace-dir", str(traces))
+    assert code == 2 and "line 1: node_name field '[a' is not bracketed" in err
+
+
 def test_sweep_scaling_and_bandwidth(tmp_path, capsys):
     out_file = tmp_path / "scaling.csv"
     code, _, _ = run(capsys, "sweep", "--preset", "mlp-dp", "--npus", "1,4",

@@ -4,7 +4,7 @@ import random
 import struct
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ettrace import codec
 from ettrace.codec import (
@@ -398,6 +398,24 @@ def test_binary_prefixes_and_byte_changes_decode_or_name_an_offset(trace, flip):
             assert err.offset is not None, err
 
 
+@settings(max_examples=40, deadline=None)
+@given(_valid_traces().filter(lambda t: len(t.nodes) > 1), st.integers(min_value=1, max_value=255))
+@example(small_trace(), 0x80)
+def test_binary_reads_stay_inside_each_node_record(trace, flip):
+    data = trace_to_binary(trace)
+    changed = []
+    for i in range(len(data)):
+        patched = bytearray(data)
+        patched[i] ^= flip
+        changed.append(bytes(patched))
+    for blob in [data[:cut] for cut in range(len(data))] + changed:
+        try:
+            trace_from_binary(blob)
+        except DecodeError as err:
+            assert err.offset is not None and 0 <= err.offset <= len(blob), err
+            assert " has -" not in str(err), err  # no negative count of unread bytes
+
+
 def test_equal_attributes_decode_to_shared_objects():
     attrs = make_attributes({"runtime": 5, "comm_group": "dp", "scale": 0.5, "zero": -0.0})
     trace = Trace(0, (
@@ -566,3 +584,15 @@ def test_validation_bounds_are_the_binary_field_widths():
         {f"a{i}": i for i in range(validate._U16_MAX)})),))
     assert validate_trace(most).ok
     assert decode_trace(encode_trace(most, FORMAT_BINARY)) == most
+
+
+def test_json_refuses_a_malformed_schema_version():
+    obj = trace_to_obj(small_trace())
+    obj["schema_version"] = "0.x"
+    with pytest.raises(DecodeError, match="0.x"):
+        trace_from_json(json.dumps(obj))
+
+
+def test_decode_refuses_an_unknown_format():
+    with pytest.raises(ValueError, match="unknown trace format 'xml'"):
+        decode_trace(trace_to_binary(small_trace()), fmt="xml")

@@ -350,3 +350,15 @@ PRICE_SHA256 = {
 def test_prices_match_pinned_digest(grid):
     lines, digest = PRICE_SHA256[grid]
     assert hashlib.sha256("\n".join(lines()).encode()).hexdigest() == digest
+
+
+def test_bw_lat_refuses_a_third_dimension():
+    topo = Topology(TopologyKind.TORUS_2D, 2, 2, 62e9, 31e9, 1e-6, 2e-6)
+    assert topo.bw_lat(1) == (62e9, 1e-6) and topo.bw_lat(2) == (31e9, 2e-6)
+    with pytest.raises(ValueError, match="dimension must be 1 or 2, got 3"):
+        topo.bw_lat(3)
+
+
+def test_near_square_dims_refuses_no_npus():
+    with pytest.raises(ValueError, match="npus must be >= 1"):
+        near_square_dims(0)

@@ -368,3 +368,15 @@ def test_feeder_queue_starts_as_replays_class_queues_in_id_order(trace):
     (npu,) = simulator._lower([trace], config)
     replay_ready = sorted(npu.ids[pos] for queue in npu.queues for pos in queue)
     assert Feeder(trace).queued_ids == tuple(replay_ready)
+
+
+def test_completed_ids_are_the_freed_nodes():
+    feeder = Feeder(Trace(0, (
+        ETNode(1, "a", NodeType.COMP, attributes=make_attributes({"runtime": 1})),
+        ETNode(2, "b", NodeType.COMP, (1,), make_attributes({"runtime": 1})),
+    )))
+    assert feeder.completed_ids == frozenset()
+    node = feeder.get_next_issuable_node()
+    assert feeder.completed_ids == frozenset()
+    feeder.free_children_nodes(node.id)
+    assert feeder.completed_ids == frozenset({1})

@@ -197,3 +197,10 @@ def test_nodes_and_attributes_have_no_dict_and_survive_pickle_and_replace():
     twin = dataclasses.replace(node, name="m", parents=[0, 2])
     assert (twin.name, twin.parents, twin.attributes) == ("m", (0, 2), (attr,))
     assert dataclasses.replace(attr, value=[3]).value == (3,)  # __post_init__ still runs
+
+
+def test_typed_getters_return_the_default_for_an_absent_attribute():
+    node = ETNode(1, "n", NodeType.COMP, attributes=make_attributes({"runtime": 5}))
+    assert get_int_attr(node, "missing") is None
+    assert get_int_attr(node, "missing", 7) == 7
+    assert get_str_attr(node, "missing", "x") == "x"

@@ -527,3 +527,9 @@ def test_synth_config_validation():
         with pytest.raises(ValueError, match="num_ops must be >= 0"):
             SynthConfig(npus=2, seed=0, num_ops=num_ops)
     assert SynthConfig(npus=2, seed=0, num_ops=0).num_ops == 0
+
+
+def test_ks_statistic_refuses_an_empty_sample():
+    for a, b in (([], [1.0]), ([1.0], []), ([], [])):
+        with pytest.raises(ValueError, match="non-empty samples"):
+            ks_statistic(a, b)

@@ -483,3 +483,8 @@ def test_comm_contract_report_is_pinned():
         _comm(9, NodeType.COMP, ("comm_type", S, "BOGUS")),
     ))
     assert str(v.validate_trace(trace)) == COMM_CONTRACT_REPORT
+
+
+def test_an_empty_report_reads_valid():
+    assert str(v.ValidationReport(())) == "valid"
+    assert str(v.validate_trace(Trace(0, ()))) == "valid"

@@ -300,3 +300,15 @@ def test_generator_output_matches_pinned_digest(name):
     traces = generate_workload(PINNED_SPECS[name])
     digest = hashlib.sha256("".join(trace_to_json(t) for t in traces).encode()).hexdigest()
     assert digest == PINNED_DIGESTS[name]
+
+
+def test_spec_refuses_short_compute_negative_bytes_and_extra_embedding_layers():
+    for spec, message in (
+        (WorkloadSpec(npus=4, parallelism=Parallelism.DP, compute_cycles=0), "compute_cycles must be >= 1"),
+        (WorkloadSpec(npus=4, parallelism=Parallelism.DP, weight_bytes=-1), "byte sizes must be >= 0"),
+        (WorkloadSpec(npus=4, parallelism=Parallelism.DP, activation_bytes=-1), "byte sizes must be >= 0"),
+        (WorkloadSpec(npus=4, parallelism=Parallelism.DP, layers=2, embedding_layers=3),
+         "embedding_layers must be within"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            spec.check()
