@@ -21,13 +21,17 @@ the same collector state. It is timed by ``time.process_time`` (CPU seconds
 of the process, which other load on the machine disturbs less) and by
 ``time.perf_counter`` (wall seconds). After its timed replays, a rung
 replays once more under ``tracemalloc`` for the peak of the memory that
-replay allocates.
+replay allocates. Then each side writes the rung's traces to binary ``.et``
+files and runs ``ettrace simulate --timeline --chrome`` on them in-process,
+once, under ``tracemalloc``: the peak of the whole command, decoding
+included.
 
 Per side ("after" is this checkout) and rung the JSON holds the node count,
 each round's process and wall seconds per replay, their minimum and
 interquartile range (IQR), nodes/s at the minimum process time, the full
 (generation 2) collections inside each round's replays, counted through
-``gc.callbacks``, and the ``tracemalloc`` peak in bytes and bytes per node.
+``gc.callbacks``, and the ``tracemalloc`` peaks of replay and of the
+``simulate`` command, in bytes and bytes per node, the largest over the rounds.
 Over the rungs it fits minimum process seconds against nodes by least
 squares (``slope_us_per_node``) and on log-log axes (``loglog_exponent``,
 1.0 for linear time). With ``--before-src`` it also holds, per rung, the
@@ -41,9 +45,11 @@ either side alone (``iqr_share``) is often wider than the change.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import importlib
 import importlib.util
+import io
 import json
 import math
 import os
@@ -51,6 +57,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 from pathlib import Path
@@ -90,6 +97,24 @@ def _peak_bytes(simulator, traces, cfg) -> int:
         tracemalloc.stop()
 
 
+def _command_peak_bytes(package: str, traces, topology: str) -> int:
+    """The ``tracemalloc`` peak of one in-process ``ettrace simulate --timeline --chrome`` over ``traces``' files."""
+    cli, codec = (importlib.import_module(f"{package}.{module}") for module in ("cli", "codec"))
+    with tempfile.TemporaryDirectory() as tmp:
+        codec.write_workload(traces, f"{tmp}/w", fmt="binary")
+        argv = ["simulate", "--trace-dir", f"{tmp}/w", "--topology", topology, "--bw", "62e9", "--lat", "1e-6",
+                "--timeline", f"{tmp}/t.csv", "--chrome", f"{tmp}/c.json", "--output", f"{tmp}/s.csv"]
+        gc.collect()
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stderr(io.StringIO()):
+                if cli.main(argv) != 0:
+                    raise RuntimeError(f"{package}: simulate failed")
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+
 def _load(src: str, name: str):
     """The ``ettrace`` package in ``src``, imported as ``name``; its modules import each other relatively."""
     init = Path(src) / "ettrace" / "__init__.py"
@@ -111,7 +136,8 @@ def one_rung(sides: "dict[str, str]", rung: int) -> "dict[str, dict]":
         )
         spec = workloads.WorkloadSpec(npus=npus, parallelism=workloads.Parallelism.PIPELINE, microbatches=microbatches)
         d1, d2 = costmodel.near_square_dims(npus)
-        cfg = simulator.SimConfig(topology=costmodel.parse_topology(f"torus2d:{d1}x{d2}", 62e9, 1e-6))
+        topology = f"torus2d:{d1}x{d2}"  # the same on every side
+        cfg = simulator.SimConfig(topology=costmodel.parse_topology(topology, 62e9, 1e-6))
         runs[label] = (simulator, workloads.generate_workload(spec), cfg)
     replays: dict[str, list] = {label: [] for label in sides}
     while min(sum(cpu for cpu, _, _ in done) for done in replays.values()) < ROUND_S:
@@ -125,6 +151,7 @@ def one_rung(sides: "dict[str, str]", rung: int) -> "dict[str, dict]":
             "wall_s": statistics.fmean(wall for _, wall, _ in done),
             "full_gc": sum(full for _, _, full in done),
             "peak_bytes": _peak_bytes(*runs[label]),
+            "command_peak_bytes": _command_peak_bytes(f"ettrace_{label}", runs[label][1], topology),
         }
         for label, done in replays.items()
     }
@@ -170,6 +197,8 @@ def summarize(rounds: "list[list[dict]]") -> dict:
             "full_gc": [s["full_gc"] for s in samples],
             "peak_bytes": max(s["peak_bytes"] for s in samples),
             "peak_bytes_per_node": round(max(s["peak_bytes"] for s in samples) / nodes),
+            "command_peak_bytes": max(s["command_peak_bytes"] for s in samples),
+            "command_peak_bytes_per_node": round(max(s["command_peak_bytes"] for s in samples) / nodes),
         })
     return {"rungs": rungs, "fit": fit(rungs)}
 
@@ -239,7 +268,8 @@ def main(argv: "list[str] | None" = None) -> int:
         for r in result["rungs"]:
             print(f"{label:>6} {r['rung']:>16}  {r['nodes']:>7} nodes  min {r['min_process_s']:7.3f} s  "
                   f"IQR {r['iqr_share']:6.1%}  {r['nodes_per_s']:>7} nodes/s  "
-                  f"peak {r['peak_bytes_per_node']:>5} B/node  full gc {r['full_gc']}",
+                  f"peak {r['peak_bytes_per_node']:>5} B/node  "
+                  f"simulate peak {r['command_peak_bytes_per_node']:>5} B/node  full gc {r['full_gc']}",
                   file=sys.stderr)
     if args.before_src:
         results["paired"] = paired([r["rung"] for r in results["after"]["rungs"]], rounds["before"], rounds["after"])

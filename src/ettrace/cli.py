@@ -15,7 +15,6 @@ from typing import Iterator
 # other commands never pay for their import.
 from . import codec, simulator, validate, viz, workloads
 from .costmodel import Topology, TopologyKind, dim_pair, parse_topology
-from .schema import Trace
 from .workloads import Parallelism, WorkloadSpec
 
 
@@ -53,10 +52,6 @@ def _parse_ints(text: str, flag: str, parser: _Parser) -> tuple[int, ...]:
     return values
 
 
-def _load_workload(args) -> list[Trace]:
-    return codec.read_workload(args.trace_dir, prefix=args.prefix)
-
-
 # --------------------------------------------------------------------------
 # Subcommands
 # --------------------------------------------------------------------------
@@ -86,8 +81,7 @@ def _cmd_validate(args, parser: _Parser) -> int:
     for raw in args.paths:
         path = Path(raw)
         if path.is_dir():
-            traces = codec.read_workload(path, prefix=args.prefix)
-            reports.append((str(path), validate.validate_workload(traces)))
+            reports.append((str(path), validate.validate_workload(codec.iter_workload(path, prefix=args.prefix))))
         else:
             trace = codec.read_trace(path)
             reports.append((str(path), validate.validate_trace(trace)))
@@ -111,7 +105,7 @@ def _cmd_visualize(args, parser: _Parser) -> int:
 def _cmd_timeline(args, parser: _Parser) -> int:
     with open(args.csv, newline="") as csv:  # keep a "\r" in a node name
         rows = viz.parse_timeline_csv(csv.read())
-    type_of = viz.node_type_lookup(_load_workload(args))
+    type_of = viz.node_type_lookup(codec.iter_workload(args.trace_dir, prefix=args.prefix))
     _write_output(viz.timeline_to_chrome_trace(rows, type_of), args.output)
     return 0
 
@@ -158,13 +152,12 @@ def _cmd_simulate(args, parser: _Parser) -> int:
         cycle_time=args.cycle_time,
         compute_rate=args.compute_rate,
     )
-    traces = _load_workload(args)
-    result = simulator.run_simulation(traces, cfg)
+    result = simulator.run_simulation(codec.iter_workload(args.trace_dir, prefix=args.prefix), cfg)
     if args.timeline:
         _write_chunks(args.timeline, viz.timeline_csv_lines(result.rows()))
         _info(f"wrote timeline to {args.timeline}")
     if args.chrome:
-        _write_chunks(args.chrome, viz.chrome_trace_chunks(result.rows(), viz.node_type_lookup(traces)))
+        _write_chunks(args.chrome, viz.chrome_trace_chunks(result.rows(), result.lane))
         _info(f"wrote chrome trace to {args.chrome}")
     lines = ["npu_id,compute_busy,comm_busy,mem_busy,exposed_comm"]
     for npu_id in sorted(result.per_npu):

@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 import struct
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .schema import (
     Attribute,
@@ -246,11 +246,10 @@ def trace_from_json(text: "str | bytes") -> Trace:
 # --------------------------------------------------------------------------
 
 # The container's fixed-width fields, little-endian: encoder and decoder share them.
-_U8 = struct.Struct("<B")  # each byte of _VERSION; validation bounds the minor by it
 _U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
-_VERSION = struct.Struct("<BB")
+_VERSION = struct.Struct("<BB")  # major, minor; validation bounds the minor by a byte
 _NPU_COUNT = struct.Struct("<II")  # npu_id, node count
 _TAG_COUNT = struct.Struct("<BI")  # node type tag and parent count; attribute kind tag and doc_string length
 _SCALAR_VALUE = {  # kind tag -> the fixed-width field after the doc_string
@@ -506,8 +505,11 @@ def write_workload(
     return paths
 
 
-def read_workload(directory: "str | Path", prefix: str = "trace") -> list[Trace]:
-    """Read every ``<prefix>.<npu_id>.et`` under ``directory``, ordered by npu_id."""
+def iter_workload(directory: "str | Path", prefix: str = "trace") -> Iterator[Trace]:
+    """Each ``<prefix>.<npu_id>.et`` under ``directory``, ordered by npu_id, decoded as it is reached.
+
+    The files are found at once: a directory without any raises FileNotFoundError before the first trace.
+    """
     directory = Path(directory)
     found: list[tuple[int, Path]] = []
     for path in directory.glob(f"{prefix}.*{TRACE_FILE_SUFFIX}"):
@@ -516,10 +518,16 @@ def read_workload(directory: "str | Path", prefix: str = "trace") -> list[Trace]
             found.append((int(stem), path))
     if not found:
         raise FileNotFoundError(f"no {prefix}.<npu_id>{TRACE_FILE_SUFFIX} files in {directory}")
-    traces = []
-    for npu_id, path in sorted(found):
+
+    def read(npu_id: int, path: Path) -> Trace:
         trace = read_trace(path)
         if trace.npu_id != npu_id:
             raise DecodeError(f"{path}: filename says npu {npu_id} but trace says {trace.npu_id}")
-        traces.append(trace)
-    return traces
+        return trace
+
+    return (read(npu_id, path) for npu_id, path in sorted(found))
+
+
+def read_workload(directory: "str | Path", prefix: str = "trace") -> list[Trace]:
+    """Every trace ``iter_workload`` yields, as a list."""
+    return list(iter_workload(directory, prefix))

@@ -13,8 +13,9 @@ Every attribute replay needs is read once, before the first event, by
 ``_lower``, in one pass over each node's attributes, into per-NPU lists
 indexed by position in ``schema.dependency_graph``'s id order; replay seeds
 and releases that graph through ``feeder.seed`` and ``feeder.release``, as
-``Feeder`` does, and builds no ``Feeder``. The event loop is integer-cycle and
-fully deterministic: identical inputs produce byte-identical timelines. It
+``Feeder`` does, and builds no ``Feeder``. Traces are validated and lowered
+one at a time, and none is held once lowered. The event loop is integer-cycle
+and fully deterministic: identical inputs produce byte-identical timelines. It
 records the timeline and the node spans as flat lists of ints, beside each
 NPU's node ids and names by position, and builds the timeline records,
 ``TimelineRow``s and the ``node_spans`` dict only when they are read.
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
@@ -45,8 +47,9 @@ from .schema import (
     Trace,
     dependency_graph,
 )
-from .validate import InvalidTraceError, validate_workload
-from .viz import CALLBACK, ISSUE, TimelineRow, emit_timeline_csv
+# validate_workload is not called here; perfbench/tracer.py wraps it under this name.
+from .validate import InvalidTraceError, ValidationReport, Violation, validate_workload, workload_check  # noqa: F401
+from .viz import CALLBACK, ISSUE, TID_COMM, TID_COMPUTE, TID_MEMORY, TimelineRow, emit_timeline_csv
 
 
 class TimingMode(Enum):
@@ -54,8 +57,9 @@ class TimingMode(Enum):
     MODEL = "model"
 
 
-# Resource classes, as indices in the fixed order the engine issues them.
+# Resource classes, as indices in the fixed order the engine issues them, and their Chrome lanes.
 _MEMORY, _COMPUTE, _NETWORK = range(3)
+_LANES = (TID_MEMORY, TID_COMPUTE, TID_COMM)
 
 # Module-level aliases: reading an Enum member off its class runs
 # Python-level Enum code, once per node in ``_lower``.
@@ -105,6 +109,7 @@ class SimResult:
     events: "list[int]"  # npu, position (~position for a callback), cycle of each event, flat, in replay order
     ids: "dict[int, list[int]]"  # npu -> its node ids, by position in id order
     names: "dict[int, list[str]]"  # npu -> its node names, by position in id order
+    lanes: "dict[int, bytes]"  # npu -> the Chrome lane of each position's resource class; 0 for INVALID
     # (rendezvous key, comm_type, [(npu, node id, amount, comm_type)]) of each collective, in launch order
     launches: "list[tuple[tuple, str, list[tuple]]]" = field(default_factory=list)
 
@@ -133,6 +138,10 @@ class SimResult:
 
     def timeline_csv(self) -> str:
         return emit_timeline_csv(self.rows())
+
+    def lane(self, npu: int, node_id: int) -> int:
+        """The Chrome lane (``viz.TID_*``) of a replayed node; ``viz.chrome_trace_chunks`` takes this method."""
+        return self.lanes[npu][bisect_left(self.ids[npu], node_id)]
 
 
 @dataclass(frozen=True)
@@ -214,8 +223,8 @@ def _need(value: "int | None", npu_id: int, node: ETNode, what: str) -> int:
     return value
 
 
-def _lower(traces: Sequence[Trace], cfg: SimConfig) -> "list[_Npu]":
-    """Read every attribute replay uses, once: one ``_Npu`` per trace, in order.
+def _lower(trace: Trace, cfg: SimConfig, groups: "dict[str, set[int]]", syncs: "dict[tuple, tuple]") -> _Npu:
+    """Read every attribute of ``trace`` that replay uses, once, into its ``_Npu``.
 
     Each non-INVALID node's op is ``(cls, amount, sync)``. ``amount``
     is the node's duration in cycles, except for communication under MODEL
@@ -227,101 +236,118 @@ def _lower(traces: Sequence[Trace], cfg: SimConfig) -> "list[_Npu]":
     ``len(ranks)`` members have arrived. ``ranks`` is every rank that uses a
     collective's group, or ``(src, dst)``; ``comm_type`` is None for SEND/RECV.
 
-    ``traces`` have passed validation, so each node's attribute names are
+    ``trace`` has passed validation, so each node's attribute names are
     unique, every well-known attribute has its kind, and communication nodes
     carry the attributes their kind requires. What the config decides is
     checked here, in id order: a node that lacks its timing input raises
     ValueError naming it, and so does, under MODEL comm timing, a
-    communication node whose own rank or peer is not on the topology. Nodes with equal syncs share one
-    tuple, so untagged SEND/RECV share one ``sync`` per ``(src, dst, side)``.
+    communication node whose own rank or peer is not on the topology. A
+    workload's traces share ``groups`` (group -> its ranks) and ``syncs``, so
+    untagged SEND/RECV share one ``sync`` per ``(src, dst, side)``.
     """
-    groups: dict[str, set[int]] = {}
-    syncs: dict[tuple, tuple] = {}  # (counter, stem, comm_type) -> the one sync of that value
-    lowered: list[_Npu] = []
     trace_compute = cfg.compute_timing is TimingMode.FROM_TRACE
     trace_comm = cfg.comm_timing is TimingMode.FROM_TRACE
     model_comm = cfg.comm_timing is TimingMode.MODEL
     fabric = cfg.topology.npus if model_comm else 0
-    for trace in traces:
-        npu = trace.npu_id
-        order, unmet, children = dependency_graph(trace.nodes)
-        ops: list = [None] * len(order)
-        for pos, node in enumerate(order):
-            kind = node.type
-            if kind is _INVALID:
-                continue
-            attrs = {attr.name: attr.value for attr in node.attributes}
-            runtime = attrs.get(ATTR_RUNTIME)
-            sync = None
-            if kind is _COMP:
-                cls = _COMPUTE
-                num_ops = None if trace_compute else attrs.get(ATTR_NUM_OPS)
-                if num_ops is not None and cfg.compute_rate is not None:
-                    amount = cfg.seconds_to_cycles(num_ops / cfg.compute_rate)
-                elif trace_compute:
-                    what = "FROM_TRACE compute timing requires a 'runtime' attribute"
-                    amount = _need(runtime, npu, node, what)
-                else:
-                    what = "MODEL compute timing requires 'num_ops' and a compute_rate, or 'runtime'"
-                    amount = _need(runtime, npu, node, what)
-            elif kind is _MEM_LOAD or kind is _MEM_STORE:
-                cls = _MEMORY
-                size = attrs.get(ATTR_TENSOR_SIZE)
-                if size is not None:
-                    amount = cfg.seconds_to_cycles(size / cfg.mem_bandwidth)
-                else:
-                    amount = _need(runtime, npu, node, "memory node needs 'tensor_size' or 'runtime'")
+    npu = trace.npu_id
+    order, unmet, children = dependency_graph(trace.nodes)
+    ops: list = [None] * len(order)
+    for pos, node in enumerate(order):
+        kind = node.type
+        if kind is _INVALID:
+            continue
+        attrs = {attr.name: attr.value for attr in node.attributes}
+        runtime = attrs.get(ATTR_RUNTIME)
+        sync = None
+        if kind is _COMP:
+            cls = _COMPUTE
+            num_ops = None if trace_compute else attrs.get(ATTR_NUM_OPS)
+            if num_ops is not None and cfg.compute_rate is not None:
+                amount = cfg.seconds_to_cycles(num_ops / cfg.compute_rate)
+            elif trace_compute:
+                what = "FROM_TRACE compute timing requires a 'runtime' attribute"
+                amount = _need(runtime, npu, node, what)
             else:
-                cls = _NETWORK
-                if trace_comm:
-                    amount = _need(runtime, npu, node, "FROM_TRACE comm timing requires 'runtime'")
+                what = "MODEL compute timing requires 'num_ops' and a compute_rate, or 'runtime'"
+                amount = _need(runtime, npu, node, what)
+        elif kind is _MEM_LOAD or kind is _MEM_STORE:
+            cls = _MEMORY
+            size = attrs.get(ATTR_TENSOR_SIZE)
+            if size is not None:
+                amount = cfg.seconds_to_cycles(size / cfg.mem_bandwidth)
+            else:
+                amount = _need(runtime, npu, node, "memory node needs 'tensor_size' or 'runtime'")
+        else:
+            cls = _NETWORK
+            if trace_comm:
+                amount = _need(runtime, npu, node, "FROM_TRACE comm timing requires 'runtime'")
+            else:
+                amount = attrs[ATTR_COMM_SIZE]
+            if kind is _COLL:
+                group = attrs[ATTR_COMM_GROUP]
+                ranks = groups.setdefault(group, set())
+                ranks.add(npu)
+                counter, stem, comm_type = (npu, group), (group,), attrs[ATTR_COMM_TYPE]
+            else:
+                peer = attrs[ATTR_COMM_PEER]
+                ranks = (npu, peer) if kind is _SEND else (peer, npu)
+                tag = attrs.get(ATTR_COMM_TAG)
+                comm_type = None
+                if tag is None:
+                    counter, stem = (*ranks, "send" if kind is _SEND else "recv"), (*ranks, "seq")
                 else:
-                    amount = attrs[ATTR_COMM_SIZE]
-                if kind is _COLL:
-                    group = attrs[ATTR_COMM_GROUP]
-                    ranks = groups.setdefault(group, set())
-                    ranks.add(npu)
-                    counter, stem, comm_type = (npu, group), (group,), attrs[ATTR_COMM_TYPE]
-                else:
-                    peer = attrs[ATTR_COMM_PEER]
-                    ranks = (npu, peer) if kind is _SEND else (peer, npu)
-                    tag = attrs.get(ATTR_COMM_TAG)
-                    comm_type = None
-                    if tag is None:
-                        counter, stem = (*ranks, "send" if kind is _SEND else "recv"), (*ranks, "seq")
-                    else:
-                        counter, stem = None, (*ranks, "tag", tag)
-                sync = syncs.setdefault((counter, stem, comm_type), (counter, stem, ranks, comm_type))
-                if model_comm:
-                    # The cost model places every rank it prices on the fabric.
-                    for rank in (npu,) if kind is _COLL else ranks:
-                        if not 0 <= rank < fabric:
-                            raise ValueError(
-                                f"npu {npu} node {node.id}: rank {rank} outside topology of {fabric} NPUs"
-                            )
-            ops[pos] = (cls, amount, sync)
-        lowered.append(_Npu(npu, [node.id for node in order], [node.name for node in order], ops, unmet, children))
-    return lowered
+                    counter, stem = None, (*ranks, "tag", tag)
+            sync = syncs.setdefault((counter, stem, comm_type), (counter, stem, ranks, comm_type))
+            if model_comm:
+                # The cost model places every rank it prices on the fabric.
+                for rank in (npu,) if kind is _COLL else ranks:
+                    if not 0 <= rank < fabric:
+                        raise ValueError(
+                            f"npu {npu} node {node.id}: rank {rank} outside topology of {fabric} NPUs"
+                        )
+        ops[pos] = (cls, amount, sync)
+    return _Npu(npu, [node.id for node in order], [node.name for node in order], ops, unmet, children)
 
 
 def run_simulation(
-    traces: Sequence[Trace],
+    traces: Iterable[Trace],
     cfg: SimConfig,
     *,
     collect_timeline: bool = True,
 ) -> SimResult:
-    """Replay ``traces`` on the modeled machine described by ``cfg``.
+    """Replay ``traces``, any iterable of them, on the modeled machine described by ``cfg``.
 
-    Raises InvalidTraceError when the workload fails validation, and
-    DeadlockError when unfinished nodes remain but nothing can move (e.g.
-    collective order disagreement across ranks, or an unmatched p2p).
+    Each trace is validated and lowered before the next is taken, and none is
+    held after. Raises InvalidTraceError naming every violation of every
+    trace, else the lowering ValueError of the lowest npu_id, and DeadlockError
+    when unfinished nodes remain but nothing can move (e.g. collective order
+    disagreement across ranks, or an unmatched p2p).
     """
-    traces = list(traces)
-    report = validate_workload(traces)  # before sorting, which needs every npu_id to be an int
-    if not report.ok:
-        raise InvalidTraceError(report, "refusing to simulate invalid workload")
-    traces.sort(key=lambda t: t.npu_id)
-    npus = {npu.npu_id: npu for npu in _lower(traces, cfg)}
+    check = workload_check()
+    violations: list[Violation] = []
+    failed: "tuple[int, ValueError] | None" = None  # the lowering error of the lowest npu_id
+    groups: dict[str, set[int]] = {}
+    syncs: dict[tuple, tuple] = {}  # (counter, stem, comm_type) -> the one sync of that value
+
+    def gate(trace: Trace) -> "_Npu | None":
+        nonlocal failed
+        violations.extend(check(trace))
+        if not violations:  # the first violation ends lowering
+            try:
+                return _lower(trace, cfg, groups, syncs)
+            except ValueError as exc:
+                if failed is None or trace.npu_id < failed[0]:
+                    failed = trace.npu_id, exc
+        return None
+
+    # map lets each trace go once gate returns; a loop variable would hold it while the next decodes
+    lowered = list(filter(None, map(gate, traces)))
+    del groups, syncs  # replay reads only the syncs the ops hold
+    if violations:
+        raise InvalidTraceError(ValidationReport(tuple(violations)), "refusing to simulate invalid workload")
+    if failed is not None:
+        raise failed[1]
+    npus = {npu.npu_id: npu for npu in sorted(lowered, key=lambda npu: npu.npu_id)}
     counters: dict[tuple, int] = {}  # sync counter -> number of the last arrival
     # rendezvous key -> members arrived so far, as (npu, node id, amount, comm_type, position)
     waiting: dict[tuple, list[tuple]] = {}
@@ -411,8 +437,9 @@ def run_simulation(
     per_npu = {npu_id: _stats(npu) for npu_id, npu in npus.items()}
     ids = {npu_id: npu.ids for npu_id, npu in npus.items()}
     names = {npu_id: npu.names for npu_id, npu in npus.items()}
+    lanes = {npu_id: bytes(0 if op is None else _LANES[op[0]] for op in npu.ops) for npu_id, npu in npus.items()}
     # Every span's finish is popped off the heap, the last of them at ``now``.
-    return SimResult(now, per_npu, spans, events, ids, names, launches)
+    return SimResult(now, per_npu, spans, events, ids, names, lanes, launches)
 
 
 def _collect_stuck(npus: "dict[int, _Npu]") -> list[StuckNode]:

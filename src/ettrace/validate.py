@@ -7,6 +7,8 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from itertools import chain
+from typing import Callable, Iterable
 
 from .schema import (
     ATTR_COMM_GROUP,
@@ -333,14 +335,23 @@ def validate_trace(trace: Trace) -> ValidationReport:
     return ValidationReport(tuple(out))
 
 
-def validate_workload(traces: "list[Trace] | tuple[Trace, ...]") -> ValidationReport:
-    """Validate several per-NPU traces plus cross-trace sanity (unique npu_ids)."""
-    out: list[Violation] = []
+def workload_check() -> "Callable[[Trace], list[Violation]]":
+    """A check of a workload one trace at a time: each call returns its trace's
+    violations, led by a duplicate-id one when an earlier call saw its npu_id."""
     seen_npus: set[int] = set()
-    for trace in traces:
+
+    def check(trace: Trace) -> list[Violation]:
+        out: list[Violation] = []
         if type(trace.npu_id) is int:  # validate_trace reports any other npu_id
             if trace.npu_id in seen_npus:
                 out.append(Violation(DUPLICATE_ID, f"npu_id {trace.npu_id} appears in more than one trace"))
             seen_npus.add(trace.npu_id)
         out.extend(validate_trace(trace).violations)
-    return ValidationReport(tuple(out))
+        return out
+
+    return check
+
+
+def validate_workload(traces: "Iterable[Trace]") -> ValidationReport:
+    """Validate several per-NPU traces plus cross-trace sanity (unique npu_ids), holding one trace at a time."""
+    return ValidationReport(tuple(chain.from_iterable(map(workload_check(), traces))))

@@ -117,6 +117,7 @@ def emit_dot(trace: Trace, graph_name: str = "et") -> str:
 # --------------------------------------------------------------------------
 
 TypeLookup = Callable[[int, int], NodeType]
+LaneLookup = Callable[[int, int], int]  # (gpu_id, node_id) -> Chrome tid
 
 
 def node_type_lookup(traces: "Sequence[Trace] | Iterable[Trace]") -> TypeLookup:
@@ -134,7 +135,20 @@ def node_type_lookup(traces: "Sequence[Trace] | Iterable[Trace]") -> TypeLookup:
     return type_of
 
 
-def _complete_events(rows: Iterable[TimelineRow], type_of: TypeLookup) -> "Iterator[tuple[str, int, int, int, int]]":
+def type_lanes(type_of: TypeLookup) -> LaneLookup:
+    """The lane of each node's type; TimelineError for a type no lane times."""
+
+    def lane_of(gpu_id: int, node_id: int) -> int:
+        node_type = type_of(gpu_id, node_id)
+        tid = _TID_FOR_TYPE.get(node_type)
+        if tid is None:
+            raise TimelineError(f"node {node_id} on gpu {gpu_id} has untimeable type {node_type.name}")
+        return tid
+
+    return lane_of
+
+
+def _complete_events(rows: Iterable[TimelineRow], lane_of: LaneLookup) -> "Iterator[tuple[str, int, int, int, int]]":
     """(name, pid, tid, ts, dur) of each issue/callback pair, in callback order.
 
     Every issue needs a later callback for the same (gpu, node) and vice
@@ -154,11 +168,7 @@ def _complete_events(rows: Iterable[TimelineRow], type_of: TypeLookup) -> "Itera
             issue_cycle, issue_name = issue
             if cycle < issue_cycle:
                 raise TimelineError(f"node {node_id} on gpu {gpu_id}: callback precedes issue")
-            node_type = type_of(gpu_id, node_id)
-            tid = _TID_FOR_TYPE.get(node_type)
-            if tid is None:
-                raise TimelineError(f"node {node_id} on gpu {gpu_id} has untimeable type {node_type.name}")
-            yield issue_name, gpu_id, tid, issue_cycle, cycle - issue_cycle
+            yield issue_name, gpu_id, lane_of(gpu_id, node_id), issue_cycle, cycle - issue_cycle
     if open_issues:
         missing = sorted(open_issues)
         raise TimelineError(f"issue rows without callbacks for (gpu, node) pairs: {missing}")
@@ -169,14 +179,14 @@ def timeline_to_chrome_events(rows: Sequence[TimelineRow], type_of: TypeLookup) 
     in cycles, which the viewer renders as microseconds."""
     return [
         {"name": name, "ph": "X", "pid": pid, "tid": tid, "ts": ts, "dur": dur}
-        for name, pid, tid, ts, dur in _complete_events(rows, type_of)
+        for name, pid, tid, ts, dur in _complete_events(rows, type_lanes(type_of))
     ]
 
 
-def chrome_trace_chunks(rows: Iterable[TimelineRow], type_of: TypeLookup) -> Iterator[str]:
-    """The text of ``timeline_to_chrome_trace``, one event at a time."""
+def chrome_trace_chunks(rows: Iterable[TimelineRow], lane_of: LaneLookup) -> Iterator[str]:
+    """The text of ``timeline_to_chrome_trace``, one event at a time; ``lane_of`` gives each node's tid."""
     sep = "[\n "
-    for name, pid, tid, ts, dur in _complete_events(rows, type_of):
+    for name, pid, tid, ts, dur in _complete_events(rows, lane_of):
         yield (
             f'{sep}{{\n  "name": {_json_str(name)},\n  "ph": "X",\n  "pid": {pid},\n  "tid": {tid},'
             f'\n  "ts": {ts},\n  "dur": {dur}\n }}'
@@ -192,4 +202,4 @@ def timeline_to_chrome_trace(rows: Sequence[TimelineRow], type_of: TypeLookup) -
     for rows of str names and int fields, as replay and ``parse_timeline_csv``
     make them. Written directly, because ``indent`` turns off json's C encoder.
     """
-    return "".join(chrome_trace_chunks(rows, type_of))
+    return "".join(chrome_trace_chunks(rows, type_lanes(type_of)))

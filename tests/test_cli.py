@@ -589,3 +589,22 @@ def test_corrupted_models_never_escape_the_exit_codes(tmp_path, capsys):
         argv = ["synthesize", "--models", str(bad), "--npus", "4", "--num-ops", "8", "--out", str(tmp_path / f"s{i}")]
         code, _, err = run(capsys, *argv)
         assert code in (0, 1, 2, 3) and "Traceback" not in err, (i, variant[:80], err)
+
+
+@pytest.mark.parametrize("fmt", ["json", "binary"])
+def test_a_corrupt_kth_trace_file_exits_2_with_its_decode_error(fmt, tmp_path, capsys):
+    """The workload is read one file at a time, and a bad file still fails the command before any output."""
+    out = gen(tmp_path, capsys, "w", "--trace-format", fmt)
+    bad = out / "trace.2.et"
+    bad.write_bytes(bad.read_bytes()[:-3])
+    with pytest.raises(codec.DecodeError) as info:
+        codec.read_trace(bad)
+    renamed = gen(tmp_path, capsys, "renamed", "--trace-format", fmt)
+    shutil.copy(renamed / "trace.1.et", renamed / "trace.2.et")
+    mismatch = f"error: {renamed / 'trace.2.et'}: filename says npu 2 but trace says 1\n"
+    for workload, message in ((out, f"error: {info.value}\n"), (renamed, mismatch)):
+        timeline = tmp_path / "t.csv"
+        simulate = ["simulate", "--trace-dir", str(workload), "--topology", "torus2d:2x2", "--bw", "62e9"]
+        for argv in (["validate", str(workload)], [*simulate, "--timeline", str(timeline)]):
+            assert run(capsys, *argv) == (2, "", message), argv
+        assert not timeline.exists()

@@ -14,6 +14,7 @@ from ettrace.codec import (
     MAGIC,
     decode_trace,
     encode_trace,
+    iter_workload,
     read_trace,
     read_workload,
     trace_from_binary,
@@ -270,6 +271,17 @@ def test_workload_custom_prefix(tmp_path):
     assert len(read_workload(tmp_path, prefix="run")) == 2
     with pytest.raises(FileNotFoundError):
         read_workload(tmp_path, prefix="other")
+
+
+def test_iter_workload_finds_files_at_once_and_decodes_each_when_reached(tmp_path):
+    with pytest.raises(FileNotFoundError, match="no trace.<npu_id>.et files"):
+        iter_workload(tmp_path)  # before any trace is asked for
+    write_workload([Trace(0), Trace(1)], tmp_path)
+    (tmp_path / "trace.1.et").write_bytes(b"{")
+    traces = iter_workload(tmp_path)
+    assert next(traces) == Trace(0)
+    with pytest.raises(DecodeError, match="trace.1.et: not valid JSON"):
+        next(traces)
 
 
 def test_workload_filename_npu_mismatch(tmp_path):
@@ -569,17 +581,21 @@ def test_validation_bounds_are_the_binary_field_widths():
     """Each bound validation enforces is the largest value the codec struct storing it can pack."""
     from ettrace import validate
 
-    for st, low, high in (
-        (codec._U8, 0, validate._U8_MAX),
-        (codec._U16, 0, validate._U16_MAX),
-        (codec._U32, 0, validate._U32_MAX),
-        (codec._U64, 0, validate._U64_MAX),
-        (codec._SCALAR_VALUE[AttributeKind.INT.value], validate._I64_MIN, validate._I64_MAX),
+    # (struct, its fields with None at the bounded one, low, high)
+    for st, fields, low, high in (
+        (codec._VERSION, (0, None), 0, validate._U8_MAX),  # the minor version byte
+        (codec._TAG_COUNT, (None, 0), 0, validate._U8_MAX),  # the tag byte
+        (codec._U16, (None,), 0, validate._U16_MAX),
+        (codec._U32, (None,), 0, validate._U32_MAX),
+        (codec._U64, (None,), 0, validate._U64_MAX),
+        (codec._SCALAR_VALUE[AttributeKind.INT.value], (None,), validate._I64_MIN, validate._I64_MAX),
     ):
-        assert st.unpack(st.pack(low)) == (low,) and st.unpack(st.pack(high)) == (high,)
+        at = fields.index(None)
+        for value in (low, high):
+            assert st.unpack(st.pack(*fields[:at], value, *fields[at + 1 :]))[at] == value
         for past in (low - 1, high + 1):
             with pytest.raises(struct.error):
-                st.pack(past)
+                st.pack(*fields[:at], past, *fields[at + 1 :])
     most = Trace(0, (ETNode(1, "n", NodeType.COMP, attributes=make_attributes(
         {f"a{i}": i for i in range(validate._U16_MAX)})),))
     assert validate_trace(most).ok

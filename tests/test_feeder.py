@@ -365,7 +365,7 @@ def _traces_with_invalid_chains(draw):
 @given(_traces_with_invalid_chains())
 def test_feeder_queue_starts_as_replays_class_queues_in_id_order(trace):
     config = simulator.SimConfig(topology=Topology(TopologyKind.TORUS_2D, 1, 1, 1e9, 1e9))
-    (npu,) = simulator._lower([trace], config)
+    npu = simulator._lower(trace, config, {}, {})
     replay_ready = sorted(npu.ids[pos] for queue in npu.queues for pos in queue)
     assert Feeder(trace).queued_ids == tuple(replay_ready)
 

@@ -5,6 +5,7 @@ import math
 import random
 import re
 import tracemalloc
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,7 +28,7 @@ from ettrace.simulator import (
 )
 from ettrace import validate as v
 from ettrace.validate import InvalidTraceError, validate_workload
-from ettrace.viz import node_type_lookup, parse_timeline_csv, timeline_to_chrome_trace
+from ettrace.viz import node_type_lookup, parse_timeline_csv, timeline_to_chrome_trace, type_lanes
 from ettrace.workloads import Parallelism, WorkloadSpec, generate_workload, preset_spec
 
 from conftest import invalid_chain_trace, random_dag_parents
@@ -892,3 +893,143 @@ def test_lowering_reads_and_checks_attributes_as_pinned(case):
         run_simulation(traces, config)
     assert info.value.report.codes() == want
     assert info.value.report == validate_workload(traces)
+
+
+# --------------------------------------------------------------------------
+# Streamed workloads: any iterable of traces, one held at a time
+# --------------------------------------------------------------------------
+
+
+def _golden_workload(name):
+    if name == "pipeline-8x4":
+        return generate_workload(WorkloadSpec(npus=8, parallelism=Parallelism.PIPELINE, microbatches=4))
+    return generate_workload(preset_spec(name, 8))
+
+
+def _outcome(traces, config):
+    """A replay's makespan, per-NPU stats, spans, launches and events, or its error's type and text."""
+    try:
+        result = run_simulation(traces, config)
+    except DeadlockError as exc:
+        return DeadlockError, str(exc), exc.stuck, exc.waiting
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return result.makespan, result.per_npu, list(result.node_spans.items()), result.launches, result.events
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(sorted(GOLDEN_TIMELINES)), st.randoms(use_true_random=False))
+def test_a_golden_workload_replays_alike_as_a_list_an_iterator_or_a_permutation(name, rng):
+    traces = _golden_workload(name)
+    shuffled = rng.sample(traces, len(traces))
+    config = cfg(parse_topology("torus2d:4x2", 62e9, 1e-6))
+    want = _outcome(traces, config)
+    assert _outcome(iter(traces), config) == want
+    assert _outcome(shuffled, config) == want
+    timeline = run_simulation(iter(shuffled), config).timeline_csv()
+    assert hashlib.sha256(timeline.encode()).hexdigest() == GOLDEN_TIMELINES[name]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_a_random_workload_replays_alike_as_a_list_an_iterator_or_a_permutation(data):
+    traces = data.draw(_replay_workloads())
+    shuffled = data.draw(st.permutations(traces))
+    for config in _REPLAY_CONFIGS:
+        want = _outcome(traces, config)
+        assert _outcome(iter(traces), config) == want
+        assert _outcome(shuffled, config) == want
+        assert _outcome(iter(shuffled), config) == want
+
+
+def _untimed(npu):
+    """A valid trace that FROM_TRACE timing cannot replay: its COMP node has no runtime."""
+    return Trace(npu, (ETNode(1, "c", NodeType.COMP),))
+
+
+def test_a_later_violation_beats_an_earlier_lowering_error():
+    dangling = Trace(1, (ETNode(1, "c", NodeType.COMP, (9,), make_attributes({"runtime": 1})),))
+    for traces in ([_untimed(0), dangling], iter([_untimed(0), dangling])):
+        with pytest.raises(InvalidTraceError, match="refusing to simulate invalid workload") as info:
+            run_simulation(traces, cfg(PAIR))
+        assert info.value.report.codes() == {v.DANGLING_PARENT}
+
+
+def test_the_lowest_npu_names_the_lowering_error_in_any_order():
+    for traces in ([_untimed(0), _untimed(1)], [_untimed(1), _untimed(0)]):
+        with pytest.raises(ValueError, match=r"^npu 0 node 1: FROM_TRACE compute timing requires") as info:
+            run_simulation(iter(traces), cfg(PAIR))
+        assert not isinstance(info.value, InvalidTraceError)
+
+
+def test_a_duplicate_npu_id_is_still_reported_when_streamed():
+    twice = [chain_comp(2), chain_comp(3)]  # both on npu 0
+    for traces in (twice, iter(twice)):
+        with pytest.raises(InvalidTraceError) as info:
+            run_simulation(traces, cfg())
+        assert info.value.report.codes() == {v.DUPLICATE_ID}
+        assert "npu_id 0 appears in more than one trace" in str(info.value)
+    assert validate_workload(iter(twice)).codes() == {v.DUPLICATE_ID}
+
+
+def _count_live_traces(monkeypatch):
+    """Count the decoded traces alive as each one is decoded; returns the list of counts."""
+    live, counts = [0], []
+    decode = codec.read_trace
+
+    def read_trace(path, fmt=None):
+        trace = decode(path, fmt)
+        live[0] += 1
+        weakref.finalize(trace, lambda: live.__setitem__(0, live[0] - 1))
+        counts.append(live[0])
+        return trace
+
+    monkeypatch.setattr(codec, "read_trace", read_trace)
+    return counts
+
+
+@pytest.mark.parametrize("fmt", ["json", "binary"])
+def test_simulate_and_validate_hold_one_decoded_trace_at_a_time(fmt, tmp_path, capsys, monkeypatch):
+    traces = generate_workload(preset_spec("mlp-hybrid", 8))
+    codec.write_workload(traces, tmp_path / "w", fmt=fmt)
+    del traces
+    gc.collect()
+    argv = ["simulate", "--trace-dir", str(tmp_path / "w"), "--topology", "torus2d:4x2", "--bw", "62e9"]
+    argv += ["--timeline", str(tmp_path / "t.csv"), "--chrome", str(tmp_path / "c.json")]
+    for command in (argv, ["validate", str(tmp_path / "w")]):
+        counts = _count_live_traces(monkeypatch)
+        assert main(command) == 0
+        assert counts == [1] * 8, (command[0], counts)
+
+
+def test_simulate_command_holds_one_trace_under_800_bytes_per_node(tmp_path, capsys):
+    """tracemalloc peak of the command and workload of the 1,150 B/node bound, per node.
+
+    The 32x8 pipeline (1,504 nodes) peaked at 1,024 bytes per node while the
+    command held every decoded trace through replay and built a node-type
+    table for the Chrome lanes; it peaks at 737 when each trace is dropped
+    once lowered and the lanes come from the result.
+    """
+    traces = generate_workload(WorkloadSpec(npus=32, parallelism=Parallelism.PIPELINE, microbatches=8))
+    nodes = sum(len(t.nodes) for t in traces)
+    codec.write_workload(traces, tmp_path / "w")
+    del traces
+    argv = ["simulate", "--trace-dir", str(tmp_path / "w"), "--topology", "torus2d:8x4", "--bw", "62e9"]
+    argv += ["--lat", "1e-6", "--timeline", str(tmp_path / "t.csv"), "--chrome", str(tmp_path / "c.json")]
+    argv += ["--output", str(tmp_path / "summary.csv")]
+    assert main(argv) == 0  # first-use allocations are not the command's
+    gc.collect()
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / nodes < 800, peak / nodes
+
+
+def test_the_result_lanes_are_the_node_type_lanes():
+    traces = generate_workload(preset_spec("dlrm", 8))
+    result = run_simulation(traces, cfg(parse_topology("torus2d:4x2", 62e9, 1e-6)))
+    lane_of = type_lanes(node_type_lookup(traces))
+    assert all(result.lane(npu, node) == lane_of(npu, node) for npu, node in result.node_spans)
