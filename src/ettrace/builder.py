@@ -79,7 +79,7 @@ class TraceBuilder:
         extra: "dict[str, object] | None" = None,
     ) -> int:
         attrs: dict[str, object] = {
-            ATTR_COMM_TYPE: CommType(comm_type).value,
+            ATTR_COMM_TYPE: (comm_type if isinstance(comm_type, CommType) else CommType(comm_type)).value,
             ATTR_COMM_SIZE: int(comm_size),
             ATTR_COMM_GROUP: comm_group,
         }
@@ -161,13 +161,7 @@ class TraceBuilder:
 
     def build(self) -> Trace:
         nodes = tuple(
-            ETNode(
-                id=nid,
-                name=self._names[nid],
-                type=self._types[nid],
-                parents=tuple(self._parents[nid]),
-                attributes=tuple(self._attrs[nid]),
-            )
+            ETNode(nid, self._names[nid], self._types[nid], tuple(self._parents[nid]), tuple(self._attrs[nid]))
             for nid in sorted(self._names)
         )
         trace = Trace(npu_id=self.npu_id, nodes=nodes, schema_version=self.schema_version)

@@ -74,6 +74,10 @@ def trace_to_obj(trace: Trace) -> dict:
     }
 
 
+_KIND_BY_NAME = {k.name: k for k in AttributeKind}
+_TYPE_BY_NAME = {t.name: t for t in NodeType}
+
+
 def _require(obj: dict, key: str, prefix: str = "") -> object:
     if key not in obj:
         raise DecodeError(f"{prefix}missing required field {key!r}")
@@ -108,7 +112,7 @@ def _decode_attr_obj(obj: object) -> Attribute:
     if not isinstance(name, str):
         raise DecodeError("attribute name must be a string")
     try:
-        kind = AttributeKind[kind_name]  # type: ignore[index]
+        kind = _KIND_BY_NAME[kind_name]  # type: ignore[index]
     except (KeyError, TypeError):
         raise DecodeError(f"unknown attribute kind {kind_name!r}") from None
     if isinstance(value, list):
@@ -133,7 +137,7 @@ def _node_from_obj(obj: object, interned: "dict[tuple, Attribute]") -> ETNode:
             raise DecodeError("name must be a string")
         type_name = _require(obj, "type")
         try:
-            node_type = NodeType[type_name]  # type: ignore[index]
+            node_type = _TYPE_BY_NAME[type_name]  # type: ignore[index]
         except (KeyError, TypeError):
             raise DecodeError(f"unknown node type {type_name!r}") from None
         parents = obj.get("parents", [])
@@ -144,7 +148,7 @@ def _node_from_obj(obj: object, interned: "dict[tuple, Attribute]") -> ETNode:
         attrs_obj = obj.get("attributes", [])
         if not isinstance(attrs_obj, list):
             raise DecodeError("attributes must be a list")
-        attrs = tuple(_attr_from_obj(a, interned) for a in attrs_obj)
+        attrs = tuple([_attr_from_obj(a, interned) for a in attrs_obj])
     except DecodeError as exc:
         raise DecodeError(f"node {node_id}: {exc}") from None
     return ETNode(node_id, name, node_type, tuple(parents), attrs)
@@ -199,31 +203,43 @@ def _json(value: object, indent: int) -> str:
     return json.dumps(value, indent=2).replace("\n", "\n" + " " * indent)
 
 
+_NAME_JSON = {member: _str(member.name) for member in (*NodeType, *AttributeKind)}  # each type's and kind's text
+
+
 def _attr_json(attr: Attribute) -> str:
     return (
         f'{{\n          "name": {_json(attr.name, 10)},'
-        f'\n          "kind": {_json(attr.kind.name, 10)},'
+        f'\n          "kind": {_NAME_JSON[attr.kind]},'
         f'\n          "doc_string": {_json(attr.doc_string, 10)},'
         f'\n          "value": {_json(attr.value, 10)}\n        }}'
     )
 
 
-def _node_json(node: ETNode) -> str:
+def _node_json(node: ETNode, attr_texts: "dict[int, str]") -> str:
+    """``node``'s JSON; ``attr_texts`` maps the id of each Attribute written so far to its text."""
+    texts = []
+    for attr in node.attributes:
+        text = attr_texts.get(id(attr))
+        if text is None:
+            text = attr_texts[id(attr)] = _attr_json(attr)
+        texts.append(text)
     return (
         f'{{\n      "id": {_json(node.id, 6)},'
         f'\n      "name": {_json(node.name, 6)},'
-        f'\n      "type": {_json(node.type.name, 6)},'
+        f'\n      "type": {_NAME_JSON[node.type]},'
         f'\n      "parents": {_json(node.parents, 6)},'
-        f'\n      "attributes": {_list([_attr_json(a) for a in node.attributes], 6)}\n    }}'
+        f'\n      "attributes": {_list(texts, 6)}\n    }}'
     )
 
 
 def trace_to_json(trace: Trace) -> str:
     """Canonical JSON: exactly ``json.dumps(trace_to_obj(trace), indent=2) + "\\n"``.
 
-    Written directly, because ``indent`` turns off json's C encoder.
+    Written directly, because ``indent`` turns off json's C encoder. Each distinct
+    Attribute object is written once; the trace holds them all, so their ids stay unique.
     """
-    nodes = [_node_json(n) for n in sorted(trace.nodes, key=lambda n: n.id)]
+    attr_texts: dict[int, str] = {}
+    nodes = [_node_json(n, attr_texts) for n in sorted(trace.nodes, key=lambda n: n.id)]
     return (
         f'{{\n  "schema_version": {_json(trace.schema_version, 2)},'
         f'\n  "npu_id": {_json(trace.npu_id, 2)},'

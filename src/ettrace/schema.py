@@ -145,6 +145,10 @@ def float_payload(kind: AttributeKind, value: AttrValue) -> AttrValue:
 
 
 def _infer_attr(name: str, value: object) -> Attribute:
+    if type(value) is int:  # the kinds the loop below finds first for these types
+        return Attribute(name, _INT, value)
+    if type(value) is str:
+        return Attribute(name, _STRING, value)
     if isinstance(value, Attribute):
         return value
     if isinstance(value, bool):
@@ -189,8 +193,10 @@ class ETNode:
     attributes: tuple[Attribute, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "parents", tuple(self.parents))
-        object.__setattr__(self, "attributes", tuple(self.attributes))
+        if type(self.parents) is not tuple:
+            object.__setattr__(self, "parents", tuple(self.parents))
+        if type(self.attributes) is not tuple:
+            object.__setattr__(self, "attributes", tuple(self.attributes))
 
     def attribute(self, name: str) -> "Attribute | None":
         for attr in self.attributes:
@@ -208,7 +214,8 @@ class Trace:
     schema_version: str = SCHEMA_VERSION
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "nodes", tuple(self.nodes))
+        if type(self.nodes) is not tuple:
+            object.__setattr__(self, "nodes", tuple(self.nodes))
 
     def node(self, node_id: int) -> ETNode:
         for node in self.nodes:

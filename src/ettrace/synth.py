@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import sys
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
@@ -164,21 +166,16 @@ def _merge_conflict(traces: "list[Trace]", exc: "simulator.DeadlockError") -> Ex
 
 def reconstruct_rank_traces(master: MasterTrace, npus: int) -> list[Trace]:
     """Per-rank traces from a master: each rank's ops chained in the order it issued them."""
+    names = [f"{op.comm_type.value.lower()}_{op.seq_no}" for op in master.ops]
     traces = []
     for rank in range(npus):
-        mine = [op for op in master.ops if rank in op.participants]
-        mine.sort(key=lambda op: op.positions[rank])
+        # Each op this rank joined, by its position in the rank's order, then in the master's.
+        mine = sorted((op.positions[rank], i) for i, op in enumerate(master.ops) if rank in op.participants)
         b = TraceBuilder(rank)
-        prev = None
-        for op in mine:
-            node = b.coll(
-                f"{op.comm_type.value.lower()}_{op.seq_no}",
-                op.comm_type,
-                op.sizes[rank],
-                op.comm_group,
-                parents=[prev] if prev is not None else [],
-            )
-            prev = node
+        parents: "tuple[int, ...]" = ()
+        for _, i in mine:
+            op = master.ops[i]
+            parents = (b.coll(names[i], op.comm_type, op.sizes[rank], op.comm_group, parents),)
         traces.append(b.build())
     return traces
 
@@ -450,8 +447,24 @@ class SynthConfig:
 
 
 def _round_up4(value: float) -> int:
-    n = max(4, int(np.ceil(value)))
+    n = max(4, math.ceil(value))
     return ((n + 3) // 4) * 4
+
+
+def _cdf(weights: "list[float]") -> "list[float]":
+    """The CDF that ``rng.choice(len(weights), p=weights / weights.sum())`` builds, by the same numpy
+    operations, and searches, side "right", for its one ``rng.random()``: so
+    ``bisect_right(cdf, rng.random())`` takes that draw and picks what that choice picks."""
+    p = np.array(weights)
+    p = p / p.sum()
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf.tolist()
+
+
+def _size_sampler(gmm: Gmm1D) -> "tuple[list[float], list[tuple[float, float]]]":
+    """What ``gmm.sample(rng, 1)`` draws from: its component CDF and each component's (mean, sd)."""
+    return _cdf([c.weight for c in gmm.components]), [(c.mean, math.sqrt(c.var)) for c in gmm.components]
 
 
 # log2-size samples are clamped to a sane byte range before exponentiation.
@@ -459,7 +472,10 @@ _LOG2_MIN, _LOG2_MAX = 2.0, 50.0
 
 
 def synthesize_master(models: FittedModels, cfg: SynthConfig) -> MasterTrace:
-    """Sample one master trace: cluster -> length -> type chain -> sizes -> split."""
+    """Sample one master trace: cluster -> length -> type chain -> sizes -> split.
+
+    Types and sizes take the draws ``rng.choice`` and ``Gmm1D.sample(rng, 1)`` take, as scalars.
+    """
     rng = np.random.default_rng(cfg.seed)
     clusters = models.type_model.clusters
     if cfg.num_ops:  # a positive op count draws only among clusters that hold collectives
@@ -474,36 +490,40 @@ def synthesize_master(models: FittedModels, cfg: SynthConfig) -> MasterTrace:
     else:
         length = int(cluster.lengths[int(rng.integers(len(cluster.lengths)))])
 
+    random, normal = rng.random, rng.normal
+    dists = {None: cluster.type_probs, **cluster.transitions} if length else {}  # previous type -> next type's
+    rows = {prev: (list(dist), _cdf(list(dist.values()))) for prev, dist in dists.items()}
     types: list[str] = []
-    for i in range(length):
-        dist = cluster.type_probs if i == 0 else cluster.transitions[types[-1]]
-        names = list(dist)
-        probs = np.array([dist[t] for t in names])
-        types.append(names[int(rng.choice(len(names), p=probs / probs.sum()))])
+    for _ in range(length):
+        names, cdf = rows[types[-1] if types else None]
+        types.append(names[bisect_right(cdf, random())])
 
     ranks = list(range(cfg.npus))
+    participants = frozenset(ranks)
+    samplers = {t: _size_sampler(models.size_model[t]) for t in set(types)}
     ops = []
     for seq_no, t in enumerate(types):
-        gmm = models.size_model[t]
-        x = float(np.clip(gmm.sample(rng, 1)[0], _LOG2_MIN, _LOG2_MAX))
+        cdf, components = samplers[t]
+        x = min(max(normal(*components[bisect_right(cdf, random())]), _LOG2_MIN), _LOG2_MAX)
         total = _round_up4(2.0**x)
-        shares = np.full(cfg.npus, total / cfg.npus)
         if cfg.split_jitter > 0 and cfg.npus > 1:
             noise = rng.uniform(1 - cfg.split_jitter, 1 + cfg.split_jitter, size=cfg.npus)
-            shares = shares * noise
+            shares = noise * (total / cfg.npus)  # each rank's equal share, jittered
             shares *= total / shares.sum()
-        sizes = {rank: _round_up4(shares[i]) for i, rank in enumerate(ranks)}
+            sizes = dict(zip(ranks, map(_round_up4, shares.tolist())))
+        else:
+            sizes = dict.fromkeys(ranks, _round_up4(total / cfg.npus))
         ops.append(
             MasterOp(
                 seq_no=seq_no,
                 comm_type=CommType(t),
                 comm_group=cfg.comm_group,
-                participants=frozenset(ranks),
+                participants=participants,
                 sizes=sizes,
-                positions={rank: seq_no for rank in ranks},
+                positions=dict.fromkeys(ranks, seq_no),
             )
         )
-    return MasterTrace(ops=tuple(ops), ranks=frozenset(ranks))
+    return MasterTrace(ops=tuple(ops), ranks=participants)
 
 
 def synthesize(models: FittedModels, cfg: SynthConfig) -> list[Trace]:
@@ -587,7 +607,7 @@ def models_from_json(text: "str | bytes") -> FittedModels:
     except (TypeError, AttributeError) as exc:
         raise ValueError(f"models document is malformed: {exc}") from None
     # Sampling picks a cluster and follows every type it can reach to a
-    # transition row and a size model.
+    # transition row and a size model; each pick divides by a sum of weights.
     if not clusters:
         raise ValueError("models document has no clusters")
     for cluster in clusters:
@@ -595,7 +615,19 @@ def models_from_json(text: "str | bytes") -> FittedModels:
         for t in {*cluster.type_probs, *(u for row in cluster.transitions.values() for u in row)}:
             if t not in cluster.transitions or t not in size_model or not size_model[t].components:
                 raise ValueError(f"models document: type {t!r} has no transition row or no size model")
+            _check_weight_sum([c.weight for c in size_model[t].components], f"size weights of type {t!r}")
+    _check_weight_sum([c.weight for c in clusters], "cluster weights")
+    drawn = [c.weight for c in clusters if c.type_probs]  # the clusters a positive num_ops draws among
+    if drawn:
+        _check_weight_sum(drawn, "weights of the clusters that hold collectives")
     return FittedModels(type_model=CommTypeModel(clusters), size_model=size_model)
+
+
+def _check_weight_sum(weights: "list[float]", what: str) -> None:
+    """ValueError unless ``weights``, each a finite number >= 0, sum to a positive finite number."""
+    total = sum(weights)
+    if not 0 < total <= sys.float_info.max:
+        raise ValueError(f"models document: {what} sum to {total!r}, not a positive finite number")
 
 
 def ks_statistic(a: "np.ndarray | list[float]", b: "np.ndarray | list[float]") -> float:

@@ -156,11 +156,18 @@ def _too_long(text: str) -> bool:
     return len(text.encode("utf-8")) > _U16_MAX
 
 
-def _check_attributes(node: ETNode, out: list[Violation]) -> "dict[str, Attribute]":
-    """Report each attribute's violations; returns the first of each name, as ``ETNode.attribute`` finds it."""
+def _check_attributes(node: ETNode, out: list[Violation], clean: "set[int]") -> "dict[str, Attribute]":
+    """Report each attribute's violations; returns the first of each name, as ``ETNode.attribute`` finds it.
+    ``clean`` holds the ids of the attributes that passed every check but the node's duplicate-name one."""
     first: dict[str, Attribute] = {}
     for attr in node.attributes:
         name = attr.name
+        if id(attr) in clean:
+            if name in first:
+                out.append(Violation(DUPLICATE_ATTRIBUTE, f"attribute {name!r} appears twice", node.id))
+            first.setdefault(name, attr)
+            continue
+        reported = len(out)
         if not isinstance(name, str):
             out.append(Violation(NOT_A_STRING, f"attribute name {name!r} is not a string", node.id))
             name = None  # may be unhashable; no name-based check applies
@@ -169,6 +176,7 @@ def _check_attributes(node: ETNode, out: list[Violation]) -> "dict[str, Attribut
                 out.append(Violation(EMPTY_ATTR_NAME, "attribute with empty name", node.id))
             if name in first:
                 out.append(Violation(DUPLICATE_ATTRIBUTE, f"attribute {name!r} appears twice", node.id))
+                reported += 1
             first.setdefault(name, attr)
             if not name.isascii() and _not_utf8(name):
                 out.append(Violation(NOT_A_STRING, f"attribute name {name!r} is not UTF-8 text", node.id))
@@ -220,6 +228,8 @@ def _check_attributes(node: ETNode, out: list[Violation]) -> "dict[str, Attribut
         elif kind is _STRINGS:
             if not all(item.isascii() for item in value) and any(map(_not_utf8, value)):
                 out.append(Violation(NOT_A_STRING, f"attribute {attr.name!r}: an item is not UTF-8 text", node.id))
+        if len(out) == reported:
+            clean.add(id(attr))
     return first
 
 
@@ -287,6 +297,7 @@ def validate_trace(trace: Trace) -> ValidationReport:
         out.append(Violation(OUT_OF_RANGE, f"npu_id {trace.npu_id} is outside 0..{_U32_MAX}"))
 
     by_id: dict[int, ETNode] = {}
+    clean: set[int] = set()  # the trace holds every attribute, so ids stay unique through the call
     for node in trace.nodes:
         if type(node.id) is not int:
             out.append(Violation(NOT_AN_INT, f"node id {node.id!r} is not an int"))
@@ -325,7 +336,7 @@ def validate_trace(trace: Trace) -> ValidationReport:
             out.append(Violation(OUT_OF_RANGE, f"node name is over {_U16_MAX} UTF-8 bytes", node.id))
         if len(node.attributes) > _U16_MAX:
             out.append(Violation(OUT_OF_RANGE, f"more than {_U16_MAX} attributes", node.id))
-        _check_comm_contract(node, _check_attributes(node, out), out)
+        _check_comm_contract(node, _check_attributes(node, out, clean), out)
 
     for nid in sorted(_find_cycle_members(by_id)):
         out.append(Violation(CYCLE, "node is on a dependency cycle or depends on one", nid))

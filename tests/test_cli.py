@@ -1,6 +1,8 @@
+import gc
 import json
 import random
 import shutil
+import warnings
 
 import pytest
 
@@ -608,3 +610,56 @@ def test_a_corrupt_kth_trace_file_exits_2_with_its_decode_error(fmt, tmp_path, c
         for argv in (["validate", str(workload)], [*simulate, "--timeline", str(timeline)]):
             assert run(capsys, *argv) == (2, "", message), argv
         assert not timeline.exists()
+
+
+@pytest.mark.parametrize("field", ["cluster weights", "size weights"])
+def test_synthesize_refuses_models_whose_weights_sum_to_zero(field, tmp_path, capsys):
+    models_file = tmp_path / "models.json"
+    assert run(capsys, "fit", str(gen(tmp_path, capsys)), "--components", "2", "--output", str(models_file))[0] == 0
+    doc = json.loads(models_file.read_text())
+    if field == "cluster weights":
+        for cluster in doc["type_model"]["clusters"]:
+            cluster["weight"] = 0
+    else:
+        for component in doc["size_model"][min(doc["size_model"])]:
+            component["weight"] = 0.0
+    models_file.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning, such as numpy's for 0 / 0, raises here
+        code, _, err = run(capsys, "synthesize", "--models", str(models_file), "--npus", "4", "--num-ops", "8",
+                           "--out", str(tmp_path / "s"))
+    assert code == 2 and err.startswith(f"error: models document: {field}") and "sum to 0" in err, err
+    assert "Warning" not in err and not (tmp_path / "s").exists()
+
+
+def test_main_pauses_the_collector_while_a_command_runs(tmp_path, capsys, monkeypatch):
+    w = gen(tmp_path, capsys)
+    b0, b1 = TraceBuilder(0), TraceBuilder(1)
+    b0.coll("B", CommType.ALL_GATHER, 64, "g", parents=[b0.coll("A", CommType.ALL_REDUCE, 64, "g")])
+    b1.coll("A", CommType.ALL_REDUCE, 64, "g", parents=[b1.coll("B", CommType.ALL_GATHER, 64, "g")])
+    deadlocked = tmp_path / "deadlocked"
+    codec.write_workload([b0.build(), b1.build()], deadlocked)
+    during = []
+    iter_workload = codec.iter_workload
+    monkeypatch.setattr(codec, "iter_workload", lambda *a, **k: during.append(gc.isenabled()) or iter_workload(*a, **k))
+    simulate = ["simulate", "--topology", "torus2d:2x2", "--bw", "62e9", "--trace-dir"]
+    outcomes = [
+        (0, ["validate", str(w)]),
+        (2, [*simulate, str(tmp_path / "missing")]),
+        (3, [*simulate, str(deadlocked)]),
+        (1, ["frobnicate"]),  # refused by the parser
+        (1, ["convert", str(tmp_path / "trace.txt"), "--out", str(tmp_path / "c")]),  # refused inside the command
+    ]
+    try:
+        for enabled in (True, False):
+            gc.enable() if enabled else gc.disable()
+            for expected, argv in outcomes:
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+                capsys.readouterr()
+                assert code == expected and gc.isenabled() is enabled, (argv, code)
+    finally:
+        gc.enable()
+    assert during == [False] * 6  # validate, and the two simulates that read a directory, twice

@@ -1,8 +1,12 @@
+import hashlib
+from bisect import bisect_right
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ettrace.builder import TraceBuilder
+from ettrace.codec import trace_to_json
 from ettrace.costmodel import Topology, TopologyKind, near_square_dims
 from ettrace.schema import CommType, ETNode, NodeType, Trace, make_attributes
 from ettrace.simulator import DeadlockError, SimConfig, _template_topology, run_simulation
@@ -27,6 +31,7 @@ from ettrace.synth import (
     synthesize_master,
     total_variation,
 )
+from ettrace.synth import _cdf, _size_sampler
 from ettrace.validate import validate_trace
 
 AR, AG, RS, A2A = CommType.ALL_REDUCE, CommType.ALL_GATHER, CommType.REDUCE_SCATTER, CommType.ALL_TO_ALL
@@ -533,3 +538,80 @@ def test_ks_statistic_refuses_an_empty_sample():
     for a, b in (([], [1.0]), ([1.0], []), ([], [])):
         with pytest.raises(ValueError, match="non-empty samples"):
             ks_statistic(a, b)
+
+
+weights = st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 1e3)), min_size=1, max_size=8).filter(lambda w: sum(w) > 0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(weights, st.integers(0, 2**32 - 1))
+def test_a_scalar_type_draw_is_the_generator_choice(w, seed):
+    chosen, bisected = np.random.default_rng(seed), np.random.default_rng(seed)
+    p = np.array(w)
+    cdf = _cdf(w)
+    for _ in range(4):
+        assert bisect_right(cdf, bisected.random()) == chosen.choice(len(w), p=p / p.sum())
+    assert bisected.random() == chosen.random()  # both drew the same numbers
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.tuples(st.one_of(st.just(0.0), st.floats(1e-3, 10)), st.floats(-40, 40), st.floats(0, 25)),
+             min_size=1, max_size=4).filter(lambda comps: sum(c[0] for c in comps) > 0),
+    st.integers(0, 2**32 - 1),
+)
+def test_a_scalar_size_draw_is_the_gmm_sample(components, seed):
+    gmm = Gmm1D(tuple(GmmComponent(*c) for c in components))
+    sampled, bisected = np.random.default_rng(seed), np.random.default_rng(seed)
+    cdf, params = _size_sampler(gmm)
+    for _ in range(4):
+        assert bisected.normal(*params[bisect_right(cdf, bisected.random())]) == gmm.sample(sampled, 1)[0]
+    assert bisected.random() == sampled.random()
+
+
+def mixed_models():
+    """Two clusters, a zero transition probability and a zero component weight; k = 1, 2 and 3 size mixtures."""
+    first = ClusterModel(
+        0.6,
+        {AR.value: 0.5, AG.value: 0.3, RS.value: 0.2},
+        {
+            AR.value: {AR.value: 0.6, AG.value: 0.0, RS.value: 0.4},
+            AG.value: {AR.value: 1.0},
+            RS.value: {AG.value: 0.5, RS.value: 0.5},
+        },
+        (3, 40, 90),
+    )
+    second = ClusterModel(
+        0.4, {A2A.value: 0.9, AR.value: 0.1}, {A2A.value: {A2A.value: 0.8, AR.value: 0.2}, AR.value: {A2A.value: 1.0}},
+        (25, 60),
+    )
+    sizes = {
+        AR.value: Gmm1D((GmmComponent(0.2, 8.0, 0.5), GmmComponent(0.5, 16.0, 2.0), GmmComponent(0.3, 24.0, 1.0))),
+        AG.value: Gmm1D((GmmComponent(1.0, 12.0, 0.25),)),
+        RS.value: Gmm1D((GmmComponent(0.7, 10.0, 1.0), GmmComponent(0.3, 20.0, 4.0))),
+        A2A.value: Gmm1D((GmmComponent(0.0, 5.0, 1.0), GmmComponent(1.0, 18.0, 0.5))),
+    }
+    return FittedModels(CommTypeModel((first, second)), sizes)
+
+
+# sha256 of the concatenated JSON of every synthesized rank, as numpy's per-op
+# Generator.choice and Gmm1D.sample draws wrote them; the scalar draws must keep them.
+SYNTHESIZED_SHA256 = [
+    (iid_models, SynthConfig(npus=1, seed=4, num_ops=64, split_jitter=0.0), 64,
+     "8da5193114f8fac43d67f5c21ec1a7e8f0e6e02d4638c6d55d536758d5c116b6"),
+    (iid_models, SynthConfig(npus=8, seed=3, num_ops=100), 800,
+     "0713c0e71570f4aba81b160552d48fe7cde7ee16cfb0227248e00a6da4be14d6"),
+    (mixed_models, SynthConfig(npus=8, seed=7), 480,
+     "fb1b51d3e2b9925ce0a81de31185aabf85995b0e6f91fa62a9ed45070fd92f7c"),
+    (mixed_models, SynthConfig(npus=8, seed=2, num_ops=150, split_jitter=0.0), 1200,
+     "0fe95599a979c97ab446ec7ae6ed90530d7f52eb69993179756e897a46883210"),
+    (mixed_models, SynthConfig(npus=1, seed=11), 90,
+     "ffe373f81284f5e4a7f661cb22e8383ded58119a78e93730261cc0495b1fe99c"),
+]
+
+
+@pytest.mark.parametrize("models, cfg, nodes, digest", SYNTHESIZED_SHA256)
+def test_synthesized_ranks_keep_their_bytes(models, cfg, nodes, digest):
+    traces = synthesize(models(), cfg)
+    assert sum(len(t.nodes) for t in traces) == nodes
+    assert hashlib.sha256("".join(map(trace_to_json, traces)).encode()).hexdigest() == digest

@@ -488,3 +488,28 @@ def test_comm_contract_report_is_pinned():
 def test_an_empty_report_reads_valid():
     assert str(v.ValidationReport(())) == "valid"
     assert str(v.validate_trace(Trace(0, ()))) == "valid"
+
+
+def test_a_shared_bad_attribute_is_reported_on_every_node_that_carries_it():
+    # Validation checks each distinct Attribute object once per call for what does not
+    # depend on its node; it may skip only attributes that passed, never a bad one.
+    kind, group = Attribute("comm_type", AttributeKind.STRING, "ALL_REDUCE"), Attribute("comm_group", AttributeKind.STRING, "dp")
+
+    def trace(size):
+        nodes = [ETNode(i, f"c{i}", NodeType.COMM_COLL, (i - 1,) if i > 1 else (), (kind, size(), group))
+                 for i in range(1, 5)]
+        # node 5 carries the shared clean group twice: its duplicate is still reported
+        nodes.append(ETNode(5, "c5", NodeType.COMM_COLL, (4,), (kind, size(), group, group)))
+        return Trace(0, nodes)
+
+    bad = Attribute("comm_size", AttributeKind.INT, -8)
+    shared = v.validate_trace(trace(lambda: bad))
+    copies = v.validate_trace(trace(lambda: Attribute("comm_size", AttributeKind.INT, -8)))
+    assert shared == copies
+    assert [(x.code, x.node_id) for x in shared.violations] == [
+        (v.NEGATIVE_SIZE, 1), (v.NEGATIVE_SIZE, 2), (v.NEGATIVE_SIZE, 3), (v.NEGATIVE_SIZE, 4),
+        (v.NEGATIVE_SIZE, 5), (v.DUPLICATE_ATTRIBUTE, 5),
+    ]
+    clean = v.validate_trace(trace(lambda: Attribute("comm_size", AttributeKind.INT, 8)))
+    assert [(x.code, x.node_id) for x in clean.violations] == [(v.DUPLICATE_ATTRIBUTE, 5)]
+
