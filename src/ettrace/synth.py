@@ -15,6 +15,7 @@ import json
 import logging
 import math
 import sys
+from array import array
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
@@ -317,14 +318,6 @@ class CommTypeModel:
         return model
 
 
-def _composition_vector(master: MasterTrace) -> np.ndarray:
-    counts = np.zeros(len(_TYPE_ORDER))
-    for op in master.ops:
-        counts[_TYPE_ORDER.index(op.comm_type.value)] += 1
-    total = counts.sum()
-    return counts / total if total else counts
-
-
 def _kmeans(vectors: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     """K-means over composition vectors; returns the assignment.
 
@@ -363,63 +356,58 @@ def fit_models(
 ) -> FittedModels:
     """Fit all synthesis models on a corpus of master traces.
 
-    Both counts are checked before the corpus is read.
+    Both counts are checked before the corpus is read. The corpus is read
+    once, one master at a time, and no master is kept.
     """
     if n_clusters < 1:
         raise ValueError("n_clusters must be >= 1")
     if k_components < 1:
         raise ValueError("k must be >= 1")
-    corpus = list(corpus)
-    if not corpus:
+    # Each master comes down to its op count, comm-type counts and (prev, next) transition
+    # counts, and each op's log2 total bytes, appended per type in corpus order.
+    tallies = []
+    log2_sizes: "dict[str, array]" = {}
+    for master in corpus:
+        types = [op.comm_type.value for op in master.ops]
+        for t, total in zip(types, [sum(op.sizes.values()) for op in master.ops]):
+            # float first: payloads that each fit int64 can sum past what numpy converts
+            log2_sizes.setdefault(t, array("d")).append(np.log2(float(max(1, total))))
+        tallies.append((len(types), Counter(types), Counter(zip(types, types[1:]))))
+        del master  # so it can go while the corpus reads the next one
+    if not tallies:
         raise ValueError("corpus must contain at least one master trace")
     rng = np.random.default_rng(seed)
 
-    vectors = np.array([_composition_vector(m) for m in corpus])
-    assign = _kmeans(vectors, n_clusters, rng)
+    vectors = np.array([[counts[t] / n if n else 0.0 for t in _TYPE_ORDER] for n, counts, _ in tallies])
+    assign = _kmeans(vectors, n_clusters, rng).tolist()
 
     clusters = []
-    for j in sorted(set(assign.tolist())):
-        members = [corpus[i] for i in range(len(corpus)) if assign[i] == j]
-        counts: dict[str, float] = {}
-        trans_counts: dict[str, dict[str, float]] = {}
-        lengths = []
-        for master in members:
-            lengths.append(len(master.ops))
-            prev = None
-            for op in master.ops:
-                t = op.comm_type.value
-                counts[t] = counts.get(t, 0) + 1
-                if prev is not None:
-                    trans_counts.setdefault(prev, {})[t] = trans_counts.get(prev, {}).get(t, 0) + 1
-                prev = t
+    for j in sorted(set(assign)):
+        members = [tally for tally, a in zip(tallies, assign) if a == j]
+        counts, trans_counts = Counter(), Counter()
+        for _, member_counts, member_trans in members:
+            counts.update(member_counts)
+            trans_counts.update(member_trans)
         total = sum(counts.values())
         type_probs = {t: c / total for t, c in sorted(counts.items())}
         transitions = {}
         for t in type_probs:
-            row = trans_counts.get(t)
-            if row:
-                row_total = sum(row.values())
-                transitions[t] = {u: c / row_total for u, c in sorted(row.items())}
-            else:
-                # Never observed as a predecessor: fall back to the marginal.
-                transitions[t] = dict(type_probs)
+            row = {u: c for (prev, u), c in sorted(trans_counts.items()) if prev == t}
+            row_total = sum(row.values())
+            # Never observed as a predecessor: fall back to the marginal.
+            transitions[t] = {u: c / row_total for u, c in row.items()} if row else dict(type_probs)
         cluster = ClusterModel(
-            weight=len(members) / len(corpus),
+            weight=len(members) / len(tallies),
             type_probs=type_probs,
             transitions=transitions,
-            lengths=tuple(sorted(lengths)),
+            lengths=tuple(sorted(n for n, _, _ in members)),
         )
         cluster.check()
         clusters.append(cluster)
 
-    by_type: dict[str, list[float]] = {}
-    for master in corpus:
-        for op in master.ops:
-            total_bytes = sum(op.sizes.values())
-            by_type.setdefault(op.comm_type.value, []).append(np.log2(max(1, total_bytes)))
     size_model = {
-        t: fit_gmm(np.array(vals), k_components, seed=seed + i)
-        for i, (t, vals) in enumerate(sorted(by_type.items()))
+        t: fit_gmm(np.frombuffer(vals), k_components, seed=seed + i)
+        for i, (t, vals) in enumerate(sorted(log2_sizes.items()))
     }
     return FittedModels(type_model=CommTypeModel(tuple(clusters)), size_model=size_model)
 

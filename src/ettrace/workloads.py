@@ -242,7 +242,6 @@ def _gen_pipeline(spec: WorkloadSpec) -> list[Trace]:
 
 # Reference fabric the presets are calibrated against.
 REFERENCE_BANDWIDTH = 62e9  # bytes/sec per link
-REFERENCE_NPUS = 4
 CYCLE_TIME = 1e-9  # seconds per cycle at the default simulator clock
 
 TRANSFORMER_COMPUTE_TO_COMM = 25.0

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import random
 import shutil
@@ -407,6 +408,37 @@ def test_fit_accepts_collective_free_workloads(tmp_path, capsys):
                        "--out", str(out))
     assert code == 0, err
     assert [sum(n.type is NodeType.COMM_COLL for n in t.nodes) for t in codec.read_workload(out)] == [6] * 4
+
+
+# sha256 of the models JSON that ``ettrace fit`` wrote on these presets, recorded when
+# fit_models still kept every master; a fit in one pass must write the same bytes.
+FIT_PRESETS_SHA256 = "19aea5f64f8ff8e88154227522c4983f046631e642248917d591e7834069b5ce"
+
+
+def test_fit_over_presets_keeps_its_bytes(tmp_path, capsys):
+    dirs = []
+    for preset, npus in (("dlrm", 8), ("mlp-hybrid", 4), ("transformer", 8), ("mlp-dp", 4)):
+        dirs.append(str(tmp_path / f"{preset}-{npus}"))
+        assert run(capsys, "generate", "--preset", preset, "--npus", str(npus), "--out", dirs[-1])[0] == 0
+    models_file = tmp_path / "models.json"
+    code, _, err = run(capsys, "fit", *dirs, dirs[0], "--seed", "5", "--output", str(models_file))
+    assert code == 0, err
+    assert hashlib.sha256(models_file.read_bytes()).hexdigest() == FIT_PRESETS_SHA256
+
+
+def test_fit_takes_the_log2_of_a_payload_sum_past_uint64(tmp_path, capsys):
+    work = tmp_path / "w"
+    traces = []
+    for npu in range(4):
+        b = TraceBuilder(npu)
+        b.coll("ar", CommType.ALL_REDUCE, 2**62, "g")
+        traces.append(b.build())
+    codec.write_workload(traces, work)
+    models_file = tmp_path / "models.json"
+    code, _, err = run(capsys, "fit", str(work), "--components", "1", "--clusters", "1", "--output", str(models_file))
+    assert code == 0 and "Traceback" not in err, err
+    (component,) = json.loads(models_file.read_text())["size_model"]["ALL_REDUCE"]
+    assert component["mean"] == 64.0
 
 
 def test_synthesize_refuses_a_cluster_with_no_lengths(tmp_path, capsys):

@@ -1,4 +1,6 @@
 import hashlib
+import random
+import weakref
 from bisect import bisect_right
 
 import numpy as np
@@ -392,8 +394,82 @@ def test_fit_models_separates_composition_clusters(rng):
 
 
 def test_fit_models_requires_corpus():
-    with pytest.raises(ValueError, match="at least one master"):
-        fit_models([])
+    for empty in ([], (master for master in ())):
+        with pytest.raises(ValueError, match="corpus must contain at least one master trace"):
+            fit_models(empty)
+
+
+def sized_masters(seed, n):
+    """``n`` masters of random comm types, groups and sizes, each merged from a random workload."""
+    rng = random.Random(seed)
+    return [
+        build_master_trace(random_mergeable_corpus(rng, rng.randint(2, 5), rng.randint(1, 25), rng.randint(1, 3)))
+        for _ in range(n)
+    ]
+
+
+def a2a_last_masters():
+    """Masters whose one ALL_TO_ALL is their last op, so it is never a predecessor."""
+    return [
+        build_master_trace([rank_trace(r, [(AR, "g", 64 * (i + 1)), (AG, "g", 128), (A2A, "g", 4096 * (i + 1))])
+                            for r in (0, 1)])
+        for i in range(3)
+    ]
+
+
+# sha256 of models_to_json(fit_models(corpus, k_components, n_clusters, seed)), recorded when
+# fit_models still kept every master and read its ops once for k-means, once per cluster and
+# once for the sizes; a fit in one pass must write the same bytes.
+MODELS_SHA256 = [
+    ("k3-c2", lambda: sized_masters(1, 12), 3, 2, 0,
+     "ccc4e439c4fb8391222dee7c1a6ecd9be7ba5f88d25f4dd38789a805ee50e593"),
+    ("k1-c1", lambda: sized_masters(2, 6), 1, 1, 3,
+     "7359f09bf6a7d49b92c6dcf11872f095e51834f72558506d93f3240d13a58fa4"),
+    ("clusters-above-corpus", lambda: sized_masters(3, 5), 3, 9, 1,
+     "6530b68dd958e1e5133519027abfd861ef5ae3ba31deee5dc51b014f0e1bb85b"),
+    ("collective-free", lambda: [MasterTrace(ops=(), ranks=frozenset({0, 1})), *sized_masters(4, 6)], 2, 2, 0,
+     "a270bdd608873b7efdb6f0b143196aaada10a0de0dc25945b70ccb122ab46c84"),
+    ("never-a-predecessor", a2a_last_masters, 1, 1, 0,
+     "aea7cdefa2dd7fc738e5647a79bf14b8dbc8887137131588afc4b3a8b9043455"),
+]
+
+
+@pytest.mark.parametrize("name, corpus, k_components, n_clusters, seed, digest", MODELS_SHA256)
+def test_fitted_models_keep_their_bytes(name, corpus, k_components, n_clusters, seed, digest):
+    text = models_to_json(fit_models(corpus(), k_components=k_components, n_clusters=n_clusters, seed=seed))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest, name
+
+
+def test_a_type_never_seen_as_a_predecessor_falls_back_to_the_marginal():
+    (cluster,) = fit_models(a2a_last_masters(), k_components=1, n_clusters=1, seed=0).type_model.clusters
+    assert cluster.transitions[A2A.value] == cluster.type_probs
+    assert cluster.transitions[AR.value] == {AG.value: 1.0}
+
+
+def test_fit_models_keeps_no_master():
+    masters = sized_masters(5, 6)
+    alive = []  # per master after the first: whether the one before it was still alive when it was read
+    refs = []
+
+    def corpus():
+        for i in range(len(masters)):
+            if refs:
+                alive.append(refs[-1]() is not None)
+            master = masters[i]
+            masters[i] = None  # only fit_models may hold it now
+            refs.append(weakref.ref(master))
+            yield master
+            del master
+
+    expected = models_to_json(fit_models(sized_masters(5, 6), k_components=2, n_clusters=2, seed=0))
+    assert models_to_json(fit_models(corpus(), k_components=2, n_clusters=2, seed=0)) == expected
+    assert alive == [False] * 5
+    assert all(ref() is None for ref in refs)
+
+
+def test_a_payload_sum_past_uint64_takes_the_log2_numpy_took():
+    for total in (1, 2**53 - 1, 2**53, 2**53 + 1, 2**63 - 1, 2**63, 2**64 - 1):
+        assert np.log2(float(max(1, total))) == np.log2(max(1, total)), total
 
 
 def test_models_json_roundtrip(rng):
