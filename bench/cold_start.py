@@ -21,10 +21,8 @@ version and the CPU count.
 """
 from __future__ import annotations
 
-import argparse
 import json
 import os
-import platform
 import statistics
 import subprocess
 import sys
@@ -32,7 +30,8 @@ import tempfile
 import time
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+import ladder
+
 PRESET, NPUS, TOPOLOGY = "mlp-hybrid", 8, "switch2lvl:4x2"
 IMPORT = "import time; t = time.perf_counter(); import {}; print(time.perf_counter() - t)"
 
@@ -80,40 +79,27 @@ def _summary(samples: "list[dict[str, tuple[float, float]]]") -> dict:
 
 
 def main(argv: "list[str] | None" = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--runs", type=int, default=25, help="measured runs per checkout (default 25)")
-    parser.add_argument("--before-src", type=Path, help="another checkout's src/, timed alongside as 'before'")
-    parser.add_argument("--out", default=str(ROOT / "BENCH_startup.json"), help="output JSON path")
-    args = parser.parse_args(argv)
-    if args.runs < 1:
-        parser.error("--runs must be >= 1")
-    sides = {"after": ROOT / "src"}
-    if args.before_src:
-        if not (args.before_src / "ettrace" / "__init__.py").is_file():
-            parser.error(f"--before-src {args.before_src} holds no ettrace package")
-        sides = {"before": args.before_src.resolve(), **sides}
+    p = ladder.parser(__doc__, "BENCH_startup.json", "--runs", 25, "measured runs per checkout")
+    args = p.parse_args(argv)
+    sides = ladder.checkouts(p, args.before_src)
     samples: "dict[str, list]" = {side: [] for side in sides}
     with tempfile.TemporaryDirectory() as tmp:
         workload = Path(tmp) / "w"
         _child(["-m", "ettrace.cli", "generate", "--preset", PRESET, "--npus", str(NPUS), "--out", str(workload)],
-               ROOT / "src")
+               ladder.ROOT / "src")
         for side, src in sides.items():  # warm the file cache, unmeasured
             _round(src, workload)
         for i in range(args.runs):
-            order = list(sides) if i % 2 == 0 else list(reversed(sides))
-            for side in order:
+            for side in ladder.order(sides, i):
                 samples[side].append(_round(sides[side], workload))
-    flags = _child(["-c", "import sys; print(int(sys.flags.dont_write_bytecode))"], ROOT / "src")[2]
-    doc = {
-        "benchmark": "cold_start",
-        "python": platform.python_version(),
-        "machine": platform.machine(),
-        "cpus": os.cpu_count(),
-        "dont_write_bytecode": bool(int(flags)),
-        "runs": args.runs,
-        "workload": {"preset": PRESET, "npus": NPUS, "topology": TOPOLOGY, "bw": 62e9},
+    flags = _child(["-c", "import sys; print(int(sys.flags.dont_write_bytecode))"], ladder.ROOT / "src")[2]
+    doc = ladder.header(
+        "cold_start",
+        dont_write_bytecode=bool(int(flags)),
+        runs=args.runs,
+        workload={"preset": PRESET, "npus": NPUS, "topology": TOPOLOGY, "bw": 62e9},
         **{side: _summary(s) for side, s in samples.items()},
-    }
+    )
     Path(args.out).write_text(json.dumps(doc, indent=2) + "\n")
     for side in sides:
         print(side, json.dumps(doc[side]))

@@ -249,7 +249,10 @@ def trace_to_json(trace: Trace) -> str:
 
 def trace_from_json(text: "str | bytes") -> Trace:
     if isinstance(text, bytes):
-        text = text.decode("utf-8")
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DecodeError(f"not valid UTF-8: {exc}") from None
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -530,7 +533,7 @@ def iter_workload(directory: "str | Path", prefix: str = "trace") -> Iterator[Tr
     found: list[tuple[int, Path]] = []
     for path in directory.glob(f"{prefix}.*{TRACE_FILE_SUFFIX}"):
         stem = path.name[len(prefix) + 1 : -len(TRACE_FILE_SUFFIX)]
-        if stem.isdigit():
+        if stem.isascii() and stem.isdigit():  # isdigit alone takes "²" and "٣"
             found.append((int(stem), path))
     if not found:
         raise FileNotFoundError(f"no {prefix}.<npu_id>{TRACE_FILE_SUFFIX} files in {directory}")

@@ -267,7 +267,8 @@ def get_str_attr(node: ETNode, name: str, default: "str | None" = None) -> "str 
 
 
 def parse_schema_version(version: str) -> tuple[int, int]:
+    """``"<major>.<minor>"`` as ints. Each part is a canonical ASCII decimal, the text both codecs give back."""
     parts = version.split(".") if isinstance(version, str) else ()
-    if len(parts) != 2 or not all(p.isdigit() for p in parts):
+    if len(parts) != 2 or not all(p.isascii() and p.isdigit() and (p == "0" or p[0] != "0") for p in parts):
         raise ValueError(f"malformed schema_version {version!r}; expected '<major>.<minor>'")
     return int(parts[0]), int(parts[1])

@@ -644,6 +644,15 @@ def test_a_corrupt_kth_trace_file_exits_2_with_its_decode_error(fmt, tmp_path, c
         assert not timeline.exists()
 
 
+def test_a_trace_file_that_is_not_utf8_exits_2_and_names_the_file(tmp_path, capsys):
+    out = gen(tmp_path, capsys)
+    bad = out / "trace.2.et"
+    bad.write_bytes(b"\xff\xfe{}")
+    code, stdout, err = run(capsys, "simulate", "--trace-dir", str(out), "--topology", "torus2d:2x2", "--bw", "62e9")
+    assert (code, stdout) == (2, "")
+    assert err.startswith(f"error: {bad}: not valid UTF-8: ") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("field", ["cluster weights", "size weights"])
 def test_synthesize_refuses_models_whose_weights_sum_to_zero(field, tmp_path, capsys):
     models_file = tmp_path / "models.json"

@@ -284,6 +284,26 @@ def test_iter_workload_finds_files_at_once_and_decodes_each_when_reached(tmp_pat
         next(traces)
 
 
+def test_iter_workload_skips_stems_that_are_not_ascii_digits(tmp_path):
+    write_workload([Trace(0), Trace(1)], tmp_path)
+    for stem in ("x", "\u00b2", "\u0663"):  # "²" and "٣" pass str.isdigit
+        (tmp_path / f"trace.{stem}.et").write_bytes(b"garbage")
+    assert list(iter_workload(tmp_path)) == [Trace(0), Trace(1)]
+
+
+@given(st.text(alphabet="019.\u00b2\u0660\u0663 +-", max_size=6))
+@example("0.1")
+@example("0.255")
+@example("00.1")
+@example("\u0660.1")
+def test_a_schema_version_that_passes_the_gate_survives_both_codecs(version):
+    trace = Trace(0, schema_version=version)
+    if not validate_trace(trace).ok:
+        return
+    assert trace_from_binary(trace_to_binary(trace)) == trace
+    assert trace_from_json(trace_to_json(trace)) == trace
+
+
 def test_workload_filename_npu_mismatch(tmp_path):
     write_trace(Trace(5), tmp_path / "trace.0.et")
     with pytest.raises(DecodeError, match="filename says npu 0"):

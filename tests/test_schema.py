@@ -180,8 +180,8 @@ def test_node_lookup_on_trace():
 def test_parse_schema_version():
     assert parse_schema_version("0.1") == (0, 1)
     assert parse_schema_version("2.10") == (2, 10)
-    for bad in ("", "1", "a.b", "1.2.3", "-1.0"):
-        with pytest.raises(ValueError):
+    for bad in ("", "1", "a.b", "1.2.3", "-1.0", "00.1", "0.01", "\u0660.1", "\u00b2.1", "0.\u00b2", " 0.1", "+0.1"):
+        with pytest.raises(ValueError, match="malformed schema_version"):
             parse_schema_version(bad)
 
 
